@@ -6,12 +6,26 @@ the ``2^(m-b)`` high-bit blocks, so memory stays bounded while every one of
 the ``2^m`` coalitions is visited exactly once.  Swing counts are integers,
 accumulated per block; any split of the high-bit range yields the same
 totals, which is what makes worker partitioning safe.
+
+Only winning coalitions can be swung, and in games like the EU Council few
+of them win.  The first full scan under each boundary convention therefore
+compacts the winning coalitions, their sums and membership bits, and the
+table caches them when they fit in one block's sum arrays (``2^b * k * 8``
+bytes), memory the streaming scan holds anyway.  Later scans, one per load
+matrix, read only the cached winners.  Larger winning sets and partial
+high-bit ranges are streamed block by block; the scan that finds the budget
+exceeded counts what it has compacted so far and streams the rest, so the
+choice costs no second pass.  Both paths use the same sums and the same
+comparisons (``s >= t`` to win, ``s - l < t`` to break, with the strict
+convention's thresholds moved up one ulp), so their counts are identical.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +96,9 @@ class CoalitionTable:
 
     Building the table costs the one-off sum arrays; `swing_counts` can then
     be called repeatedly with different load matrices (for instance one call
-    per sampled association matrix) without re-enumerating.
+    per sampled association matrix) without re-enumerating.  The first full
+    scan under each boundary convention also compacts the winning coalitions
+    when they fit the budget, and later scans read only those.
     """
 
     def __init__(self, game: VotingGame, block_bits: int | None = None):
@@ -96,47 +112,122 @@ class CoalitionTable:
         self.high_bits = m - b
         W = game.weight_matrix
         k = game.num_dimensions
-        self.low_sums = [self._subset_sums(W[:b, d], b) for d in range(k)]
-        self.high_sums = [self._subset_sums(W[b:, d], m - b) for d in range(k)]
-        # membership masks over the low block, one bool row per low player
-        n_low = 1 << b
-        idx = np.arange(n_low, dtype=np.uint32)
-        self.low_member = [((idx >> i) & 1).astype(bool) for i in range(b)]
+        self.low_sums = self._subset_sums(W[:b])
+        self.high_sums = self._subset_sums(W[b:])
+        # A compacted winner costs 8k bytes of sums and m of membership.  The
+        # budget is one block's sum arrays, which the streaming scan holds anyway.
+        self._winner_room = ((1 << b) * k * 8) // (k * 8 + m)
+        # thresholds -> (sums, members) of every winning coalition, or None
+        # when they outgrow the budget; absent until a full scan decides
+        self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray] | None] = {}
 
     @staticmethod
-    def _subset_sums(weights: np.ndarray, bits: int) -> np.ndarray:
-        sums = np.zeros(1 << bits, dtype=np.float64)
-        for i in range(bits):
+    def _subset_sums(weights: np.ndarray) -> np.ndarray:
+        """(k, 2^n) sums over every subset of the n rows of ``weights``."""
+        n, k = weights.shape
+        sums = np.zeros((k, 1 << n), dtype=np.float64)
+        for i in range(n):
             lo = 1 << i
-            sums[lo : lo << 1] = sums[:lo] + weights[i]
+            sums[:, lo : lo << 1] = sums[:, :lo] + weights[i][:, None]
         return sums
+
+    @cached_property
+    def low_member(self) -> np.ndarray:
+        """Membership masks over the low block, one bool row per low player;
+        only the streaming scan needs them."""
+        idx = np.arange(1 << self.low_bits, dtype=np.uint32)
+        member = np.empty((self.low_bits, idx.size), dtype=bool)
+        for i in range(self.low_bits):
+            member[i] = (idx >> i) & 1
+        return member
 
     def high_range(self) -> range:
         return range(1 << self.high_bits)
 
-    def _block_sums(self, h: int) -> list[np.ndarray]:
-        return [hs[h] + ls for hs, ls in zip(self.high_sums, self.low_sums)]
+    def _block_sums(self, h: int) -> np.ndarray:
+        return self.high_sums[:, h : h + 1] + self.low_sums
 
-    def _winning(self, sums: Sequence[np.ndarray], strict: bool) -> np.ndarray:
-        thresholds = self.game.strict_thresholds if strict else self.game.winning_thresholds
-        win = (sums[0] > thresholds[0]) if strict else (sums[0] >= thresholds[0])
+    def _thresholds(self, strict: bool) -> tuple[float, ...]:
+        """Thresholds ``t`` such that a sum wins iff ``s >= t`` and a removal
+        breaks iff ``s - l < t``.  For floats ``x > t`` is exactly
+        ``x >= nextafter(t, inf)``, so the strict convention needs no branch."""
+        if not strict:
+            return self.game.winning_thresholds
+        return tuple(math.nextafter(t, math.inf) for t in self.game.strict_thresholds)
+
+    @staticmethod
+    def _winning(sums: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+        win = sums[0] >= thresholds[0]
         for s, t in zip(sums[1:], thresholds[1:]):
-            win &= (s > t) if strict else (s >= t)
+            win &= s >= t
         return win
 
+    @staticmethod
     def _removal_breaks(
-        self, sums: Sequence[np.ndarray], loads: np.ndarray, strict: bool
+        sums: np.ndarray, loads: Sequence[float], thresholds: Sequence[float]
     ) -> np.ndarray:
-        thresholds = self.game.strict_thresholds if strict else self.game.winning_thresholds
-        if strict:
-            out = sums[0] - loads[0] <= thresholds[0]
-            for s, l, t in zip(sums[1:], loads[1:], thresholds[1:]):
-                out |= s - l <= t
-        else:
-            out = sums[0] - loads[0] < thresholds[0]
-            for s, l, t in zip(sums[1:], loads[1:], thresholds[1:]):
-                out |= s - l < t
+        out = sums[0] - loads[0] < thresholds[0]
+        for s, l, t in zip(sums[1:], loads[1:], thresholds[1:]):
+            out |= s - l < t
         return out
+
+    def _compact(self, h: int, sums: np.ndarray, win: np.ndarray):
+        """Sums and membership rows of block ``h``'s winning coalitions."""
+        coalitions = np.flatnonzero(win).astype(np.uint32) | np.uint32(h << self.low_bits)
+        bits = coalitions >> np.arange(self.game.num_players, dtype=np.uint32)[:, None]
+        bits &= 1
+        return np.compress(win, sums, axis=1), bits.astype(bool)  # C order: contiguous rows
+
+    def _winners_by_player(
+        self,
+        thresholds: tuple[float, ...],
+        players: Sequence[int],
+        high_range: range | None = None,
+    ):
+        """Yield ``(i, sums, member)`` over groups of winning coalitions:
+        ``sums`` per dimension, and the mask of those that player ``i`` of
+        ``players`` belongs to.
+
+        A full scan reads the compacted winning set when the table holds one.
+        The first full scan compacts block by block while the winners fit the
+        budget; past it, the blocks compacted so far are yielded as they are
+        and the rest streams, so deciding costs no second pass.
+        """
+        if high_range is None and self._winning_sets.get(thresholds) is not None:
+            sums, members = self._winning_sets[thresholds]
+            yield from ((i, sums, members[i]) for i in players)
+            return
+        b = self.low_bits
+        collect = high_range is None and thresholds not in self._winning_sets
+        room = self._winner_room
+        parts = []
+        for h in self.high_range() if high_range is None else high_range:
+            present = [i for i in players if i < b or (h >> (i - b)) & 1]
+            if not (present or collect):
+                continue
+            sums = self._block_sums(h)
+            win = self._winning(sums, thresholds)
+            if collect:
+                n = int(np.count_nonzero(win))
+                if n <= room:
+                    room -= n
+                    if n:
+                        parts.append(self._compact(h, sums, win))
+                    continue
+                collect = False
+                self._winning_sets[thresholds] = None
+                for part_sums, members in parts:
+                    yield from ((i, part_sums, members[i]) for i in players)
+            if not win.any():
+                continue
+            for i in present:
+                yield i, sums, (win & self.low_member[i]) if i < b else win
+        if collect:
+            m, k = self.game.num_players, self.game.num_dimensions
+            parts = parts or [(np.empty((k, 0)), np.empty((m, 0), dtype=bool))]
+            sums, members = (np.concatenate(p, axis=1) for p in zip(*parts))
+            self._winning_sets[thresholds] = sums, members
+            yield from ((i, sums, members[i]) for i in players)
 
     def swing_counts(
         self,
@@ -152,22 +243,11 @@ class CoalitionTable:
         exactly.
         """
         m = self.game.num_players
-        b = self.low_bits
+        thresholds = self._thresholds(strict)
         counts = np.zeros(m, dtype=np.int64)
-        for h in high_range if high_range is not None else self.high_range():
-            sums = self._block_sums(h)
-            win = self._winning(sums, strict)
-            if not win.any():
-                continue
-            for i in range(m):
-                if i >= b:
-                    if not (h >> (i - b)) & 1:
-                        continue
-                    member = win
-                else:
-                    member = win & self.low_member[i]
-                breaks = self._removal_breaks(sums, loads[i], strict)
-                counts[i] += int(np.count_nonzero(member & breaks))
+        for i, sums, member in self._winners_by_player(thresholds, range(m), high_range):
+            breaks = self._removal_breaks(sums, loads[i], thresholds)
+            counts[i] += int(np.count_nonzero(member & breaks))
         return counts
 
     def criticality_gain_loss(
@@ -178,19 +258,11 @@ class CoalitionTable:
     ) -> tuple[int, int]:
         """Coalitions where ``alt`` loads make the player critical but
         ``base`` loads do not (gain), and vice versa (loss)."""
-        b = self.low_bits
+        thresholds = self._thresholds(strict=False)
         gain = loss = 0
-        for h in self.high_range():
-            if player >= b and not (h >> (player - b)) & 1:
-                continue
-            sums = self._block_sums(h)
-            win = self._winning(sums, strict=False)
-            if player < b:
-                win = win & self.low_member[player]
-            if not win.any():
-                continue
-            base = win & self._removal_breaks(sums, base_loads, strict=False)
-            alt = win & self._removal_breaks(sums, alt_loads, strict=False)
+        for _, sums, member in self._winners_by_player(thresholds, (player,)):
+            base = member & self._removal_breaks(sums, base_loads, thresholds)
+            alt = member & self._removal_breaks(sums, alt_loads, thresholds)
             gain += int(np.count_nonzero(alt & ~base))
             loss += int(np.count_nonzero(base & ~alt))
         return gain, loss

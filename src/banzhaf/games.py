@@ -334,15 +334,14 @@ def persuasion_loads(game: VotingGame, phi: AssociationMatrix) -> tuple[tuple[fl
             f"association matrix is {phi.size}x{phi.size} "
             f"but the game has {game.num_players} players"
         )
-    k = game.num_dimensions
-    out = []
-    for arow in phi.entries:
-        load = [0.0] * k
-        for a, wrow in zip(arow, game.weights):
-            for d in range(k):
-                load[d] += a * wrow[d]
-        out.append(tuple(load))
-    return tuple(out)
+    A = phi.matrix
+    W = game.weight_matrix
+    # accumulate over j in order, one rounding per product and per sum, so
+    # every load is bit-identical to the running sum; a matmul is not
+    out = np.zeros_like(W)
+    for j in range(game.num_players):
+        out += A[:, j : j + 1] * W[j]
+    return tuple(map(tuple, out.tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,28 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from banzhaf.data import (
+    MigrationTable,
+    build_migration_association,
+    eu_game,
+    random_association,
+)
 from banzhaf.exact import (
     HARD_PLAYER_CAP,
     CoalitionTable,
     association_delta,
     exact_indices,
 )
-from banzhaf.games import AssociationMatrix, InvalidGameError, single_quota_game, VotingGame
+from banzhaf.games import (
+    AssociationMatrix,
+    InvalidGameError,
+    VotingGame,
+    persuasion_loads,
+    single_quota_game,
+)
 
 from oracles import corpus, naive_swing_counts
 
@@ -130,6 +143,121 @@ class TestTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             CoalitionTable(single_quota_game([1] * 12, 6))
+
+
+def _budget(table):
+    return (1 << table.low_bits) * table.game.num_dimensions * 8
+
+
+def _streamed_counts(table, loads, strict):
+    """Counts from one partial ``high_range`` per block: never compacted."""
+    return sum(
+        table.swing_counts(loads, strict=strict, high_range=range(h, h + 1))
+        for h in table.high_range()
+    )
+
+
+def _eu_load_matrices():
+    game = eu_game()
+    rng = np.random.default_rng(911)
+    flows = rng.integers(0, 100_000, size=(18, 18))
+    migration = build_migration_association(
+        MigrationTable(labels=game.player_ids, flows=tuple(map(tuple, flows.tolist())))
+    )
+    phis = [migration] + [random_association(18, seed) for seed in range(20)]
+    return [game.weight_matrix] + [np.array(persuasion_loads(game, phi)) for phi in phis]
+
+
+def _random_three_quota_games(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(8, 13))
+        weights = rng.integers(0, 30, size=(m, 3)).astype(float)
+        weights[:, 2] += rng.uniform(0, 1, size=m)  # one non-integer dimension
+        quotas = weights.sum(axis=0) * rng.uniform(0.3, 0.7, size=3)
+        game = VotingGame(
+            player_ids=tuple(f"p{i}" for i in range(m)),
+            weights=tuple(map(tuple, weights.tolist())),
+            quotas=tuple(quotas.tolist()),
+        )
+        yield game, rng.uniform(-1, 1, size=(m, 3)) * weights.max(axis=0)
+
+
+class TestCompactedWinners:
+    """The compacted winning set and the streaming scan count identically."""
+
+    def _check(self, game, loads_list, small_blocks=None):
+        """Compare the default table against partial ``high_range`` scans on
+        every load matrix, and against 4-bit blocks, whose budget holds only
+        a few winners, on the first ``small_blocks`` of them."""
+        compact = CoalitionTable(game)
+        stream = CoalitionTable(game, block_bits=4)
+        for strict in (False, True):
+            for n, loads in enumerate(loads_list):
+                counts = compact.swing_counts(loads, strict=strict)
+                assert np.array_equal(counts, _streamed_counts(compact, loads, strict))
+                if small_blocks is None or n < small_blocks:
+                    assert np.array_equal(counts, stream.swing_counts(loads, strict=strict))
+        for table in (compact, stream):
+            for cached in table._winning_sets.values():
+                if cached is not None:
+                    assert sum(a.nbytes for a in cached) <= _budget(table)
+        return compact
+
+    def test_eu_game(self):
+        table = self._check(eu_game(), _eu_load_matrices(), small_blocks=2)
+        assert len(table._winning_sets) == 2
+        assert all(cached is not None for cached in table._winning_sets.values())
+
+    def test_random_three_quota_games(self):
+        compacted = 0
+        for game, noise in _random_three_quota_games(12, seed=912):
+            loads = [game.weight_matrix, game.weight_matrix + noise]
+            table = self._check(game, loads)
+            compacted += sum(cached is not None for cached in table._winning_sets.values())
+        assert compacted >= 12
+
+    def test_gain_loss_matches_streaming(self):
+        compacted = 0
+        for game, phi in corpus(8, seed=913, max_players=12, with_phi=True):
+            base = game.weight_matrix
+            alt = np.array(persuasion_loads(game, phi))
+            compact = CoalitionTable(game)
+            stream = CoalitionTable(game, block_bits=2)
+            for i in range(game.num_players):
+                expected = compact.criticality_gain_loss(i, base[i], alt[i])
+                assert stream.criticality_gain_loss(i, base[i], alt[i]) == expected
+            compacted += sum(cached is not None for cached in compact._winning_sets.values())
+        assert compacted > 0
+
+    def test_large_winning_set_is_not_cached(self):
+        game = single_quota_game([1] * 20, 10)
+        table = CoalitionTable(game)
+        counts = table.swing_counts(game.weight_matrix)
+        assert list(table._winning_sets.values()) == [None]
+        assert list(counts) == [math.comb(19, 9)] * 20
+
+
+def _persuasion_loads_loop(game, phi):
+    """The sequential per-entry loop that ``persuasion_loads`` must match bit for bit."""
+    k = game.num_dimensions
+    out = []
+    for arow in phi.entries:
+        load = [0.0] * k
+        for a, wrow in zip(arow, game.weights):
+            for d in range(k):
+                load[d] += a * wrow[d]
+        out.append(tuple(load))
+    return tuple(out)
+
+
+def test_persuasion_loads_match_sequential_loop():
+    game = eu_game()
+    for seed in range(100):
+        phi = random_association(game.num_players, seed)
+        assert persuasion_loads(game, phi) == _persuasion_loads_loop(game, phi)
+    for game, phi in corpus(30, seed=914, max_players=10, with_phi=True):
+        assert persuasion_loads(game, phi) == _persuasion_loads_loop(game, phi)
 
 
 class TestDelta:
