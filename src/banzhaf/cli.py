@@ -110,9 +110,11 @@ def _emit(
     header: list[str],
     rows: list[list],
     payload: dict,
+    footer: str = "",
 ) -> None:
+    """Render one report; ``footer`` follows the table format's rows."""
     if fmt == "table":
-        text = _render_table(header, rows, precision)
+        text = _render_table(header, rows, precision) + footer
     elif fmt == "csv":
         text = _render_csv(header, rows, precision)
     else:
@@ -120,7 +122,8 @@ def _emit(
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        # an explicit file keeps click from caching (and so pinning) the stream
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 def _common_options(f):
@@ -255,11 +258,13 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
 def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     """Combinatorial bound diagnostics (single-quota games)."""
     game = _load_game_arg(game_src)
-    exact = exact_indices(game)
-    report = bounds_report(game, exact)
+    if game.num_dimensions != 1:
+        raise InvalidGameError("bounds_report requires a single-quota game")
     indices = range(game.num_players)
     if player is not None:
         indices = [game.player_index(player)]
+    exact = exact_indices(game)
+    report = bounds_report(game, exact)
     header = ["player", "exact", "ht_bound", "t", "h", "violated"]
     rows = []
     for i in indices:
@@ -298,20 +303,13 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
             "bound2_violated": report.bound2_violated,
         },
     }
-    if fmt == "table":
-        extra = (
-            f"\nsize window: m_low={report.m_low} "
-            f"M_high={'inf' if report.M_high == float('inf') else report.M_high}\n"
-            f"bound1={_fmt(report.bound1, precision)} violated={report.bound1_violated}  "
-            f"bound2={_fmt(report.bound2, precision)} violated={report.bound2_violated}\n"
-        )
-        text = _render_table(header, rows, precision) + extra
-        if out:
-            Path(out).write_text(text, encoding="utf-8")
-        else:
-            click.echo(text, nl=False)
-    else:
-        _emit(fmt, precision, out, header, rows, payload)
+    footer = (
+        f"\nsize window: m_low={report.m_low} "
+        f"M_high={'inf' if report.M_high == float('inf') else report.M_high}\n"
+        f"bound1={_fmt(report.bound1, precision)} violated={report.bound1_violated}  "
+        f"bound2={_fmt(report.bound2, precision)} violated={report.bound2_violated}\n"
+    )
+    _emit(fmt, precision, out, header, rows, payload, footer)
 
 
 @cli.command("eu")
@@ -429,15 +427,15 @@ def main(argv: list[str] | None = None) -> int:
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        click.echo(f"usage error: {exc.format_message()}", file=sys.stderr)
         return 1
     except click.Abort:
         return 1
     except (InvalidGameError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

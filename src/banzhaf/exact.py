@@ -16,13 +16,13 @@ matrix, read only the cached winners.  Larger winning sets and partial
 high-bit ranges are streamed block by block; the scan that finds the budget
 exceeded counts what it has compacted so far and streams the rest, so the
 choice costs no second pass.  Both paths use the same sums and the same
-comparisons (``s >= t`` to win, ``s - l < t`` to break, with the strict
-convention's thresholds moved up one ulp), so their counts are identical.
+comparisons, so their counts are identical.  The comparisons themselves
+(``s >= t`` to win, ``s - l < t`` to break, under either boundary
+convention's thresholds) live in `banzhaf.games`, which every engine shares.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +35,8 @@ from .games import (
     InvalidGameError,
     VotingGame,
     persuasion_loads,
+    removal_breaks,
+    sums_win,
 )
 
 __all__ = [
@@ -147,30 +149,6 @@ class CoalitionTable:
     def _block_sums(self, h: int) -> np.ndarray:
         return self.high_sums[:, h : h + 1] + self.low_sums
 
-    def _thresholds(self, strict: bool) -> tuple[float, ...]:
-        """Thresholds ``t`` such that a sum wins iff ``s >= t`` and a removal
-        breaks iff ``s - l < t``.  For floats ``x > t`` is exactly
-        ``x >= nextafter(t, inf)``, so the strict convention needs no branch."""
-        if not strict:
-            return self.game.winning_thresholds
-        return tuple(math.nextafter(t, math.inf) for t in self.game.strict_thresholds)
-
-    @staticmethod
-    def _winning(sums: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
-        win = sums[0] >= thresholds[0]
-        for s, t in zip(sums[1:], thresholds[1:]):
-            win &= s >= t
-        return win
-
-    @staticmethod
-    def _removal_breaks(
-        sums: np.ndarray, loads: Sequence[float], thresholds: Sequence[float]
-    ) -> np.ndarray:
-        out = sums[0] - loads[0] < thresholds[0]
-        for s, l, t in zip(sums[1:], loads[1:], thresholds[1:]):
-            out |= s - l < t
-        return out
-
     def _compact(self, h: int, sums: np.ndarray, win: np.ndarray):
         """Sums and membership rows of block ``h``'s winning coalitions."""
         coalitions = np.flatnonzero(win).astype(np.uint32) | np.uint32(h << self.low_bits)
@@ -206,7 +184,7 @@ class CoalitionTable:
             if not (present or collect):
                 continue
             sums = self._block_sums(h)
-            win = self._winning(sums, thresholds)
+            win = sums_win(sums, thresholds)
             if collect:
                 n = int(np.count_nonzero(win))
                 if n <= room:
@@ -243,10 +221,10 @@ class CoalitionTable:
         exactly.
         """
         m = self.game.num_players
-        thresholds = self._thresholds(strict)
+        thresholds = self.game.thresholds(strict)
         counts = np.zeros(m, dtype=np.int64)
         for i, sums, member in self._winners_by_player(thresholds, range(m), high_range):
-            breaks = self._removal_breaks(sums, loads[i], thresholds)
+            breaks = removal_breaks(sums, loads[i], thresholds)
             counts[i] += int(np.count_nonzero(member & breaks))
         return counts
 
@@ -258,11 +236,11 @@ class CoalitionTable:
     ) -> tuple[int, int]:
         """Coalitions where ``alt`` loads make the player critical but
         ``base`` loads do not (gain), and vice versa (loss)."""
-        thresholds = self._thresholds(strict=False)
+        thresholds = self.game.winning_thresholds
         gain = loss = 0
         for _, sums, member in self._winners_by_player(thresholds, (player,)):
-            base = member & self._removal_breaks(sums, base_loads, thresholds)
-            alt = member & self._removal_breaks(sums, alt_loads, thresholds)
+            base = member & removal_breaks(sums, base_loads, thresholds)
+            alt = member & removal_breaks(sums, alt_loads, thresholds)
             gain += int(np.count_nonzero(alt & ~base))
             loss += int(np.count_nonzero(base & ~alt))
         return gain, loss

@@ -10,6 +10,13 @@ removal load from the coalition weight breaks at least one quota.  For the
 classical index the removal load is the member's own weight.  Under an
 association matrix the load becomes the persuasion load: the weight the
 member can pull out of the coalition via its influence over every player.
+
+This module owns that comparison for every engine.  `VotingGame.thresholds`
+gives per-dimension thresholds ``t`` under either boundary convention, and
+`sums_win` (``s >= t`` in every dimension) and `removal_breaks` (``s - l < t``
+in some dimension) apply them to sums indexed by dimension first: a tuple of
+floats for one coalition, or rows of a numpy array for many.  The scalar
+predicates below, the exact enumerator and the sampler all call these two.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ __all__ = [
     "full_coalition",
     "validate_coalition",
     "coalition_weight",
+    "sums_win",
+    "removal_breaks",
     "is_winning",
     "is_critical_classical",
     "is_critical_assoc",
@@ -218,10 +227,19 @@ class VotingGame:
         """Effective per-dimension thresholds: a sum wins iff sum >= threshold."""
         return tuple(q - t for q, t in zip(self.quotas, self.quota_tolerances))
 
-    @cached_property
-    def strict_thresholds(self) -> tuple[float, ...]:
-        """Thresholds for the alternate strict convention: wins iff sum > threshold."""
-        return tuple(q + t for q, t in zip(self.quotas, self.quota_tolerances))
+    def thresholds(self, strict: bool = False) -> tuple[float, ...]:
+        """Per-dimension thresholds ``t``: a sum wins iff ``s >= t`` and a
+        removal breaks iff ``s - l < t``.
+
+        The default is `winning_thresholds`.  The alternate strict convention
+        wins iff ``s > q + tol``; for floats ``x > u`` is exactly
+        ``x >= nextafter(u, inf)``, so both conventions share one comparison.
+        """
+        if not strict:
+            return self.winning_thresholds
+        return tuple(
+            math.nextafter(q + t, math.inf) for q, t in zip(self.quotas, self.quota_tolerances)
+        )
 
 
 def single_quota_game(
@@ -293,20 +311,34 @@ def coalition_weight(game: VotingGame, coalition: int) -> tuple[float, ...]:
     return tuple(totals)
 
 
+def sums_win(sums, thresholds: Sequence[float]):
+    """Whether ``s >= t`` in every dimension.
+
+    ``sums`` is indexed by dimension first: a tuple of floats gives a bool,
+    a (k, n) array (or any sequence of k rows) gives a bool array of n.
+    """
+    win = sums[0] >= thresholds[0]
+    for s, t in zip(sums[1:], thresholds[1:]):
+        win &= s >= t
+    return win
+
+
+def removal_breaks(sums, loads: Sequence[float], thresholds: Sequence[float]):
+    """Whether ``s - l < t`` in some dimension, with ``sums`` shaped as in
+    `sums_win` and one load per dimension."""
+    out = sums[0] - loads[0] < thresholds[0]
+    for s, l, t in zip(sums[1:], loads[1:], thresholds[1:]):
+        out |= s - l < t
+    return out
+
+
 def is_winning(game: VotingGame, coalition: int, strict: bool = False) -> bool:
     """Whether the coalition meets every quota.
 
     The default convention is non-strict: a sum exactly on the quota wins.
     ``strict=True`` switches to the alternate strictly-above convention.
     """
-    sums = coalition_weight(game, coalition)
-    if strict:
-        return all(s > t for s, t in zip(sums, game.strict_thresholds))
-    return all(s >= t for s, t in zip(sums, game.winning_thresholds))
-
-
-def _removal_breaks(game: VotingGame, sums: Sequence[float], loads: Sequence[float]) -> bool:
-    return any(s - l < t for s, l, t in zip(sums, loads, game.winning_thresholds))
+    return sums_win(coalition_weight(game, coalition), game.thresholds(strict))
 
 
 def is_critical_classical(game: VotingGame, player: int, coalition: int) -> bool:
@@ -317,9 +349,8 @@ def is_critical_classical(game: VotingGame, player: int, coalition: int) -> bool
     if not (coalition >> i) & 1:
         raise InvalidGameError(f"player {game.player_ids[i]} is not in the coalition")
     sums = coalition_weight(game, coalition)
-    if not all(s >= t for s, t in zip(sums, game.winning_thresholds)):
-        return False
-    return _removal_breaks(game, sums, game.weights[i])
+    t = game.winning_thresholds
+    return sums_win(sums, t) and removal_breaks(sums, game.weights[i], t)
 
 
 def persuasion_loads(game: VotingGame, phi: AssociationMatrix) -> tuple[tuple[float, ...], ...]:
@@ -379,7 +410,8 @@ def is_critical_assoc(
     if not (coalition >> i) & 1:
         raise InvalidGameError(f"player {game.player_ids[i]} is not in the coalition")
     sums = coalition_weight(game, coalition)
-    if not all(s >= t for s, t in zip(sums, game.winning_thresholds)):
+    t = game.winning_thresholds
+    if not sums_win(sums, t):
         return False
     if members_only:
         k = game.num_dimensions
@@ -388,5 +420,5 @@ def is_critical_assoc(
         for j in coalition_members(coalition):
             for d in range(k):
                 load[d] += arow[j] * game.weights[j][d]
-        return _removal_breaks(game, sums, load)
-    return _removal_breaks(game, sums, persuasion_loads(game, phi)[i])
+        return removal_breaks(sums, load, t)
+    return removal_breaks(sums, persuasion_loads(game, phi)[i], t)

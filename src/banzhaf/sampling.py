@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -22,6 +21,8 @@ from .games import (
     InvalidGameError,
     VotingGame,
     persuasion_loads,
+    removal_breaks,
+    sums_win,
 )
 
 __all__ = [
@@ -103,14 +104,10 @@ def _swing_count_for_player(
         for j in range(m):
             members[:, j] = (raw[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
         members[:, i] = 1.0
-        sums = members @ W
-        win = sums[:, 0] >= thresholds[0]
-        for d in range(1, game.num_dimensions):
-            win &= sums[:, d] >= thresholds[d]
-        breaks = sums[:, 0] - load_row[0] < thresholds[0]
-        for d in range(1, game.num_dimensions):
-            breaks |= sums[:, d] - load_row[d] < thresholds[d]
-        swings += int(np.count_nonzero(win & breaks))
+        sums = (members @ W).T
+        swings += int(
+            np.count_nonzero(sums_win(sums, thresholds) & removal_breaks(sums, load_row, thresholds))
+        )
         done += chunk
     return swings
 
@@ -161,35 +158,12 @@ def estimate_indices(
 
 
 def student_t_quantile(tail: float, df: int) -> float:
-    """Upper-tail Student t quantile: the ``t`` with ``P(T > t) = tail``.
-
-    Solved by bisecting the regularised incomplete beta form of the t tail
-    probability to an absolute tolerance of 1e-9.
-    """
+    """Upper-tail Student t quantile: the ``t`` with ``P(T > t) = tail``."""
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail probability must be in (0, 1), got {tail}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if tail == 0.5:
-        return 0.0
-    if tail > 0.5:
-        return -student_t_quantile(1.0 - tail, df)
-
-    def upper_tail(t: float) -> float:
-        return 0.5 * float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
-
-    lo, hi = 0.0, 1.0
-    while upper_tail(hi) > tail:
-        hi *= 2.0
-        if hi > 1e18:
-            raise ValueError(f"t quantile diverged for tail={tail}, df={df}")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if upper_tail(mid) > tail:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -float(special.stdtrit(df, tail))
 
 
 def _default_self_bound(

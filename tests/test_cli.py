@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 
@@ -184,6 +188,15 @@ class TestBounds:
         assert code == 2
         assert "single-quota" in err
 
+    def test_rejected_before_enumeration(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerated a game bounds cannot report on")
+
+        monkeypatch.setattr("banzhaf.cli.exact_indices", fail)
+        code, _, err = run(capsys, ["bounds", "--game", "eu"])
+        assert code == 2
+        assert "bounds_report requires a single-quota game" in err
+
 
 class TestEu:
     def test_wta_table(self, capsys):
@@ -277,3 +290,15 @@ class TestExitCodes:
         code, _, err = run(capsys, ["exact", "--game", str(path)])
         assert code == 2
         assert "JSON" in err
+
+
+def test_redirected_streams_are_released(g3):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["exact", "--game", g3]) == 0
+        assert main(["exact", "--game", "no-such-game.json"]) == 2
+    assert out.getvalue() and err.getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

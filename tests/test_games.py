@@ -1,7 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banzhaf.exact import exact_indices
 from banzhaf.games import (
     AssociationMatrix,
     InvalidGameError,
@@ -9,13 +13,16 @@ from banzhaf.games import (
     coalition_members,
     coalition_of,
     coalition_size,
+    coalition_weight,
     full_coalition,
     is_critical_assoc,
     is_critical_classical,
     is_winning,
     persuasion_load,
     persuasion_loads,
+    removal_breaks,
     single_quota_game,
+    sums_win,
     validate_coalition,
 )
 
@@ -251,3 +258,93 @@ class TestProperties:
         for c in range(1, 1 << game.num_players):
             for i in coalition_members(c):
                 assert is_critical_assoc(game, phi, i, c) == is_critical_classical(game, i, c)
+
+
+def _kernel_game(rng, integral):
+    """Random k-quota game whose quotas sit exactly on one coalition's sums,
+    with a random association matrix."""
+    m, k = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+    if integral:
+        weights = rng.integers(0, 10, size=(m, k)).astype(float)
+    else:
+        weights = rng.uniform(0.0, 3.0, size=(m, k))
+    anchor = [i for i in range(m) if rng.random() < 0.6] or [0]
+    quotas = [sum(weights[i][d] for i in anchor) or 1.0 for d in range(k)]
+    a = rng.uniform(-1.0, 1.0, size=(m, m))
+    np.fill_diagonal(a, 1.0)
+    game = VotingGame(
+        tuple(f"p{i}" for i in range(m)), tuple(map(tuple, weights.tolist())), tuple(quotas)
+    )
+    return game, AssociationMatrix(tuple(map(tuple, a.tolist())))
+
+
+class TestKernel:
+    """The shared comparison against the literal definitions: a coalition
+    wins iff all(s >= q - tol), strictly iff all(s > q + tol), and a removal
+    breaks iff any(s - l < q - tol)."""
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_predicates_match_definitions(self, integral, seed):
+        game, phi = _kernel_game(np.random.default_rng(seed), integral)
+        q, tol = game.quotas, game.quota_tolerances
+        loads = persuasion_loads(game, phi)
+        coalitions = range(1, 1 << game.num_players)
+        sums = [coalition_weight(game, c) for c in coalitions]
+        wins = [all(sd >= qd - td for sd, qd, td in zip(s, q, tol)) for s in sums]
+        strict = [all(sd > qd + td for sd, qd, td in zip(s, q, tol)) for s in sums]
+        for c, s, win, win_strict in zip(coalitions, sums, wins, strict):
+            assert is_winning(game, c) == win
+            assert is_winning(game, c, strict=True) == win_strict
+            for i in coalition_members(c):
+                for load, critical in (
+                    (game.weights[i], is_critical_classical(game, i, c)),
+                    (loads[i], is_critical_assoc(game, phi, i, c)),
+                ):
+                    breaks = any(sd - ld < qd - td for sd, ld, qd, td in zip(s, load, q, tol))
+                    assert critical == (win and breaks)
+        # the same functions over dimension-first numpy rows
+        rows = np.array(sums).T
+        assert sums_win(rows, game.thresholds()).tolist() == wins
+        assert sums_win(rows, game.thresholds(strict=True)).tolist() == strict
+        l = loads[0]
+        assert removal_breaks(rows, np.array(l), game.thresholds()).tolist() == [
+            any(sd - ld < qd - td for sd, ld, qd, td in zip(s, l, q, tol)) for s in sums
+        ]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_sums_on_the_boundary(self, strict):
+        """Player a's weight sits exactly on the boundary and one ulp either
+        side.  Adding and removing b's 0.25 is exact in [1, 2), so the
+        coalition {a, b} minus b sums to exactly a's weight; c only fixes
+        the tolerance's scale."""
+        q, l, big = 1.5, 0.25, 1000.5
+        edge = q
+        for _ in range(3):  # the tolerance scales with the total, which holds a's weight
+            tol = VotingGame(("a", "b", "c"), ((edge,), (l,), (big,)), (q,)).quota_tolerances[0]
+            edge = q + tol if strict else q - tol
+        seen_wins = []
+        for x in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            g = VotingGame(("a", "b", "c"), ((x,), (l,), (big,)), (q,))
+            assert g.quota_tolerances[0] == tol
+            pair = coalition_weight(g, 0b011)
+            assert pair[0] - l == x
+            win = x > q + tol if strict else x >= q - tol
+            breaks = not win
+            seen_wins.append(win)
+            assert is_winning(g, 0b001, strict=strict) == win
+            assert removal_breaks(pair, (l,), g.thresholds(strict)) == breaks
+            if not strict:
+                assert is_critical_classical(g, 1, 0b011) == breaks
+            # the exact engine under the same convention
+            literal = [0, 0, 0]
+            for c in range(1, 8):
+                s = coalition_weight(g, c)[0]
+                for i in coalition_members(c):
+                    s_out = s - g.weights[i][0]
+                    if strict and s > q + tol and not s_out > q + tol:
+                        literal[i] += 1
+                    if not strict and s >= q - tol and s_out < q - tol:
+                        literal[i] += 1
+            assert list(exact_indices(g, strict=strict).swing_counts) == literal
+        assert seen_wins == [False, not strict, True]
