@@ -60,7 +60,7 @@ def _load_association_arg(path: str, m: int) -> AssociationMatrix:
 def _fmt(value, precision: int):
     if isinstance(value, float):
         return f"{value:.{precision}f}"
-    return str(value)
+    return "none" if value is None else str(value)
 
 
 def _round(value, precision: int):
@@ -108,11 +108,17 @@ def _emit(
     precision: int,
     out: str | None,
     header: list[str],
-    rows: list[list],
     payload: dict,
+    rows: list[list] | None = None,
     footer: str = "",
 ) -> None:
-    """Render one report; ``footer`` follows the table format's rows."""
+    """Render one report; ``footer`` follows the table format's rows.
+
+    Without ``rows``, the table and CSV rows are the first ``len(header)``
+    fields of each record in ``payload["players"]``.
+    """
+    if rows is None:
+        rows = [list(rec.values())[: len(header)] for rec in payload["players"]]
     if fmt == "table":
         text = _render_table(header, rows, precision) + footer
     elif fmt == "csv":
@@ -164,12 +170,6 @@ def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
     phi = _resolve_phi(game, association, identity)
     report = exact_indices(game, phi)
     header = ["player", "swings", "absolute", "normalized"]
-    rows = [
-        [pid, sw, ab, no]
-        for pid, sw, ab, no in zip(
-            report.player_ids, report.swing_counts, report.absolute, report.normalized
-        )
-    ]
     payload = {
         "mode": report.mode,
         "total_swings": report.total_swings,
@@ -181,7 +181,7 @@ def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
             )
         ],
     }
-    _emit(fmt, precision, out, header, rows, payload)
+    _emit(fmt, precision, out, header, payload)
 
 
 @cli.command("approx")
@@ -220,12 +220,7 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
         confidence_interval(report, i, delta, method, game=game)
         for i in range(game.num_players)
     ]
-    normalized = report.normalized
     header = ["player", "estimate", "normalized", "ci_lower", "ci_upper"]
-    rows = [
-        [pid, est, no, ci.lower, ci.upper]
-        for pid, est, no, ci in zip(report.player_ids, report.estimates, normalized, intervals)
-    ]
     payload = {
         "mode": report.mode,
         "samples": report.samples,
@@ -243,11 +238,11 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
                 "halfwidth": ci.halfwidth,
             }
             for pid, est, no, ci in zip(
-                report.player_ids, report.estimates, normalized, intervals
+                report.player_ids, report.estimates, report.normalized, intervals
             )
         ],
     }
-    _emit(fmt, precision, out, header, rows, payload)
+    _emit(fmt, precision, out, header, payload)
 
 
 @cli.command("bounds")
@@ -266,19 +261,7 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     exact = exact_indices(game)
     report = bounds_report(game, exact)
     header = ["player", "exact", "ht_bound", "t", "h", "violated"]
-    rows = []
-    for i in indices:
-        h = report.h_values[i]
-        rows.append(
-            [
-                report.player_ids[i],
-                exact.absolute[i],
-                report.ht_bounds[i],
-                report.t_values[i],
-                "none" if h is None else h,
-                bool(report.ht_violations[i]) if report.ht_violations else False,
-            ]
-        )
+    m_high = "inf" if report.M_high == float("inf") else report.M_high
     payload = {
         "players": [
             {
@@ -293,7 +276,7 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
         ],
         "size_window": {
             "m_low": report.m_low,
-            "M_high": "inf" if report.M_high == float("inf") else report.M_high,
+            "M_high": m_high,
             "reading": report.size_window_reading,
         },
         "global_bounds": {
@@ -304,12 +287,11 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
         },
     }
     footer = (
-        f"\nsize window: m_low={report.m_low} "
-        f"M_high={'inf' if report.M_high == float('inf') else report.M_high}\n"
+        f"\nsize window: m_low={report.m_low} M_high={m_high}\n"
         f"bound1={_fmt(report.bound1, precision)} violated={report.bound1_violated}  "
         f"bound2={_fmt(report.bound2, precision)} violated={report.bound2_violated}\n"
     )
-    _emit(fmt, precision, out, header, rows, payload, footer)
+    _emit(fmt, precision, out, header, payload, footer=footer)
 
 
 @cli.command("eu")
@@ -346,8 +328,13 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
             "runs": [dict(zip(game.player_ids, vals)) for vals in per_run],
             "mean": dict(zip(game.player_ids, (float(v) for v in mean))),
         }
-        _emit(fmt, precision, out, header, rows, payload)
+        _emit(fmt, precision, out, header, payload, rows)
         return
+    players = [
+        {"id": pid, "weight": game.weights[i][0], "wta": classical.normalized[i]}
+        for i, pid in enumerate(game.player_ids)
+    ]
+    payload = {"quotas": list(game.quotas)}
     if migration:
         mt = load_migration_csv_file(migration)
         if sorted(mt.labels) != sorted(game.player_ids):
@@ -360,40 +347,14 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
         phi = build_migration_association(
             MigrationTable(labels=game.player_ids, flows=reordered)
         )
-        assoc = exact_indices(game, phi, table=table)
-        header = ["country", "weight", "wta", "wa"]
-        rows = [
-            [pid, int(game.weights[i][0]), classical.normalized[i], assoc.normalized[i]]
-            for i, pid in enumerate(game.player_ids)
-        ]
-        payload = {
-            "quotas": list(game.quotas),
-            "players": [
-                {
-                    "id": pid,
-                    "weight": game.weights[i][0],
-                    "wta": classical.normalized[i],
-                    "wa": assoc.normalized[i],
-                }
-                for i, pid in enumerate(game.player_ids)
-            ],
-        }
-        _emit(fmt, precision, out, header, rows, payload)
-        return
-    header = ["country", "weight", "wta"]
-    rows = [
-        [pid, int(game.weights[i][0]), classical.normalized[i]]
-        for i, pid in enumerate(game.player_ids)
-    ]
-    payload = {
-        "quotas": list(game.quotas),
-        "quota_rule": game.metadata["quota_rule"],
-        "players": [
-            {"id": pid, "weight": game.weights[i][0], "wta": classical.normalized[i]}
-            for i, pid in enumerate(game.player_ids)
-        ],
-    }
-    _emit(fmt, precision, out, header, rows, payload)
+        for rec, wa in zip(players, exact_indices(game, phi, table=table).normalized):
+            rec["wa"] = wa
+    else:
+        payload["quota_rule"] = game.metadata["quota_rule"]
+    payload["players"] = players
+    header = ["country", *list(players[0])[1:]]
+    rows = [[pid, int(weight), *rest] for pid, weight, *rest in (r.values() for r in players)]
+    _emit(fmt, precision, out, header, payload, rows)
 
 
 @cli.command("conjecture")
@@ -417,7 +378,7 @@ def conjecture_cmd(trials, seed, max_players, max_weight, fmt, precision, out) -
             for g, p, b, cap in report.counterexamples
         ],
     }
-    _emit(fmt, precision, out, header, rows, payload)
+    _emit(fmt, precision, out, header, payload, rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -431,10 +392,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (InvalidGameError, ValueError) as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InvalidGameError is a ValueError
         click.echo(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

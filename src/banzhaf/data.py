@@ -247,7 +247,8 @@ def parse_game(doc: Mapping) -> VotingGame:
                 isinstance(v, (int, float)) and not isinstance(v, bool),
                 f"players[{pos}].weights[{d}]: must be a number",
             )
-            _expect(float(v) >= 0, f"players[{pos}].weights[{d}]: negative weight")
+            _expect(math.isfinite(v), f"players[{pos}].weights[{d}]: not finite")
+            _expect(v >= 0, f"players[{pos}].weights[{d}]: negative weight")
             vals.append(float(v))
         weight_rows.append(tuple(vals))
     quotas_doc = doc.get("quotas")

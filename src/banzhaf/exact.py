@@ -4,21 +4,20 @@ The enumerator materialises per-dimension subset sums for the low ``b`` bits
 of the coalition mask once (``2^b`` floats per dimension) and streams over
 the ``2^(m-b)`` high-bit blocks, so memory stays bounded while every one of
 the ``2^m`` coalitions is visited exactly once.  Swing counts are integers,
-accumulated per block; any split of the high-bit range yields the same
-totals, which is what makes worker partitioning safe.
+accumulated per block.
 
 Only winning coalitions can be swung, and in games like the EU Council few
-of them win.  The first full scan under each boundary convention therefore
+of them win.  The first scan under each boundary convention therefore
 compacts the winning coalitions, their sums and membership bits, and the
 table caches them when they fit in one block's sum arrays (``2^b * k * 8``
 bytes), memory the streaming scan holds anyway.  Later scans, one per load
-matrix, read only the cached winners.  Larger winning sets and partial
-high-bit ranges are streamed block by block; the scan that finds the budget
-exceeded counts what it has compacted so far and streams the rest, so the
-choice costs no second pass.  Both paths use the same sums and the same
-comparisons, so their counts are identical.  The comparisons themselves
-(``s >= t`` to win, ``s - l < t`` to break, under either boundary
-convention's thresholds) live in `banzhaf.games`, which every engine shares.
+matrix, read only the cached winners.  Larger winning sets are streamed
+block by block; the scan that finds the budget exceeded counts what it has
+compacted so far and streams the rest, so the choice costs no second pass.
+Both paths use the same sums and the same comparisons, so their counts are
+identical.  The comparisons themselves (``s >= t`` to win, ``s - l < t`` to
+break, under either boundary convention's thresholds) live in
+`banzhaf.games`, which every engine shares.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ class CoalitionTable:
 
     Building the table costs the one-off sum arrays; `swing_counts` can then
     be called repeatedly with different load matrices (for instance one call
-    per sampled association matrix) without re-enumerating.  The first full
+    per sampled association matrix) without re-enumerating.  The first
     scan under each boundary convention also compacts the winning coalitions
     when they fit the budget, and later scans read only those.
     """
@@ -120,7 +119,7 @@ class CoalitionTable:
         # budget is one block's sum arrays, which the streaming scan holds anyway.
         self._winner_room = ((1 << b) * k * 8) // (k * 8 + m)
         # thresholds -> (sums, members) of every winning coalition, or None
-        # when they outgrow the budget; absent until a full scan decides
+        # when they outgrow the budget; absent until a scan decides
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray] | None] = {}
 
     @staticmethod
@@ -143,9 +142,6 @@ class CoalitionTable:
             member[i] = (idx >> i) & 1
         return member
 
-    def high_range(self) -> range:
-        return range(1 << self.high_bits)
-
     def _block_sums(self, h: int) -> np.ndarray:
         return self.high_sums[:, h : h + 1] + self.low_sums
 
@@ -156,30 +152,25 @@ class CoalitionTable:
         bits &= 1
         return np.compress(win, sums, axis=1), bits.astype(bool)  # C order: contiguous rows
 
-    def _winners_by_player(
-        self,
-        thresholds: tuple[float, ...],
-        players: Sequence[int],
-        high_range: range | None = None,
-    ):
+    def _winners_by_player(self, thresholds: tuple[float, ...], players: Sequence[int]):
         """Yield ``(i, sums, member)`` over groups of winning coalitions:
         ``sums`` per dimension, and the mask of those that player ``i`` of
         ``players`` belongs to.
 
-        A full scan reads the compacted winning set when the table holds one.
-        The first full scan compacts block by block while the winners fit the
+        A scan reads the compacted winning set when the table holds one.
+        The first scan compacts block by block while the winners fit the
         budget; past it, the blocks compacted so far are yielded as they are
         and the rest streams, so deciding costs no second pass.
         """
-        if high_range is None and self._winning_sets.get(thresholds) is not None:
+        if self._winning_sets.get(thresholds) is not None:
             sums, members = self._winning_sets[thresholds]
             yield from ((i, sums, members[i]) for i in players)
             return
         b = self.low_bits
-        collect = high_range is None and thresholds not in self._winning_sets
+        collect = thresholds not in self._winning_sets
         room = self._winner_room
         parts = []
-        for h in self.high_range() if high_range is None else high_range:
+        for h in range(1 << self.high_bits):
             present = [i for i in players if i < b or (h >> (i - b)) & 1]
             if not (present or collect):
                 continue
@@ -207,23 +198,15 @@ class CoalitionTable:
             self._winning_sets[thresholds] = sums, members
             yield from ((i, sums, members[i]) for i in players)
 
-    def swing_counts(
-        self,
-        loads: np.ndarray,
-        strict: bool = False,
-        high_range: range | None = None,
-    ) -> np.ndarray:
+    def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.
 
-        ``loads`` is the (m, k) matrix of removal loads.  ``high_range``
-        restricts the scan to a slice of high-bit blocks; summing the counts
-        from any partition of the full range reproduces the full counts
-        exactly.
+        ``loads`` is the (m, k) matrix of removal loads.
         """
         m = self.game.num_players
         thresholds = self.game.thresholds(strict)
         counts = np.zeros(m, dtype=np.int64)
-        for i, sums, member in self._winners_by_player(thresholds, range(m), high_range):
+        for i, sums, member in self._winners_by_player(thresholds, range(m)):
             breaks = removal_breaks(sums, loads[i], thresholds)
             counts[i] += int(np.count_nonzero(member & breaks))
         return counts

@@ -53,6 +53,10 @@ __all__ = [
 # quotas are not integer valued.  Integer games compare exactly.
 BOUNDARY_REL_TOL = 1e-12
 
+# float64 holds every integer below 2^53 exactly, so integer weights whose
+# column total stays below it sum, and compare, without rounding.
+EXACT_INTEGER_LIMIT = float(2**53)
+
 
 class InvalidGameError(ValueError):
     """Game or matrix data violates a structural invariant."""
@@ -158,6 +162,13 @@ class VotingGame:
         for d, q in enumerate(quotas):
             if q <= 0:
                 raise InvalidGameError(f"quotas[{d}]: must be positive, got {q!r}")
+            column = [row[d] for row in rows]
+            total = sum(column)
+            if total >= EXACT_INTEGER_LIMIT and all(w.is_integer() for w in column):
+                raise InvalidGameError(
+                    f"weight dimension {d}: integer weights total {total:.0f}, "
+                    "at or above 2^53, where float64 sums are no longer exact"
+                )
         if self.association is not None and self.association.size != len(ids):
             raise InvalidGameError(
                 f"association matrix is {self.association.size}x{self.association.size} "
@@ -209,8 +220,8 @@ class VotingGame:
         """Per-dimension absolute tolerance at the quota boundary.
 
         Zero for dimensions where every weight and the quota are integer
-        valued (sums are then exact in float64), a small relative slack
-        otherwise.
+        valued (sums are then exact in float64, since such a column totals
+        below `EXACT_INTEGER_LIMIT`), a small relative slack otherwise.
         """
         tols = []
         for d, q in enumerate(self.quotas):

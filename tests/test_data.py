@@ -222,6 +222,14 @@ class TestGameFiles:
         with pytest.raises(InvalidGameError, match="quotas"):
             parse_game({"players": [{"id": "a", "weights": [1]}]})
 
+    def test_nan_weight_reported_as_not_finite(self):
+        text = (
+            '{"players": [{"id": "a", "weights": [NaN]}, {"id": "b", "weights": [1]}],'
+            ' "quotas": [1]}'
+        )
+        with pytest.raises(InvalidGameError, match=r"players\[0\].weights\[0\]: not finite"):
+            load_game(text)
+
     def test_invalid_json_rejected(self):
         with pytest.raises(InvalidGameError, match="invalid JSON"):
             load_game("{not json")

@@ -91,23 +91,34 @@ class TestAssociation:
             assert exact_indices(game).swing_counts == tuple(naive_swing_counts(game))
 
 
-class TestTable:
-    def test_partition_independence(self):
-        game, _ = corpus(1, seed=903, max_players=10)[0]
-        table = CoalitionTable(game, block_bits=4)
-        loads = game.weight_matrix
-        full = table.swing_counts(loads)
-        blocks = list(table.high_range())
-        split = sum(
-            table.swing_counts(loads, high_range=range(b, b + 1)) for b in blocks
-        )
-        assert np.array_equal(full, split)
-        # odd-sized chunks, reversed order
-        acc = np.zeros_like(full)
-        for start in reversed(range(0, len(blocks), 3)):
-            acc += table.swing_counts(loads, high_range=range(start, min(start + 3, len(blocks))))
-        assert np.array_equal(full, acc)
+def _python_int_swings(weights, quota):
+    """Classical swing counts by brute force over Python ints, which never round."""
+    counts = [0] * len(weights)
+    for mask in range(1 << len(weights)):
+        members = [i for i in range(len(weights)) if mask >> i & 1]
+        total = sum(weights[i] for i in members)
+        if total >= quota:
+            for i in members:
+                counts[i] += total - weights[i] < quota
+    return tuple(counts)
 
+
+class TestExactIntegerLimit:
+    def test_total_at_2_53_rejected(self):
+        with pytest.raises(InvalidGameError, match="dimension 0"):
+            exact_indices(single_quota_game([2**53 + 1, 1, 1], 2**53 + 2))
+        with pytest.raises(InvalidGameError, match="dimension 1"):
+            VotingGame(player_ids=("a", "b"), weights=((1, 2**52), (1, 2**52)), quotas=(1, 1))
+
+    def test_total_just_below_2_53_accepted(self):
+        weights = [2**52, 2**52 - 5, 2, 1, 1]
+        assert sum(weights) == 2**53 - 1
+        for quota in (2**52 + 2, 2**52 + 3, 2**53 - 3):
+            counts = exact_indices(single_quota_game(weights, quota)).swing_counts
+            assert counts == _python_int_swings(weights, quota)
+
+
+class TestTable:
     def test_block_width_invariance_on_integer_weights(self):
         game, phi = corpus(1, seed=904, max_players=10, with_phi=True)[0]
         reports = [
@@ -149,12 +160,13 @@ def _budget(table):
     return (1 << table.low_bits) * table.game.num_dimensions * 8
 
 
-def _streamed_counts(table, loads, strict):
-    """Counts from one partial ``high_range`` per block: never compacted."""
-    return sum(
-        table.swing_counts(loads, strict=strict, high_range=range(h, h + 1))
-        for h in table.high_range()
-    )
+def _streaming_table(game):
+    """A default table with both conventions marked over budget, so every
+    scan streams block by block and nothing is compacted."""
+    table = CoalitionTable(game)
+    for strict in (False, True):
+        table._winning_sets[game.thresholds(strict)] = None
+    return table
 
 
 def _eu_load_matrices():
@@ -187,17 +199,19 @@ class TestCompactedWinners:
     """The compacted winning set and the streaming scan count identically."""
 
     def _check(self, game, loads_list, small_blocks=None):
-        """Compare the default table against partial ``high_range`` scans on
-        every load matrix, and against 4-bit blocks, whose budget holds only
-        a few winners, on the first ``small_blocks`` of them."""
+        """Compare the default table against a streaming-only one on every
+        load matrix, and against 4-bit blocks, whose budget holds only a few
+        winners, on the first ``small_blocks`` of them."""
         compact = CoalitionTable(game)
+        streamed = _streaming_table(game)
         stream = CoalitionTable(game, block_bits=4)
         for strict in (False, True):
             for n, loads in enumerate(loads_list):
                 counts = compact.swing_counts(loads, strict=strict)
-                assert np.array_equal(counts, _streamed_counts(compact, loads, strict))
+                assert np.array_equal(counts, streamed.swing_counts(loads, strict=strict))
                 if small_blocks is None or n < small_blocks:
                     assert np.array_equal(counts, stream.swing_counts(loads, strict=strict))
+        assert set(streamed._winning_sets.values()) == {None}
         for table in (compact, stream):
             for cached in table._winning_sets.values():
                 if cached is not None:
