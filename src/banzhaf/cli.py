@@ -152,7 +152,31 @@ def _resolve_phi(game: VotingGame, association: str | None, identity: bool) -> A
     return game.association
 
 
-@click.group()
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """click's help callback, but echoing to an explicit file: click's own
+    echoes without one, which caches (and so pins) a redirected stdout."""
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _HelpToStdout:
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)  # type: ignore[misc]
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_HelpToStdout, click.Command):
+    pass
+
+
+class _Group(_HelpToStdout, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def cli() -> None:
     """Banzhaf power indices for weighted voting games."""
 
@@ -192,7 +216,9 @@ def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
 @click.option("--epsilon", type=float, required=True, help="Target halfwidth.")
 @click.option("--delta", type=float, required=True, help="Confidence parameter.")
 @click.option("--method", type=click.Choice(["hoeffding", "student", "selfbounding"]),
-              default="hoeffding", show_default=True)
+              default="hoeffding", show_default=True,
+              help="Interval: hoeffding (distribution-free), student (asymptotic, "
+                   "may under-cover at small n) or selfbounding.")
 @click.option("--samples", type=int, default=None,
               help="Sample count per player; derived from epsilon/delta when absent.")
 @click.option("--seed", type=int, required=True)

@@ -125,7 +125,7 @@ def random_association(m: int, seed: int) -> AssociationMatrix:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     a = rng.uniform(-1.0, 1.0, size=(m, m))
     np.fill_diagonal(a, 1.0)
-    return AssociationMatrix(tuple(tuple(float(v) for v in row) for row in a))
+    return AssociationMatrix(tuple(map(tuple, a.tolist())))
 
 
 @dataclass(frozen=True)
@@ -220,6 +220,15 @@ def _expect(cond: bool, msg: str) -> None:
         raise InvalidGameError(msg)
 
 
+def _finite(v: int | float, where: str) -> float:
+    try:
+        f = float(v)
+    except OverflowError:  # an int beyond the float range
+        f = math.inf
+    _expect(math.isfinite(f), f"{where}: not finite")
+    return f
+
+
 def parse_game(doc: Mapping) -> VotingGame:
     """Build a VotingGame from a parsed game-file document.
 
@@ -247,9 +256,9 @@ def parse_game(doc: Mapping) -> VotingGame:
                 isinstance(v, (int, float)) and not isinstance(v, bool),
                 f"players[{pos}].weights[{d}]: must be a number",
             )
-            _expect(math.isfinite(v), f"players[{pos}].weights[{d}]: not finite")
+            v = _finite(v, f"players[{pos}].weights[{d}]")
             _expect(v >= 0, f"players[{pos}].weights[{d}]: negative weight")
-            vals.append(float(v))
+            vals.append(v)
         weight_rows.append(tuple(vals))
     quotas_doc = doc.get("quotas")
     _expect(
@@ -271,13 +280,13 @@ def parse_game(doc: Mapping) -> VotingGame:
                 f"quotas[{d}].fraction: must be a number",
             )
             total = sum(row[d] for row in weight_rows if len(row) > d)
-            quotas.append(float(f) * total)
+            quotas.append(_finite(f, f"quotas[{d}].fraction") * total)
         else:
             _expect(
                 isinstance(q, (int, float)) and not isinstance(q, bool),
                 f"quotas[{d}]: must be a number or a fraction object",
             )
-            quotas.append(float(q))
+            quotas.append(_finite(q, f"quotas[{d}]"))
     association = None
     if doc.get("association") is not None:
         rows = doc["association"]

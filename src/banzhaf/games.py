@@ -63,14 +63,18 @@ class InvalidGameError(ValueError):
 
 
 def _float_row(values: Sequence[float], what: str) -> tuple[float, ...]:
+    row: list[float] = []
     try:
-        row = tuple(float(v) for v in values)
+        for v in values:
+            row.append(float(v))
+    except OverflowError:  # an int beyond the float range
+        raise InvalidGameError(f"{what}[{len(row)}]: not finite") from None
     except (TypeError, ValueError) as exc:
         raise InvalidGameError(f"{what}: not numeric") from exc
     for pos, v in enumerate(row):
         if not math.isfinite(v):
             raise InvalidGameError(f"{what}[{pos}]: not finite")
-    return row
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -90,24 +94,36 @@ class AssociationMatrix:
         m = len(rows)
         if m == 0:
             raise InvalidGameError("association matrix is empty")
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise InvalidGameError(f"association row {i}: expected {m} entries, got {len(row)}")
-            if row[i] != 1.0:
-                raise InvalidGameError(f"association diagonal a[{i}][{i}] must be 1, got {row[i]!r}")
-            for j, a in enumerate(row):
-                if abs(a) > 1.0:
-                    raise InvalidGameError(f"association a[{i}][{j}]={a!r} outside [-1, 1]")
+        # rows are checked in order, and within a row the length, then the
+        # diagonal, then the entries; the first offence is reported
+        square = next((i for i, row in enumerate(rows) if len(row) != m), m)
+        a = np.array(rows[:square], dtype=np.float64).reshape(square, m)
+        outside = np.abs(a) > 1.0
+        off_diagonal = np.diagonal(a) != 1.0
+        bad_rows = np.flatnonzero(off_diagonal | outside.any(axis=1))
+        if bad_rows.size:
+            i = int(bad_rows[0])
+            if off_diagonal[i]:
+                raise InvalidGameError(
+                    f"association diagonal a[{i}][{i}] must be 1, got {rows[i][i]!r}"
+                )
+            j = int(np.argmax(outside[i]))
+            raise InvalidGameError(f"association a[{i}][{j}]={rows[i][j]!r} outside [-1, 1]")
+        if square < m:
+            raise InvalidGameError(
+                f"association row {square}: expected {m} entries, got {len(rows[square])}"
+            )
+        a.flags.writeable = False
+        object.__setattr__(self, "_matrix", a)
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        out = np.array(self.entries, dtype=np.float64)
-        out.flags.writeable = False
-        return out
+        """The entries as a read-only float64 array."""
+        return self._matrix
 
     def row(self, i: int) -> tuple[float, ...]:
         return self.entries[i]
@@ -264,8 +280,8 @@ def single_quota_game(
     ids = tuple(player_ids) if player_ids is not None else _default_ids(len(weights))
     return VotingGame(
         player_ids=ids,
-        weights=tuple((float(w),) for w in weights),
-        quotas=(float(quota),),
+        weights=tuple((w,) for w in weights),
+        quotas=(quota,),
         association=association,
         metadata=dict(metadata or {}),
     )

@@ -5,7 +5,12 @@ Each player gets its own counter-based random stream (Philox keyed by the
 master seed and the player index), so estimates are reproducible bit for bit
 regardless of evaluation order and the per-player streams stay independent.
 A sample for player ``i`` is a uniform coalition containing ``i``: the other
-``m - 1`` membership bits are fair coin flips.
+``m - 1`` membership bits are fair coin flips.  Player ``j``'s bit is bit
+``j % 64`` of the sample's uint64 word ``j // 64``.  Samples are drawn and
+evaluated in chunks whose float64 membership block stays near
+`_CHUNK_BYTES`, so sampler memory does not grow with the sample count or the
+player count; full-range uint64 draws consume the stream in order, so the
+chunk size does not change which coalitions are drawn.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ __all__ = [
 
 CI_METHODS = ("hoeffding", "student", "selfbounding")
 
-_SAMPLE_CHUNK = 1 << 16
+# Bytes of the float64 membership block of one chunk of samples.
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -95,16 +101,24 @@ def _swing_count_for_player(
     thresholds = game.winning_thresholds
     rng = _player_rng(seed, i)
     words = (m + 63) // 64
+    # one membership block per call, reused by every chunk: a fresh block
+    # per chunk would be mmapped and page-faulted each time under glibc malloc
+    members = np.empty((max(1, min(n, _CHUNK_BYTES // (8 * m))), m), dtype=np.float64)
     swings = 0
     done = 0
     while done < n:
-        chunk = min(_SAMPLE_CHUNK, n - done)
+        chunk = min(len(members), n - done)
         raw = rng.integers(0, 2**64, size=(chunk, words), dtype=np.uint64)
-        members = np.empty((chunk, m), dtype=np.float64)
-        for j in range(m):
-            members[:, j] = (raw[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
-        members[:, i] = 1.0
-        sums = (members @ W).T
+        block = members[:chunk]
+        # little-endian bytes, low bit first: column j is bit j % 64 of word j // 64
+        np.copyto(
+            block,
+            np.unpackbits(
+                raw.astype("<u8", copy=False).view(np.uint8), axis=1, count=m, bitorder="little"
+            ),
+        )
+        block[:, i] = 1.0
+        sums = (block @ W).T
         swings += int(
             np.count_nonzero(sums_win(sums, thresholds) & removal_breaks(sums, load_row, thresholds))
         )

@@ -1,8 +1,10 @@
-"""Smoke run of the benchmark harness, so it cannot rot unnoticed.
+"""Smoke runs of the benchmark harness, so it cannot rot unnoticed.
 
-One short untraced ``eu_council`` run on the default seed: every op's output
-must pass the harness's oracles and golden hashes.  No timing is asserted;
-timings on a shared machine are too noisy to gate on.
+One short untraced run per workload on the default seed: every op's output
+must pass the harness's oracles and golden hashes.  ``eu_council`` covers the
+exact engine's shared coalition table; ``approx_mc`` covers the Monte Carlo
+sampler (Hoeffding check of every estimate plus the seed-0 golden hashes).
+No timing is asserted; timings on a shared machine are too noisy to gate on.
 """
 
 from __future__ import annotations
@@ -12,12 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_eu_council_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["eu_council", "approx_mc"])
+def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "eu_council",
+        [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,

@@ -25,6 +25,18 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def test_integer_beyond_float_range_is_data_error(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"players": [{"id": "a", "weights": [1%s]}, {"id": "b", "weights": [1]}],'
+        ' "quotas": [1]}' % ("0" * 400),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["exact", "--game", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: players[0].weights[0]: not finite\n"
+
+
 class TestExact:
     def test_table_output(self, capsys, g3):
         code, out, _ = run(capsys, ["exact", "--game", g3])
@@ -297,7 +309,10 @@ def test_redirected_streams_are_released(g3):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(["exact", "--game", g3]) == 0
         assert main(["exact", "--game", "no-such-game.json"]) == 2
-    assert out.getvalue() and err.getvalue()
+        assert main(["exact", "--help"]) == 0
+        assert main(["--help"]) == 0
+    assert out.getvalue().count("Show this message and exit.") == 2
+    assert err.getvalue()
     refs = [weakref.ref(out), weakref.ref(err)]
     del out, err
     gc.collect()

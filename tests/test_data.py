@@ -168,6 +168,15 @@ class TestRandomAssociation:
         with pytest.raises(InvalidGameError):
             random_association(0, seed=1)
 
+    def test_entries_are_the_uniform_draws(self):
+        for m, seed in [(1, 0), (5, 3), (18, 0), (18, 77)]:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+            a = rng.uniform(-1.0, 1.0, size=(m, m))
+            np.fill_diagonal(a, 1.0)
+            phi = random_association(m, seed)
+            assert phi.entries == tuple(tuple(float(v) for v in row) for row in a)
+            assert np.array_equal(phi.matrix, a)
+
 
 class TestRandomGame:
     def test_respects_configured_ranges(self):
@@ -228,6 +237,33 @@ class TestGameFiles:
             ' "quotas": [1]}'
         )
         with pytest.raises(InvalidGameError, match=r"players\[0\].weights\[0\]: not finite"):
+            load_game(text)
+
+    @pytest.mark.parametrize(
+        "players, quotas, association, field",
+        [
+            ('[{"id": "a", "weights": [BIG]}, {"id": "b", "weights": [1]}]', "[1]", None,
+             r"players\[0\].weights\[0\]"),
+            ('[{"id": "a", "weights": [1]}, {"id": "b", "weights": [-BIG]}]', "[1]", None,
+             r"players\[1\].weights\[0\]"),
+            ('[{"id": "a", "weights": [1]}, {"id": "b", "weights": [1]}]', "[BIG]", None,
+             r"quotas\[0\]"),
+            ('[{"id": "a", "weights": [1]}, {"id": "b", "weights": [1]}]', '[{"fraction": BIG}]',
+             None, r"quotas\[0\].fraction"),
+            ('[{"id": "a", "weights": [1]}, {"id": "b", "weights": [1]}]', "[1]",
+             "[[1, 0], [BIG, 1]]", r"association row 1\[0\]"),
+        ],
+        ids=["weight", "negative-weight", "quota", "fraction", "association"],
+    )
+    def test_integer_beyond_float_range_reported_as_not_finite(
+        self, players, quotas, association, field
+    ):
+        big = "1" + "0" * 400
+        text = f'{{"players": {players}, "quotas": {quotas}'
+        if association:
+            text += f', "association": {association}'
+        text = (text + "}").replace("BIG", big)
+        with pytest.raises(InvalidGameError, match=field + ": not finite"):
             load_game(text)
 
     def test_invalid_json_rejected(self):

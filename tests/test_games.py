@@ -67,6 +67,15 @@ class TestConstruction:
         with pytest.raises(InvalidGameError, match="finite"):
             single_quota_game([1, float("nan")], 1)
 
+    def test_integer_beyond_float_range_rejected(self):
+        big = 10**400
+        with pytest.raises(InvalidGameError, match=r"player p2\[0\]: not finite"):
+            single_quota_game([1, big], 1)
+        with pytest.raises(InvalidGameError, match=r"quotas\[1\]: not finite"):
+            VotingGame(("a",), ((1.0, 1.0),), (1.0, -big))
+        with pytest.raises(InvalidGameError, match=r"association row 0\[1\]: not finite"):
+            AssociationMatrix(((1.0, big), (0.0, 1.0)))
+
     def test_player_index_lookup(self):
         g = game_321()
         assert g.player_index("p2") == 1
@@ -93,6 +102,39 @@ class TestAssociationMatrix:
     def test_must_be_square(self):
         with pytest.raises(InvalidGameError):
             AssociationMatrix(((1.0, 0.0),))
+
+    def test_first_offence_reported(self):
+        def first_offence(rows):
+            # the per-entry scan the vectorized checks must agree with
+            m = len(rows)
+            for i, row in enumerate(rows):
+                if len(row) != m:
+                    return f"association row {i}: expected {m} entries, got {len(row)}"
+                if row[i] != 1.0:
+                    return f"association diagonal a[{i}][{i}] must be 1, got {row[i]!r}"
+                for j, a in enumerate(row):
+                    if abs(a) > 1.0:
+                        return f"association a[{i}][{j}]={a!r} outside [-1, 1]"
+            return None
+
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            m = int(rng.integers(1, 6))
+            a = rng.uniform(-1.0, 1.0, size=(m, m))
+            np.fill_diagonal(a, 1.0)
+            rows = [list(r) for r in a.tolist()]
+            for _ in range(int(rng.integers(0, 3))):
+                i, j = (int(x) for x in rng.integers(0, m, size=2))
+                rows[i][j] = float(rng.choice([1.5, -1.25, 0.5, 2.0]))
+            if rng.random() < 0.2:
+                del rows[int(rng.integers(0, m))][-1]
+            expected = first_offence(rows)
+            if expected is None:
+                assert AssociationMatrix(tuple(map(tuple, rows))).matrix.tolist() == rows
+            else:
+                with pytest.raises(InvalidGameError) as exc:
+                    AssociationMatrix(tuple(map(tuple, rows)))
+                assert str(exc.value) == expected
 
     def test_extreme_entries_allowed(self):
         phi = AssociationMatrix(((1.0, -1.0), (1.0, 1.0)))

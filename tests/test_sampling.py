@@ -1,13 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from banzhaf import sampling
+from banzhaf.data import eu_game, random_association
 from banzhaf.exact import exact_indices
-from banzhaf.games import AssociationMatrix, single_quota_game
+from banzhaf.games import (
+    AssociationMatrix,
+    VotingGame,
+    persuasion_loads,
+    removal_breaks,
+    single_quota_game,
+    sums_win,
+)
 from banzhaf.sampling import (
     ConfidenceInterval,
+    _player_rng,
+    _swing_count_for_player,
     confidence_interval,
     estimate_indices,
     required_samples,
@@ -79,6 +91,92 @@ class TestEstimates:
         means /= trials
         for got, truth in zip(means, exact):
             assert abs(got - truth) < 0.05
+
+
+def _swing_counts_loop(game, loads, n, seed):
+    """Per-player swing counts from one chunk of ``n`` draws, unpacked column
+    by column with shifts and masks: the sampler's reference bit order."""
+    m = game.num_players
+    W = game.weight_matrix
+    t = game.winning_thresholds
+    words = (m + 63) // 64
+    counts = []
+    for i in range(m):
+        raw = _player_rng(seed, i).integers(0, 2**64, size=(n, words), dtype=np.uint64)
+        members = np.empty((n, m), dtype=np.float64)
+        for j in range(m):
+            members[:, j] = (raw[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
+        members[:, i] = 1.0
+        sums = (members @ W).T
+        counts.append(int(np.count_nonzero(sums_win(sums, t) & removal_breaks(sums, loads[i], t))))
+    return tuple(counts)
+
+
+def _integer_game(m, seed):
+    w = np.random.default_rng(seed).integers(1, 30, size=m)
+    return single_quota_game([int(v) for v in w], int(w.sum()) // 2 + 1)
+
+
+def _two_quota_game(m, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.1, 3.7, size=(m, 2))
+    quotas = (0.53 * W[:, 0].sum(), 0.41 * W[:, 1].sum())
+    return VotingGame(tuple(f"p{i}" for i in range(m)), tuple(map(tuple, W)), quotas)
+
+
+def _unpack_cases():
+    for m in (1, 2, 63, 64, 65, 100, 130):
+        yield f"int-m{m}", _integer_game(m, seed=m)
+    yield "two-quota-m70", _two_quota_game(70, seed=5)
+    yield "eu", eu_game()
+
+
+UNPACK_CASES = dict(_unpack_cases())
+
+
+class TestUnpack:
+    """The vectorized unpack draws the same coalitions as the column loop."""
+
+    @pytest.mark.parametrize("case", sorted(UNPACK_CASES))
+    @pytest.mark.parametrize("mode", ["classical", "association"])
+    def test_counts_match_column_loop(self, case, mode):
+        game = UNPACK_CASES[case]
+        m, n, seed = game.num_players, 300, 17
+        phi = random_association(m, seed=m) if mode == "association" else None
+        loads = game.weight_matrix if phi is None else np.array(persuasion_loads(game, phi))
+        got = estimate_indices(game, phi, samples=n, seed=seed).swing_counts
+        # every player is compared, the first and the last uint64 word included
+        assert got == _swing_counts_loop(game, loads, n, seed)
+        if m > 2:
+            assert len(set(got)) > 1, "a constant count cannot tell bit orders apart"
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("case", ["int-m65", "two-quota-m70", "eu"])
+    def test_chunk_size_does_not_change_counts(self, monkeypatch, case, rows):
+        game = UNPACK_CASES[case]
+        m = game.num_players
+        phi = random_association(m, seed=3)
+        default = [estimate_indices(game, p, samples=120, seed=9) for p in (None, phi)]
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", rows * 8 * m)
+        chunked = [estimate_indices(game, p, samples=120, seed=9) for p in (None, phi)]
+        assert chunked == default
+
+    def test_chunked_draws_continue_the_stream(self):
+        whole = _player_rng(5, 3).integers(0, 2**64, size=(40, 3), dtype=np.uint64)
+        rng = _player_rng(5, 3)
+        parts = [rng.integers(0, 2**64, size=(r, 3), dtype=np.uint64) for r in (1, 7, 13, 19)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_memory_is_one_chunk(self):
+        # 20,000 samples x 300 players would be a 48 MB float64 block in one piece
+        game = _integer_game(300, seed=1)
+        tracemalloc.start()
+        try:
+            _swing_count_for_player(game, 0, game.weight_matrix[0], 20_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sampling._CHUNK_BYTES
 
 
 class TestStudentQuantile:
