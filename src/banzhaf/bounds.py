@@ -14,9 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
 
 from .games import (
     InvalidGameError,
@@ -25,6 +22,8 @@ from .games import (
     coalition_size,
     is_critical_classical,
     is_winning,
+    require_single_quota,
+    seeded_rng,
 )
 from .exact import IndexReport, exact_indices
 from .data import RandomGameSpec, random_game
@@ -45,11 +44,6 @@ __all__ = [
 ]
 
 
-def _require_single_quota(game: VotingGame, what: str) -> None:
-    if game.num_dimensions != 1:
-        raise InvalidGameError(f"{what} requires a single-quota game")
-
-
 def _weights(game: VotingGame) -> list[float]:
     return [row[0] for row in game.weights]
 
@@ -62,7 +56,7 @@ def ht_profile(game: VotingGame, player: int | str) -> tuple[int, int | None]:
     it).  h is the smallest count such that the h largest other weights sum
     strictly above the quota (None when no such count exists).
     """
-    _require_single_quota(game, "ht_profile")
+    require_single_quota(game, "ht_profile")
     i = game.player_index(player)
     w = _weights(game)
     q = game.quotas[0]
@@ -116,7 +110,7 @@ def size_window(game: VotingGame) -> tuple[int, int | float]:
     minimum weight is 0).  Read as: sizes <= m_low cannot win, sizes >=
     M_high cannot produce a swing.
     """
-    _require_single_quota(game, "size_window")
+    require_single_quota(game, "size_window")
     w = _weights(game)
     q = game.quotas[0]
     w_max = max(w)
@@ -162,7 +156,7 @@ def global_bounds(game: VotingGame, exact: IndexReport | None = None) -> GlobalB
     report is supplied, each bound is flagged violated if the max absolute
     index exceeds it.
     """
-    _require_single_quota(game, "global_bounds")
+    require_single_quota(game, "global_bounds")
     n = game.num_players
     m_low, m_high = size_window(game)
     top = n if math.isinf(m_high) else min(int(m_high), n)
@@ -206,7 +200,7 @@ class BoundsReport:
 
 def bounds_report(game: VotingGame, exact: IndexReport | None = None) -> BoundsReport:
     """Assemble every bound for the game, flagged against ``exact`` when given."""
-    _require_single_quota(game, "bounds_report")
+    require_single_quota(game, "bounds_report")
     profiles = [ht_profile(game, i) for i in range(game.num_players)]
     hts = tuple(ht_bound(game, i) for i in range(game.num_players))
     gb = global_bounds(game, exact)
@@ -236,7 +230,7 @@ def all_critical_weight_check(game: VotingGame, coalition: int) -> str:
     critical, at least two of them), "not-applicable" otherwise.  Losing
     coalitions are rejected.
     """
-    _require_single_quota(game, "all_critical_weight_check")
+    require_single_quota(game, "all_critical_weight_check")
     if not is_winning(game, coalition):
         raise InvalidGameError("all_critical_weight_check needs a winning coalition")
     size = coalition_size(coalition)
@@ -255,7 +249,7 @@ def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:
     Returns the number of coalitions where the cap applied and the list of
     coalitions (as bitmasks) that violated it.
     """
-    _require_single_quota(game, "scan_all_critical_coalitions")
+    require_single_quota(game, "scan_all_critical_coalitions")
     checked = 0
     violations = []
     for c in range(1, 1 << game.num_players):
@@ -293,7 +287,7 @@ def conjecture_check(
     Returns the counterexamples, each as (game description, player id,
     normalized index, cap), and the min slack cap - index over players.
     """
-    _require_single_quota(game, "conjecture_check")
+    require_single_quota(game, "conjecture_check")
     if report is None:
         report = exact_indices(game)
     w = _weights(game)
@@ -325,10 +319,7 @@ def conjecture_scan(
     counterexamples: list[tuple[str, str, float, float]] = []
     min_slack = math.inf
     for trial in range(trials):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-        )
-        game = random_game(rng, spec)
+        game = random_game(seeded_rng(seed, trial), spec)
         found, slack = conjecture_check(game)
         counterexamples.extend(found)
         min_slack = min(min_slack, slack)

@@ -18,9 +18,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .games import AssociationMatrix, InvalidGameError, VotingGame
+from .games import AssociationMatrix, InvalidGameError, VotingGame, require_single_quota
 from .exact import CoalitionTable, exact_indices
-from .sampling import confidence_interval, estimate_indices, required_samples
+from .sampling import CI_METHODS, confidence_interval, estimate_indices, index_cap, required_samples
 from .bounds import bounds_report, conjecture_scan
 from .data import (
     MigrationTable,
@@ -63,12 +63,6 @@ def _fmt(value, precision: int):
     return "none" if value is None else str(value)
 
 
-def _round(value, precision: int):
-    if isinstance(value, float):
-        return round(value, precision)
-    return value
-
-
 def _render_table(header: list[str], rows: list[list], precision: int) -> str:
     cells = [[_fmt(v, precision) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h) for i, h in enumerate(header)]
@@ -97,7 +91,7 @@ def _render_json(payload: dict, precision: int) -> str:
         if isinstance(node, (list, tuple)):
             return [walk(v) for v in node]
         if isinstance(node, float):
-            return _round(node, precision)
+            return round(node, precision)
         return node
 
     return json.dumps(walk(payload), indent=2) + "\n"
@@ -135,7 +129,7 @@ def _emit(
 def _common_options(f):
     f = click.option("--format", "fmt", type=click.Choice(FORMATS), default="table",
                      show_default=True, help="Report format.")(f)
-    f = click.option("--precision", type=int, default=5, show_default=True,
+    f = click.option("--precision", type=click.IntRange(min=0), default=5, show_default=True,
                      help="Decimal places in the report.")(f)
     f = click.option("--out", type=click.Path(dir_okay=False), default=None,
                      help="Write the report to a file instead of stdout.")(f)
@@ -215,7 +209,7 @@ def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
 @click.option("--identity", is_flag=True)
 @click.option("--epsilon", type=float, required=True, help="Target halfwidth.")
 @click.option("--delta", type=float, required=True, help="Confidence parameter.")
-@click.option("--method", type=click.Choice(["hoeffding", "student", "selfbounding"]),
+@click.option("--method", type=click.Choice(CI_METHODS),
               default="hoeffding", show_default=True,
               help="Interval: hoeffding (distribution-free), student (asymptotic, "
                    "may under-cover at small n) or selfbounding.")
@@ -233,11 +227,7 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
             # worst-case Bernoulli variance; no pilot run at the CLI
             samples = required_samples(epsilon, delta, "student", s2=0.25)
         elif method == "selfbounding":
-            from .bounds import ht_bound
-
-            u = 1.0
-            if game.num_dimensions == 1:
-                u = min(1.0, max(ht_bound(game, i) for i in range(game.num_players)))
+            u = index_cap(game, range(game.num_players))
             samples = required_samples(epsilon, delta, "selfbounding", B=2.0 * u + epsilon)
         else:
             samples = required_samples(epsilon, delta, "hoeffding")
@@ -279,8 +269,7 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
 def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     """Combinatorial bound diagnostics (single-quota games)."""
     game = _load_game_arg(game_src)
-    if game.num_dimensions != 1:
-        raise InvalidGameError("bounds_report requires a single-quota game")
+    require_single_quota(game, "bounds_report")
     indices = range(game.num_players)
     if player is not None:
         indices = [game.player_index(player)]

@@ -22,6 +22,7 @@ from .games import (
     AssociationMatrix,
     InvalidGameError,
     VotingGame,
+    seeded_rng,
     single_quota_game,
 )
 
@@ -98,23 +99,16 @@ def build_migration_association(table: MigrationTable) -> AssociationMatrix:
     the result unchanged.  A fully symmetric table has no direction to
     normalise and is rejected.
     """
-    m = table.size
-    flows = table.flows
-    biggest = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            biggest = max(biggest, abs(flows[i][j] - flows[j][i]))
+    flows = np.array(table.flows, dtype=np.float64)
+    net = flows.T - flows  # net[i][j]: migrants from j to i, less those from i to j
+    biggest = float(np.abs(net).max())
     if biggest == 0.0:
         raise InvalidGameError(
             "all migration flows are symmetric; the association matrix is undefined"
         )
-    entries = [[1.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i):
-            val = (flows[j][i] - flows[i][j]) / biggest
-            entries[i][j] = val
-            entries[j][i] = -val
-    return AssociationMatrix(tuple(tuple(row) for row in entries))
+    entries = net / biggest
+    np.fill_diagonal(entries, 1.0)
+    return AssociationMatrix(tuple(map(tuple, entries.tolist())))
 
 
 def random_association(m: int, seed: int) -> AssociationMatrix:
@@ -122,8 +116,7 @@ def random_association(m: int, seed: int) -> AssociationMatrix:
     entries uniform on [-1, 1]; deterministic for a given (m, seed)."""
     if m < 1:
         raise InvalidGameError(f"need at least one player, got m={m}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    a = rng.uniform(-1.0, 1.0, size=(m, m))
+    a = seeded_rng(seed).uniform(-1.0, 1.0, size=(m, m))
     np.fill_diagonal(a, 1.0)
     return AssociationMatrix(tuple(map(tuple, a.tolist())))
 
@@ -142,6 +135,14 @@ class RandomGameSpec:
     min_weight: int = 1
     max_weight: int = 20
     quota_fraction: float = 0.5
+
+    def __post_init__(self) -> None:
+        for low, high, floor in (("min_players", "max_players", 1), ("min_weight", "max_weight", 0)):
+            lo, hi = getattr(self, low), getattr(self, high)
+            if lo < floor:
+                raise InvalidGameError(f"{low} must be at least {floor}, got {lo}")
+            if hi < lo:
+                raise InvalidGameError(f"{high} must be at least {low} ({lo}), got {hi}")
 
 
 def random_game(rng: np.random.Generator, spec: RandomGameSpec) -> VotingGame:

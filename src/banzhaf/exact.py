@@ -7,17 +7,17 @@ the ``2^m`` coalitions is visited exactly once.  Swing counts are integers,
 accumulated per block.
 
 Only winning coalitions can be swung, and in games like the EU Council few
-of them win.  The first scan under each boundary convention therefore
-compacts the winning coalitions, their sums and membership bits, and the
-table caches them when they fit in one block's sum arrays (``2^b * k * 8``
-bytes), memory the streaming scan holds anyway.  Later scans, one per load
-matrix, read only the cached winners.  Larger winning sets are streamed
-block by block; the scan that finds the budget exceeded counts what it has
-compacted so far and streams the rest, so the choice costs no second pass.
-Both paths use the same sums and the same comparisons, so their counts are
-identical.  The comparisons themselves (``s >= t`` to win, ``s - l < t`` to
-break, under either boundary convention's thresholds) live in
-`banzhaf.games`, which every engine shares.
+of them win.  Before its first scan under a boundary convention, the table
+decides whether to cache that convention's winners: it compacts their sums
+and membership bits block by block, and keeps them if they fit in one
+block's sum arrays (``2^b * k * 8`` bytes), memory the streaming scan holds
+anyway.  Each scan, one per load matrix, then reads only the cached winners.
+At the first block past the budget it stops, drops what it has compacted
+(at most one budget's worth of work) and marks the convention as streamed:
+its scans visit every block.  Both paths use the same sums and comparisons,
+so their counts are identical.  The comparisons themselves (``s >= t`` to
+win, ``s - l < t`` to break, under either boundary convention's thresholds)
+live in `banzhaf.games`, which every engine shares.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .games import (
     AssociationMatrix,
     InvalidGameError,
     VotingGame,
-    persuasion_loads,
     removal_breaks,
+    removal_loads,
+    require_single_quota,
     sums_win,
 )
 
@@ -97,9 +98,9 @@ class CoalitionTable:
 
     Building the table costs the one-off sum arrays; `swing_counts` can then
     be called repeatedly with different load matrices (for instance one call
-    per sampled association matrix) without re-enumerating.  The first
-    scan under each boundary convention also compacts the winning coalitions
-    when they fit the budget, and later scans read only those.
+    per sampled association matrix) without re-enumerating.  Each boundary
+    convention's winning coalitions are compacted once, when they fit the
+    budget, and its scans then read only those.
     """
 
     def __init__(self, game: VotingGame, block_bits: int | None = None):
@@ -112,14 +113,10 @@ class CoalitionTable:
         self.low_bits = b
         self.high_bits = m - b
         W = game.weight_matrix
-        k = game.num_dimensions
         self.low_sums = self._subset_sums(W[:b])
         self.high_sums = self._subset_sums(W[b:])
-        # A compacted winner costs 8k bytes of sums and m of membership.  The
-        # budget is one block's sum arrays, which the streaming scan holds anyway.
-        self._winner_room = ((1 << b) * k * 8) // (k * 8 + m)
         # thresholds -> (sums, members) of every winning coalition, or None
-        # when they outgrow the budget; absent until a scan decides
+        # when they outgrow the budget; absent until `_winning_set` decides
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray] | None] = {}
 
     @staticmethod
@@ -152,51 +149,55 @@ class CoalitionTable:
         bits &= 1
         return np.compress(win, sums, axis=1), bits.astype(bool)  # C order: contiguous rows
 
+    def _winning_set(self, thresholds: tuple[float, ...]):
+        """``(sums, members)`` of every winning coalition under ``thresholds``,
+        or None once the blocks compacted in order overflow the budget;
+        decided once per convention."""
+        if thresholds in self._winning_sets:
+            return self._winning_sets[thresholds]
+        m, k = self.game.num_players, self.game.num_dimensions
+        # A compacted winner costs 8k bytes of sums and m of membership.  The
+        # budget is one block's sum arrays, which the streaming scan holds anyway.
+        room = ((1 << self.low_bits) * k * 8) // (k * 8 + m)
+        parts = [(np.empty((k, 0)), np.empty((m, 0), dtype=bool))]
+        for h in range(1 << self.high_bits):
+            sums = self._block_sums(h)
+            win = sums_win(sums, thresholds)
+            n = int(np.count_nonzero(win))
+            if n > room:
+                self._winning_sets[thresholds] = None
+                return None
+            room -= n
+            if n:
+                parts.append(self._compact(h, sums, win))
+        winners = tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+        self._winning_sets[thresholds] = winners
+        return winners
+
     def _winners_by_player(self, thresholds: tuple[float, ...], players: Sequence[int]):
         """Yield ``(i, sums, member)`` over groups of winning coalitions:
         ``sums`` per dimension, and the mask of those that player ``i`` of
         ``players`` belongs to.
 
-        A scan reads the compacted winning set when the table holds one.
-        The first scan compacts block by block while the winners fit the
-        budget; past it, the blocks compacted so far are yielded as they are
-        and the rest streams, so deciding costs no second pass.
+        Reads the cached winning set when there is one, and otherwise
+        streams the blocks that hold any of ``players``.
         """
-        if self._winning_sets.get(thresholds) is not None:
-            sums, members = self._winning_sets[thresholds]
+        winners = self._winning_set(thresholds)
+        if winners is not None:
+            sums, members = winners
             yield from ((i, sums, members[i]) for i in players)
             return
         b = self.low_bits
-        collect = thresholds not in self._winning_sets
-        room = self._winner_room
-        parts = []
         for h in range(1 << self.high_bits):
             present = [i for i in players if i < b or (h >> (i - b)) & 1]
-            if not (present or collect):
+            if not present:
                 continue
             sums = self._block_sums(h)
             win = sums_win(sums, thresholds)
-            if collect:
-                n = int(np.count_nonzero(win))
-                if n <= room:
-                    room -= n
-                    if n:
-                        parts.append(self._compact(h, sums, win))
-                    continue
-                collect = False
-                self._winning_sets[thresholds] = None
-                for part_sums, members in parts:
-                    yield from ((i, part_sums, members[i]) for i in players)
             if not win.any():
                 continue
             for i in present:
                 yield i, sums, (win & self.low_member[i]) if i < b else win
-        if collect:
-            m, k = self.game.num_players, self.game.num_dimensions
-            parts = parts or [(np.empty((k, 0)), np.empty((m, 0), dtype=bool))]
-            sums, members = (np.concatenate(p, axis=1) for p in zip(*parts))
-            self._winning_sets[thresholds] = sums, members
-            yield from ((i, sums, members[i]) for i in players)
 
     def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.
@@ -249,6 +250,15 @@ def _make_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport
     )
 
 
+def _table_for(game: VotingGame, table: CoalitionTable | None) -> CoalitionTable:
+    """``table``, checked to belong to ``game``, or a new table for it."""
+    if table is None:
+        return CoalitionTable(game)
+    if table.game is not game:
+        raise InvalidGameError("table was built for a different game")
+    return table
+
+
 def exact_indices(
     game: VotingGame,
     phi: AssociationMatrix | None = None,
@@ -263,17 +273,8 @@ def exact_indices(
     non-strict convention is the one every stated result uses).  Passing a
     prebuilt ``table`` recycles the enumeration arrays across calls.
     """
-    if table is None:
-        table = CoalitionTable(game)
-    elif table.game is not game:
-        raise InvalidGameError("table was built for a different game")
-    if phi is None:
-        loads = game.weight_matrix
-        mode = "classical"
-    else:
-        loads = np.array(persuasion_loads(game, phi), dtype=np.float64)
-        mode = "association"
-    counts = table.swing_counts(loads, strict=strict)
+    mode, loads = removal_loads(game, phi)
+    counts = _table_for(game, table).swing_counts(loads, strict=strict)
     return _make_report(game, mode, counts)
 
 
@@ -292,14 +293,10 @@ def association_delta(
     resulting half-open window ``[lo, hi)`` plus the counts of coalitions
     gained and lost relative to the classical index.
     """
-    if game.num_dimensions != 1:
-        raise InvalidGameError("association_delta requires a single-quota game")
+    require_single_quota(game, "association_delta")
     i = game.player_index(player)
-    if table is None:
-        table = CoalitionTable(game)
-    elif table.game is not game:
-        raise InvalidGameError("table was built for a different game")
-    loads = np.array(persuasion_loads(game, phi), dtype=np.float64)
+    table = _table_for(game, table)
+    _, loads = removal_loads(game, phi)
     gain, loss = table.criticality_gain_loss(i, game.weight_matrix[i], loads[i])
     q = game.quotas[0]
     w = game.weights[i][0]

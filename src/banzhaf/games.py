@@ -125,9 +125,6 @@ class AssociationMatrix:
         """The entries as a read-only float64 array."""
         return self._matrix
 
-    def row(self, i: int) -> tuple[float, ...]:
-        return self.entries[i]
-
     @classmethod
     def identity(cls, m: int) -> "AssociationMatrix":
         return cls(tuple(tuple(1.0 if i == j else 0.0 for j in range(m)) for i in range(m)))
@@ -206,24 +203,11 @@ class VotingGame:
         return len(self.quotas)
 
     def player_index(self, player: int | str) -> int:
-        if isinstance(player, str):
-            try:
-                return self.player_ids.index(player)
-            except ValueError:
-                raise InvalidGameError(f"unknown player id {player!r}") from None
-        if not 0 <= player < self.num_players:
-            raise InvalidGameError(f"player index {player} out of range")
-        return player
+        return resolve_player(self.player_ids, player)
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
         out = np.array(self.weights, dtype=np.float64)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def quota_vector(self) -> np.ndarray:
-        out = np.array(self.quotas, dtype=np.float64)
         out.flags.writeable = False
         return out
 
@@ -267,6 +251,30 @@ class VotingGame:
         return tuple(
             math.nextafter(q + t, math.inf) for q, t in zip(self.quotas, self.quota_tolerances)
         )
+
+
+def resolve_player(player_ids: Sequence[str], player: int | str) -> int:
+    """Position of ``player``, given by id or by index, in ``player_ids``."""
+    if isinstance(player, str):
+        try:
+            return player_ids.index(player)
+        except ValueError:
+            raise InvalidGameError(f"unknown player id {player!r}") from None
+    if not 0 <= player < len(player_ids):
+        raise InvalidGameError(f"player index {player} out of range")
+    return player
+
+
+def require_single_quota(game: VotingGame, what: str) -> None:
+    if game.num_dimensions != 1:
+        raise InvalidGameError(f"{what} requires a single-quota game")
+
+
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """Philox stream keyed by ``seed`` and the spawn ``key``: the same
+    arguments give the same stream, and different keys independent ones."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def single_quota_game(
@@ -400,6 +408,15 @@ def persuasion_loads(game: VotingGame, phi: AssociationMatrix) -> tuple[tuple[fl
     for j in range(game.num_players):
         out += A[:, j : j + 1] * W[j]
     return tuple(map(tuple, out.tolist()))
+
+
+def removal_loads(game: VotingGame, phi: AssociationMatrix | None) -> tuple[str, np.ndarray]:
+    """The criticality mode and the (m, k) removal loads it uses: each
+    player's own weight without ``phi`` ("classical"), its persuasion load
+    under ``phi`` ("association")."""
+    if phi is None:
+        return "classical", game.weight_matrix
+    return "association", np.array(persuasion_loads(game, phi), dtype=np.float64)
 
 
 @dataclass(frozen=True)

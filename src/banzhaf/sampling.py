@@ -1,9 +1,10 @@
 """Monte Carlo estimation of Banzhaf indices with distribution-free and
 variance-adaptive confidence intervals.
 
-Each player gets its own counter-based random stream (Philox keyed by the
-master seed and the player index), so estimates are reproducible bit for bit
-regardless of evaluation order and the per-player streams stay independent.
+Each player gets its own counter-based random stream (`seeded_rng`, Philox
+keyed by the master seed and the player index), so estimates are
+reproducible bit for bit regardless of evaluation order and the per-player
+streams stay independent.
 A sample for player ``i`` is a uniform coalition containing ``i``: the other
 ``m - 1`` membership bits are fair coin flips.  Player ``j``'s bit is bit
 ``j % 64`` of the sample's uint64 word ``j // 64``.  Samples are drawn and
@@ -17,16 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy import special
 
+from .bounds import ht_bound
 from .games import (
     AssociationMatrix,
     InvalidGameError,
     VotingGame,
-    persuasion_loads,
     removal_breaks,
+    removal_loads,
+    resolve_player,
+    seeded_rng,
     sums_win,
 )
 
@@ -84,11 +89,6 @@ class ConfidenceInterval:
     B: float | None = None
 
 
-def _player_rng(seed: int, player_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(player_index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _swing_count_for_player(
     game: VotingGame,
     i: int,
@@ -99,7 +99,7 @@ def _swing_count_for_player(
     m = game.num_players
     W = game.weight_matrix
     thresholds = game.winning_thresholds
-    rng = _player_rng(seed, i)
+    rng = seeded_rng(seed, i)
     words = (m + 63) // 64
     # one membership block per call, reused by every chunk: a fresh block
     # per chunk would be mmapped and page-faulted each time under glibc malloc
@@ -143,12 +143,7 @@ def estimate_indices(
     if samples <= 0:
         raise InvalidGameError(f"samples must be positive, got {samples}")
     m = game.num_players
-    if phi is None:
-        loads = game.weight_matrix
-        mode = "classical"
-    else:
-        loads = np.array(persuasion_loads(game, phi), dtype=np.float64)
-        mode = "association"
+    mode, loads = removal_loads(game, phi)
     counts = [
         _swing_count_for_player(game, i, loads[i], samples, seed) for i in range(m)
     ]
@@ -180,27 +175,12 @@ def student_t_quantile(tail: float, df: int) -> float:
     return -float(special.stdtrit(df, tail))
 
 
-def _default_self_bound(
-    game: VotingGame | None, player: int, n: int, delta: float
-) -> tuple[float, float]:
-    """Closed-form halfwidth and matching B for the self-bounding method
-    when no explicit B is given.
-
-    B defaults to ``2u + hw`` where ``u`` caps the player's index (the
-    combinatorial upper bound when a single-quota game is supplied, else 1)
-    and ``hw`` is the halfwidth itself; substituting into
-    ``hw = sqrt(B ln(2/delta) / n)`` gives a quadratic whose positive root
-    is taken, so the returned pair is exactly self-consistent.  The result
-    always lands inside the admissible clamp ``[hw, 2 + hw]``.
-    """
-    u = 1.0
-    if game is not None and game.num_dimensions == 1:
-        from .bounds import ht_bound  # local import, bounds depends on games only
-
-        u = min(1.0, ht_bound(game, player))
-    c = math.log(2.0 / delta) / n
-    hw = 0.5 * (c + math.sqrt(c * c + 8.0 * u * c))
-    return hw, 2.0 * u + hw
+def index_cap(game: VotingGame | None, players: Iterable[int]) -> float:
+    """Cap ``u`` on the absolute index of every player in ``players``: the
+    combinatorial bound `ht_bound` for a single-quota game, else 1."""
+    if game is None or game.num_dimensions != 1:
+        return 1.0
+    return min(1.0, max(ht_bound(game, i) for i in players))
 
 
 def confidence_interval(
@@ -217,18 +197,16 @@ def confidence_interval(
     adaptive, needs ``n >= 2``), ``selfbounding`` (Bernstein-style bound
     driven by the scale cap ``B``; when ``B`` is omitted it is derived from
     the game's combinatorial index bound, or 1 when no game is given).
+    ``player`` is an id or an index into ``report.player_ids``, and a
+    ``game`` must have the report's players.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if method not in CI_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {CI_METHODS}")
-    if isinstance(player, str):
-        try:
-            i = report.player_ids.index(player)
-        except ValueError:
-            raise InvalidGameError(f"unknown player id {player!r}") from None
-    else:
-        i = player
+    if game is not None and game.player_ids != report.player_ids:
+        raise InvalidGameError("game players do not match the report's")
+    i = resolve_player(report.player_ids, player)
     n = report.samples
     est = report.estimates[i]
     used_b: float | None = None
@@ -241,14 +219,19 @@ def confidence_interval(
         assert s2 is not None
         t = student_t_quantile(delta / 2.0, n - 1)
         hw = t * math.sqrt(s2 / n)
+    elif B is None:
+        # B = 2u + hw with hw = sqrt(B ln(2/delta) / n) is a quadratic in hw;
+        # its positive root makes the pair exactly self-consistent and always
+        # lands inside the admissible clamp [hw, 2 + hw]
+        u = index_cap(game, (i,))
+        c = math.log(2.0 / delta) / n
+        hw = 0.5 * (c + math.sqrt(c * c + 8.0 * u * c))
+        used_b = 2.0 * u + hw
     else:
-        if B is None:
-            hw, used_b = _default_self_bound(game, i, n, delta)
-        else:
-            if B <= 0:
-                raise ValueError(f"B must be positive, got {B}")
-            used_b = float(B)
-            hw = math.sqrt(used_b * math.log(2.0 / delta) / n)
+        if B <= 0:
+            raise ValueError(f"B must be positive, got {B}")
+        used_b = float(B)
+        hw = math.sqrt(used_b * math.log(2.0 / delta) / n)
     return ConfidenceInterval(
         player=report.player_ids[i],
         estimate=est,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,26 @@ class TestConjecture:
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidGameError, match="positive"):
             conjecture_scan(0, seed=1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"min_players": 0}, "min_players must be at least 1, got 0"),
+            ({"max_players": 2}, "max_players must be at least min_players (3), got 2"),
+            ({"min_weight": -1}, "min_weight must be at least 0, got -1"),
+            ({"max_weight": 0}, "max_weight must be at least min_weight (1), got 0"),
+        ],
+    )
+    def test_spec_fields_checked(self, fields, message):
+        with pytest.raises(InvalidGameError, match=re.escape(message)):
+            conjecture_scan(5, seed=1, spec=RandomGameSpec(**fields))
+
+    def test_spec_at_its_edges_scans(self):
+        RandomGameSpec(min_weight=0)
+        spec = RandomGameSpec(min_players=1, max_players=1, min_weight=7, max_weight=7)
+        report = conjecture_scan(10, seed=1, spec=spec)
+        assert (report.games_scanned, report.counterexamples) == (10, ())
+        assert report.min_slack == 1.0  # one player: index 1, cap 2
 
 
 class TestBoundsReport:

@@ -282,6 +282,25 @@ class TestConjecture:
         code, _, _ = run(capsys, ["conjecture", "--seed", "3"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--max-players", "1", "max_players must be at least min_players (3), got 1"),
+         ("--max-weight", "0", "max_weight must be at least min_weight (1), got 0")],
+    )
+    def test_spec_out_of_range_is_data_error(self, capsys, flag, value, message):
+        code, out, err = run(capsys, ["conjecture", "--trials", "5", "--seed", "1", flag, value])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_negative_precision_is_usage_error(capsys, g3, fmt):
+    code, out, err = run(capsys, ["exact", "--game", g3, "--format", fmt, "--precision", "-1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: Invalid value for '--precision'")
+    code, out, _ = run(capsys, ["exact", "--game", g3, "--format", fmt, "--precision", "0"])
+    assert code == 0 and out
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):

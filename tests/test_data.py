@@ -54,7 +54,42 @@ class TestEuGame:
         assert sum(r.normalized) == pytest.approx(1.0, abs=1e-12)
 
 
+def _migration_entries_loop(flows):
+    """The pairwise loops that ``build_migration_association`` must match."""
+    m = len(flows)
+    biggest = 0.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            biggest = max(biggest, abs(flows[i][j] - flows[j][i]))
+    entries = [[1.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            val = (flows[j][i] - flows[i][j]) / biggest
+            entries[i][j] = val
+            entries[j][i] = -val
+    return tuple(map(tuple, entries))
+
+
 class TestMigration:
+    def test_matches_pairwise_loops(self):
+        rng = np.random.default_rng(4242)
+        for trial in range(600):
+            m = int(rng.integers(2, 13))
+            flows = [
+                rng.integers(0, 50, size=(m, m)).astype(float),  # integer, some pairs balanced
+                rng.uniform(0.0, 1e4, size=(m, m)),
+                rng.uniform(0.0, 1.0, size=(m, m)) * 1e-300,
+            ][trial % 3]
+            if trial % 2:
+                flows[1, 0] = flows[0, 1]
+            table = MigrationTable(
+                labels=tuple(f"c{i}" for i in range(m)), flows=tuple(map(tuple, flows.tolist()))
+            )
+            if not np.any(flows != flows.T):
+                continue
+            phi = build_migration_association(table)
+            assert phi.entries == _migration_entries_loop(table.flows)
+
     def example_table(self):
         return MigrationTable(
             labels=("A", "B", "C"),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,15 +11,17 @@ from banzhaf.data import eu_game, random_association
 from banzhaf.exact import exact_indices
 from banzhaf.games import (
     AssociationMatrix,
+    InvalidGameError,
     VotingGame,
     persuasion_loads,
     removal_breaks,
+    seeded_rng,
     single_quota_game,
     sums_win,
 )
 from banzhaf.sampling import (
+    CI_METHODS,
     ConfidenceInterval,
-    _player_rng,
     _swing_count_for_player,
     confidence_interval,
     estimate_indices,
@@ -102,7 +105,7 @@ def _swing_counts_loop(game, loads, n, seed):
     words = (m + 63) // 64
     counts = []
     for i in range(m):
-        raw = _player_rng(seed, i).integers(0, 2**64, size=(n, words), dtype=np.uint64)
+        raw = seeded_rng(seed, i).integers(0, 2**64, size=(n, words), dtype=np.uint64)
         members = np.empty((n, m), dtype=np.float64)
         for j in range(m):
             members[:, j] = (raw[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
@@ -162,8 +165,8 @@ class TestUnpack:
         assert chunked == default
 
     def test_chunked_draws_continue_the_stream(self):
-        whole = _player_rng(5, 3).integers(0, 2**64, size=(40, 3), dtype=np.uint64)
-        rng = _player_rng(5, 3)
+        whole = seeded_rng(5, 3).integers(0, 2**64, size=(40, 3), dtype=np.uint64)
+        rng = seeded_rng(5, 3)
         parts = [rng.integers(0, 2**64, size=(r, 3), dtype=np.uint64) for r in (1, 7, 13, 19)]
         assert np.array_equal(np.concatenate(parts), whole)
 
@@ -276,6 +279,26 @@ class TestConfidenceIntervals:
         tiny = estimate_indices(game_321(), samples=1, seed=1)
         with pytest.raises(ValueError, match="2 samples"):
             confidence_interval(tiny, 0, 0.1, "student")
+
+    @pytest.mark.parametrize(
+        "player, message",
+        [(-1, "player index -1 out of range"), (3, "player index 3 out of range"),
+         ("p9", "unknown player id 'p9'")],
+    )
+    def test_player_resolved_like_the_game(self, player, message):
+        r = self.make_report()
+        for resolve in (lambda: confidence_interval(r, player, 0.1, "hoeffding"),
+                        lambda: game_321().player_index(player)):
+            with pytest.raises(InvalidGameError, match=re.escape(message)):
+                resolve()
+
+    @pytest.mark.parametrize("method", CI_METHODS)
+    def test_game_with_other_players_rejected(self, method):
+        r = self.make_report()
+        renamed = single_quota_game([3, 2, 1], 4, player_ids=("a", "b", "c"))
+        for other in (renamed, single_quota_game([3, 2], 4)):
+            with pytest.raises(InvalidGameError, match="players do not match"):
+                confidence_interval(r, 0, 0.1, method, game=other)
 
 
 class TestRequiredSamples:
