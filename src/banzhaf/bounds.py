@@ -25,7 +25,7 @@ from .games import (
     require_single_quota,
     seeded_rng,
 )
-from .exact import IndexReport, exact_indices
+from .exact import HARD_PLAYER_CAP, IndexReport, exact_indices
 from .data import RandomGameSpec, random_game
 
 __all__ = [
@@ -52,21 +52,22 @@ def ht_profile(game: VotingGame, player: int | str) -> tuple[int, int | None]:
     """The exclusion sizes (t, h) behind the per-player bound.
 
     t is the largest count such that the t smallest weights, with the player
-    forced in, still sum below the quota (0 when even the player alone meets
-    it).  h is the smallest count such that the h largest other weights sum
-    strictly above the quota (None when no such count exists).
+    forced in, still lose: they sum below the winning threshold (0 when even
+    the player alone wins).  h is the smallest count such that the h largest
+    other weights sum strictly above the quota (None when none does).
     """
     require_single_quota(game, "ht_profile")
     i = game.player_index(player)
     w = _weights(game)
     q = game.quotas[0]
+    lose = game.winning_thresholds[0]  # below it a sum cannot win, tolerance included
     others = sorted(w[:i] + w[i + 1 :])
     t = 0
     acc = w[i]
-    if acc < q:
+    if acc < lose:
         t = 1
         for v in others:
-            if acc + v < q:
+            if acc + v < lose:
                 acc += v
                 t += 1
             else:
@@ -316,6 +317,8 @@ def conjecture_scan(
     """
     if trials <= 0:
         raise InvalidGameError(f"trials must be positive, got {trials}")
+    if spec.max_players > HARD_PLAYER_CAP:
+        raise InvalidGameError(f"max_players must be at most {HARD_PLAYER_CAP}, got {spec.max_players}")
     counterexamples: list[tuple[str, str, float, float]] = []
     min_slack = math.inf
     for trial in range(trials):

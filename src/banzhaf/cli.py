@@ -23,7 +23,6 @@ from .exact import CoalitionTable, exact_indices
 from .sampling import CI_METHODS, confidence_interval, estimate_indices, index_cap, required_samples
 from .bounds import bounds_report, conjecture_scan
 from .data import (
-    MigrationTable,
     RandomGameSpec,
     build_migration_association,
     eu_game,
@@ -41,20 +40,12 @@ def _load_game_arg(value: str) -> VotingGame:
     return load_game_file(value)
 
 
-def _load_association_arg(path: str, m: int) -> AssociationMatrix:
+def _load_association_arg(path: str) -> AssociationMatrix:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InvalidGameError(f"association file: invalid JSON ({exc})") from exc
-    rows = doc.get("association") if isinstance(doc, dict) else doc
-    if not isinstance(rows, list):
-        raise InvalidGameError("association file: expected a list of rows")
-    phi = AssociationMatrix(tuple(tuple(row) for row in rows))
-    if phi.size != m:
-        raise InvalidGameError(
-            f"association file: {phi.size}x{phi.size} matrix for a {m}-player game"
-        )
-    return phi
+    return AssociationMatrix(doc.get("association") if isinstance(doc, dict) else doc)
 
 
 def _fmt(value, precision: int):
@@ -142,7 +133,7 @@ def _resolve_phi(game: VotingGame, association: str | None, identity: bool) -> A
     if identity:
         return AssociationMatrix.identity(game.num_players)
     if association:
-        return _load_association_arg(association, game.num_players)
+        return _load_association_arg(association)
     return game.association
 
 
@@ -357,11 +348,9 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
                 "migration csv: country ids do not match the EU dataset "
                 f"({', '.join(game.player_ids)})"
             )
+        # reordering commutes with the build: it is elementwise, and its max is over all pairs
         order = [mt.labels.index(c) for c in game.player_ids]
-        reordered = tuple(tuple(mt.flows[i][j] for j in order) for i in order)
-        phi = build_migration_association(
-            MigrationTable(labels=game.player_ids, flows=reordered)
-        )
+        phi = AssociationMatrix(build_migration_association(mt).matrix[np.ix_(order, order)].tolist())
         for rec, wa in zip(players, exact_indices(game, phi, table=table).normalized):
             rec["wa"] = wa
     else:

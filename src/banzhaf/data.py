@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -22,6 +21,7 @@ from .games import (
     AssociationMatrix,
     InvalidGameError,
     VotingGame,
+    as_finite,
     seeded_rng,
     single_quota_game,
 )
@@ -66,21 +66,19 @@ class MigrationTable:
             raise InvalidGameError("migration table is empty")
         if len(set(labels)) != m:
             raise InvalidGameError("migration labels must be unique")
+        if len(self.flows) != m:
+            raise InvalidGameError(f"{m} labels but {len(self.flows)} flow rows")
         rows = []
-        for i, row in enumerate(self.flows):
-            vals = tuple(float(v) for v in row)
-            if len(vals) != m:
-                raise InvalidGameError(
-                    f"migration row {labels[i] if i < m else i}: expected {m} entries, got {len(vals)}"
-                )
-            for j, v in enumerate(vals):
-                if not math.isfinite(v) or v < 0:
+        for a, row in zip(labels, self.flows):
+            if len(row) != m:
+                raise InvalidGameError(f"migration row {a}: expected {m} entries, got {len(row)}")
+            vals = tuple(as_finite(v, f"migration flow [{a}][{b}]") for b, v in zip(labels, row))
+            for b, v in zip(labels, vals):
+                if v < 0:
                     raise InvalidGameError(
-                        f"migration flow [{labels[i]}][{labels[j]}]: must be a non-negative number, got {v!r}"
+                        f"migration flow [{a}][{b}]: must be a non-negative number, got {v!r}"
                     )
             rows.append(vals)
-        if len(rows) != m:
-            raise InvalidGameError(f"{m} labels but {len(rows)} flow rows")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "flows", tuple(rows))
 
@@ -108,7 +106,7 @@ def build_migration_association(table: MigrationTable) -> AssociationMatrix:
         )
     entries = net / biggest
     np.fill_diagonal(entries, 1.0)
-    return AssociationMatrix(tuple(map(tuple, entries.tolist())))
+    return AssociationMatrix(entries.tolist())
 
 
 def random_association(m: int, seed: int) -> AssociationMatrix:
@@ -118,7 +116,7 @@ def random_association(m: int, seed: int) -> AssociationMatrix:
         raise InvalidGameError(f"need at least one player, got m={m}")
     a = seeded_rng(seed).uniform(-1.0, 1.0, size=(m, m))
     np.fill_diagonal(a, 1.0)
-    return AssociationMatrix(tuple(map(tuple, a.tolist())))
+    return AssociationMatrix(a.tolist())
 
 
 @dataclass(frozen=True)
@@ -143,17 +141,21 @@ class RandomGameSpec:
                 raise InvalidGameError(f"{low} must be at least {floor}, got {lo}")
             if hi < lo:
                 raise InvalidGameError(f"{high} must be at least {low} ({lo}), got {hi}")
+        if self.max_weight < 1:  # random_game redraws all-zero weights until one is positive
+            raise InvalidGameError(f"max_weight must be at least 1, got {self.max_weight}")
 
 
 def random_game(rng: np.random.Generator, spec: RandomGameSpec) -> VotingGame:
     """Random single-quota game shaped by a RandomGameSpec.
 
-    Integer weights uniform in [min_weight, max_weight], player count
-    uniform in [min_players, max_players], quota at quota_fraction of the
-    total weight.
+    Integer weights uniform in [min_weight, max_weight], redrawn while all
+    are zero, player count uniform in [min_players, max_players], quota at
+    quota_fraction of the total weight.
     """
     m = int(rng.integers(spec.min_players, spec.max_players + 1))
-    weights = [int(v) for v in rng.integers(spec.min_weight, spec.max_weight + 1, size=m)]
+    weights = [0] * m
+    while not any(weights):  # all-zero weights would make the quota 0
+        weights = [int(v) for v in rng.integers(spec.min_weight, spec.max_weight + 1, size=m)]
     quota = spec.quota_fraction * sum(weights)
     return single_quota_game(weights, quota)
 
@@ -221,13 +223,10 @@ def _expect(cond: bool, msg: str) -> None:
         raise InvalidGameError(msg)
 
 
-def _finite(v: int | float, where: str) -> float:
-    try:
-        f = float(v)
-    except OverflowError:  # an int beyond the float range
-        f = math.inf
-    _expect(math.isfinite(f), f"{where}: not finite")
-    return f
+def _number(v: object, where: str, expected: str = "a number") -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InvalidGameError(f"{where}: must be {expected}")
+    return as_finite(v, where)
 
 
 def parse_game(doc: Mapping) -> VotingGame:
@@ -253,11 +252,7 @@ def parse_game(doc: Mapping) -> VotingGame:
         )
         vals = []
         for d, v in enumerate(row):
-            _expect(
-                isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"players[{pos}].weights[{d}]: must be a number",
-            )
-            v = _finite(v, f"players[{pos}].weights[{d}]")
+            v = _number(v, f"players[{pos}].weights[{d}]")
             _expect(v >= 0, f"players[{pos}].weights[{d}]: negative weight")
             vals.append(v)
         weight_rows.append(tuple(vals))
@@ -275,27 +270,14 @@ def parse_game(doc: Mapping) -> VotingGame:
     for d, q in enumerate(quotas_doc):
         if isinstance(q, Mapping):
             _expect("fraction" in q, f"quotas[{d}]: object form needs a 'fraction' key")
-            f = q["fraction"]
-            _expect(
-                isinstance(f, (int, float)) and not isinstance(f, bool),
-                f"quotas[{d}].fraction: must be a number",
-            )
+            f = _number(q["fraction"], f"quotas[{d}].fraction")
             total = sum(row[d] for row in weight_rows if len(row) > d)
-            quotas.append(_finite(f, f"quotas[{d}].fraction") * total)
+            quotas.append(f * total)
         else:
-            _expect(
-                isinstance(q, (int, float)) and not isinstance(q, bool),
-                f"quotas[{d}]: must be a number or a fraction object",
-            )
-            quotas.append(_finite(q, f"quotas[{d}]"))
+            quotas.append(_number(q, f"quotas[{d}]", "a number or a fraction object"))
     association = None
     if doc.get("association") is not None:
-        rows = doc["association"]
-        _expect(
-            isinstance(rows, Sequence) and not isinstance(rows, str),
-            "association: must be a list of rows",
-        )
-        association = AssociationMatrix(tuple(tuple(row) for row in rows))
+        association = AssociationMatrix(doc["association"])
     metadata = doc.get("metadata") or {}
     _expect(isinstance(metadata, Mapping), "metadata: must be an object")
     return VotingGame(

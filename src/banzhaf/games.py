@@ -62,19 +62,39 @@ class InvalidGameError(ValueError):
     """Game or matrix data violates a structural invariant."""
 
 
-def _float_row(values: Sequence[float], what: str) -> tuple[float, ...]:
-    row: list[float] = []
+def as_finite(v: object, where: str) -> float:
+    """``v`` as a finite float; otherwise an error naming ``where``."""
     try:
-        for v in values:
-            row.append(float(v))
+        f = float(v)
     except OverflowError:  # an int beyond the float range
-        raise InvalidGameError(f"{what}[{len(row)}]: not finite") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidGameError(f"{what}: not numeric") from exc
-    for pos, v in enumerate(row):
-        if not math.isfinite(v):
-            raise InvalidGameError(f"{what}[{pos}]: not finite")
-    return tuple(row)
+        f = math.inf
+    except (TypeError, ValueError):
+        raise InvalidGameError(f"{where}: not numeric") from None
+    if not math.isfinite(f):
+        raise InvalidGameError(f"{where}: not finite")
+    return f
+
+
+def _float_row(values: Sequence[float], what: str) -> tuple[float, ...]:
+    # one conversion pass; labels are built only to name the first offender.
+    # A string or a dict iterates, but is not a row of numbers.
+    if not isinstance(values, (str, dict)):
+        try:
+            row = tuple(map(float, values))
+            if all(map(math.isfinite, row)):
+                return row
+        except (TypeError, ValueError, OverflowError):
+            pass
+        for pos, v in enumerate(values if isinstance(values, Iterable) else ()):
+            as_finite(v, f"{what}[{pos}]")
+    raise InvalidGameError(f"{what}: not numeric")
+
+
+def _require_size(phi: AssociationMatrix, m: int) -> None:
+    if phi.size != m:
+        raise InvalidGameError(
+            f"association matrix is {phi.size}x{phi.size} but the game has {m} players"
+        )
 
 
 @dataclass(frozen=True)
@@ -83,12 +103,15 @@ class AssociationMatrix:
 
     ``entries[i][j]`` quantifies player ``i``'s pull on player ``j``.
     Every entry must satisfy ``|a_ij| <= 1`` and the diagonal is fixed at
-    ``a_ii = 1`` (full pull on oneself).
+    ``a_ii = 1`` (full pull on oneself).  Rows may be given as lists,
+    tuples or ``ndarray.tolist()`` rows; they are stored as float tuples.
     """
 
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.entries, (str, dict)) or not isinstance(self.entries, Iterable):
+            raise InvalidGameError("association matrix must be a list of rows")
         rows = tuple(_float_row(r, f"association row {i}") for i, r in enumerate(self.entries))
         object.__setattr__(self, "entries", rows)
         m = len(rows)
@@ -155,11 +178,9 @@ class VotingGame:
             raise InvalidGameError("game needs at least one player")
         if len(set(ids)) != len(ids):
             raise InvalidGameError("player ids must be unique")
-        rows = tuple(
-            _float_row(r, f"weights for player {ids[i]}") for i, r in enumerate(self.weights)
-        )
-        if len(rows) != len(ids):
-            raise InvalidGameError(f"{len(ids)} players but {len(rows)} weight rows")
+        if len(self.weights) != len(ids):
+            raise InvalidGameError(f"{len(ids)} players but {len(self.weights)} weight rows")
+        rows = tuple(_float_row(r, f"weights for player {p}") for p, r in zip(ids, self.weights))
         quotas = _float_row(self.quotas, "quotas")
         if not quotas:
             raise InvalidGameError("game needs at least one quota dimension")
@@ -182,11 +203,8 @@ class VotingGame:
                     f"weight dimension {d}: integer weights total {total:.0f}, "
                     "at or above 2^53, where float64 sums are no longer exact"
                 )
-        if self.association is not None and self.association.size != len(ids):
-            raise InvalidGameError(
-                f"association matrix is {self.association.size}x{self.association.size} "
-                f"but the game has {len(ids)} players"
-            )
+        if self.association is not None:
+            _require_size(self.association, len(ids))
         object.__setattr__(self, "player_ids", ids)
         object.__setattr__(self, "weights", rows)
         object.__setattr__(self, "quotas", quotas)
@@ -273,6 +291,8 @@ def require_single_quota(game: VotingGame, what: str) -> None:
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox stream keyed by ``seed`` and the spawn ``key``: the same
     arguments give the same stream, and different keys independent ones."""
+    if seed < 0:
+        raise InvalidGameError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
@@ -395,11 +415,7 @@ def persuasion_loads(game: VotingGame, phi: AssociationMatrix) -> tuple[tuple[fl
     player ``i`` can move by leaving and pulling along (or pushing back)
     everyone it influences.
     """
-    if phi.size != game.num_players:
-        raise InvalidGameError(
-            f"association matrix is {phi.size}x{phi.size} "
-            f"but the game has {game.num_players} players"
-        )
+    _require_size(phi, game.num_players)
     A = phi.matrix
     W = game.weight_matrix
     # accumulate over j in order, one rounding per product and per sum, so

@@ -256,7 +256,8 @@ def required_samples(
     ``1 - delta``.
 
     ``student`` sizes by the normal late-stage approximation and needs a
-    variance estimate ``s2``; ``selfbounding`` needs the scale cap ``B``.
+    variance estimate ``s2``; it returns at least 2, the fewest samples a
+    Student interval accepts.  ``selfbounding`` needs the scale cap ``B``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -270,7 +271,7 @@ def required_samples(
         if s2 < 0:
             raise ValueError(f"s2 must be non-negative, got {s2}")
         z = float(special.ndtri(1.0 - delta / 2.0))
-        return math.ceil(s2 * z * z / (epsilon * epsilon))
+        return max(2, math.ceil(s2 * z * z / (epsilon * epsilon)))
     if method == "selfbounding":
         if B is None:
             raise ValueError("selfbounding sizing needs the scale cap B")

@@ -43,6 +43,13 @@ class TestHtBound:
         assert ht_profile(g, 2) == (2, 2)
         assert ht_bound(g, 2) == 0.25
 
+    def test_sum_within_the_boundary_tolerance_counts_as_winning(self):
+        # 1 + 1 + 1 lies within the tolerance below the quota 3.0000000000000004, so it wins
+        game = single_quota_game([1, 1, 1, 7], 0.30000000000000004 * 10)
+        assert exact_indices(game).absolute[0] == 0.125
+        assert ht_profile(game, 0) == (2, 1)
+        assert ht_bound(game, 0) == 0.25
+
     def test_unwinnable_game(self):
         g = single_quota_game([3, 2, 1], 7)
         for i in range(3):
@@ -196,6 +203,17 @@ class TestConjecture:
     def test_spec_fields_checked(self, fields, message):
         with pytest.raises(InvalidGameError, match=re.escape(message)):
             conjecture_scan(5, seed=1, spec=RandomGameSpec(**fields))
+
+    def test_player_cap_checked_before_the_first_trial(self):
+        spec = RandomGameSpec(min_players=33, max_players=40)
+        with pytest.raises(InvalidGameError, match="^max_players must be at most 32, got 40$"):
+            conjecture_scan(5, seed=1, spec=spec)
+
+    def test_zero_weight_spec_finishes(self):
+        spec = RandomGameSpec(min_players=1, max_players=2, min_weight=0, max_weight=1)
+        assert conjecture_scan(50, seed=0, spec=spec).games_scanned == 50
+        with pytest.raises(InvalidGameError, match="^max_weight must be at least 1, got 0$"):
+            RandomGameSpec(min_weight=0, max_weight=0)
 
     def test_spec_at_its_edges_scans(self):
         RandomGameSpec(min_weight=0)

@@ -5,6 +5,8 @@ import json
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from banzhaf.cli import main
 from banzhaf.data import dump_game, eu_game
@@ -321,6 +323,73 @@ class TestExitCodes:
         code, _, err = run(capsys, ["exact", "--game", str(path)])
         assert code == 2
         assert "JSON" in err
+
+
+_TWO_PLAYERS = {"players": [{"id": "a", "weights": [1]}, {"id": "b", "weights": [1]}],
+                "quotas": [1]}
+_BIG = "1" + "0" * 400
+
+
+class TestMalformedInput:
+    """Outside data that is not a valid game ends in one message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "source, content, message",
+        [
+            ("association", [[1, 0, 0], 5, [0, 0, 1]], "association row 1: not numeric"),
+            ("association", {"association": [[1, 0], [0, 1]]},
+             "association matrix is 2x2 but the game has 3 players"),
+            ("association", [[1, 0, 0], "010", [0, 0, 1]], "association row 1: not numeric"),
+            ("game", {**_TWO_PLAYERS, "association": [[1, 0], 5]}, "association row 1: not numeric"),
+            ("game", {**_TWO_PLAYERS, "quotas": ["1"]},
+             "quotas[0]: must be a number or a fraction object"),
+            ("migration", f"A,B\n0,{_BIG}\n1,0\n", "migration flow [A][B]: not finite"),
+            ("migration", "A,B\n0,nan\n1,0\n", "migration flow [A][B]: not finite"),
+        ],
+        ids=["association-row-not-list", "association-wrong-size", "association-row-string",
+             "game-association-row-not-list", "game-string-quota", "migration-huge-flow",
+             "migration-nan-flow"],
+    )
+    def test_rejected_with_one_error_line(self, capsys, g3, tmp_path, source, content, message):
+        path = tmp_path / "input"
+        path.write_text(content if isinstance(content, str) else json.dumps(content),
+                        encoding="utf-8")
+        argv = {
+            "association": ["exact", "--game", g3, "--association", str(path)],
+            "game": ["exact", "--game", str(path)],
+            "migration": ["eu", "--migration", str(path)],
+        }[source]
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--game", "eu", "--epsilon", "0.1", "--delta", "0.1", "--seed", "-1"],
+            ["eu", "--random-association", "--runs", "2", "--seed", "-1"],
+            ["conjecture", "--trials", "2", "--seed", "-1"],
+        ],
+        ids=["approx", "eu-random-association", "conjecture"],
+    )
+    def test_negative_seed_is_named(self, capsys, argv):
+        assert run(capsys, argv) == (2, "", "error: seed must be non-negative, got -1\n")
+
+    _json = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=16,
+    )
+
+    @given(doc=_json | st.builds(lambda rows: {"association": rows}, _json))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_json_association_document(self, capsys, g3, tmp_path, doc):
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["exact", "--game", g3, "--association", str(path)])
+        if code != 0:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_redirected_streams_are_released(g3):

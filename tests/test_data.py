@@ -148,6 +148,35 @@ class TestMigration:
         with pytest.raises(InvalidGameError, match="unique"):
             MigrationTable(labels=("A", "A"), flows=((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize(
+        "flows, message",
+        [
+            (((0, 10**400), (1, 0)), r"migration flow \[A\]\[B\]: not finite"),
+            (((0, math.nan), (1, 0)), r"migration flow \[A\]\[B\]: not finite"),
+            (((0, "x"), (1, 0)), r"migration flow \[A\]\[B\]: not numeric"),
+            (((0, 1), (1, 0), (-1, 0)), "2 labels but 3 flow rows"),
+        ],
+        ids=["huge-int", "nan", "string", "extra-row"],
+    )
+    def test_bad_flows_rejected(self, flows, message):
+        with pytest.raises(InvalidGameError, match=f"^{message}$"):
+            MigrationTable(labels=("A", "B"), flows=flows)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reordering_the_matrix_equals_reordering_the_flows(self, seed):
+        rng = np.random.default_rng(seed)
+        m = len(EU_COUNTRIES)
+        labels = tuple(f"c{i}" for i in range(m))
+        flows = rng.uniform(0.0, 1e4, size=(m, m))
+        order = rng.permutation(m)
+        built = build_migration_association(MigrationTable(labels, tuple(map(tuple, flows))))
+        reordered = MigrationTable(
+            tuple(labels[i] for i in order), tuple(map(tuple, flows[np.ix_(order, order)]))
+        )
+        assert np.array_equal(
+            built.matrix[np.ix_(order, order)], build_migration_association(reordered).matrix
+        )
+
     @given(
         st.lists(
             st.lists(st.integers(0, 50), min_size=3, max_size=3),

@@ -76,6 +76,12 @@ class TestConstruction:
         with pytest.raises(InvalidGameError, match=r"association row 0\[1\]: not finite"):
             AssociationMatrix(((1.0, big), (0.0, 1.0)))
 
+    def test_weight_rows_counted_before_their_entries(self):
+        with pytest.raises(InvalidGameError, match="^1 players but 2 weight rows$"):
+            VotingGame(("a",), ((1.0,), (2.0,)), (1.0,))
+        with pytest.raises(InvalidGameError, match="^1 players but 2 weight rows$"):
+            VotingGame(("a",), ((1.0,), ("x",)), (1.0,))
+
     def test_player_index_lookup(self):
         g = game_321()
         assert g.player_index("p2") == 1
@@ -90,6 +96,28 @@ class TestAssociationMatrix:
     def test_identity(self):
         phi = AssociationMatrix.identity(3)
         assert phi.entries == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+    def test_rows_as_lists_tuples_or_tolist(self):
+        as_tuples = AssociationMatrix(((1.0, 0.5), (0.0, 1.0)))
+        for rows in ([[1, 0.5], [0, 1]], np.array([[1.0, 0.5], [0.0, 1.0]]).tolist()):
+            phi = AssociationMatrix(rows)
+            assert phi == as_tuples
+            assert all(type(v) is float for row in phi.entries for v in row)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((1.0, "x"), (0.0, 1.0)), r"association row 0\[1\]: not numeric"),
+            (((1.0, 0.0), 5), "association row 1: not numeric"),
+            (((1.0, 0.0), "01"), "association row 1: not numeric"),
+            (((1.0, 0.0), {"0": 1}), "association row 1: not numeric"),
+            (7, "association matrix must be a list of rows"),
+            ("1", "association matrix must be a list of rows"),
+        ],
+    )
+    def test_malformed_rows_named(self, entries, message):
+        with pytest.raises(InvalidGameError, match=f"^{message}$"):
+            AssociationMatrix(entries)
 
     def test_diagonal_must_be_one(self):
         with pytest.raises(InvalidGameError, match="diagonal"):

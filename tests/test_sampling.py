@@ -308,6 +308,17 @@ class TestRequiredSamples:
         assert required_samples(0.05, 0.05, "hoeffding") == 738
         assert required_samples(0.05, 0.05, "student", s2=0.25) == 385
 
+    @pytest.mark.parametrize("s2", [0.0, 1e-9])
+    def test_student_sizing_allows_an_interval(self, s2):
+        n = required_samples(0.1, 0.1, "student", s2=s2)
+        assert n == 2
+        report = estimate_indices(game_321(), samples=n, seed=1)
+        confidence_interval(report, 0, 0.1, "student")
+
+    def test_negative_seed_named(self):
+        with pytest.raises(InvalidGameError, match="^seed must be non-negative, got -1$"):
+            estimate_indices(game_321(), samples=10, seed=-1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             required_samples(0.0, 0.1)
