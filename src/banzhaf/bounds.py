@@ -25,7 +25,7 @@ from .games import (
     require_single_quota,
     seeded_rng,
 )
-from .exact import HARD_PLAYER_CAP, IndexReport, exact_indices
+from .exact import SINGLE_QUOTA_PLAYER_CAP, IndexReport, exact_indices
 from .data import RandomGameSpec, random_game
 
 __all__ = [
@@ -109,21 +109,23 @@ def size_window(game: VotingGame) -> tuple[int, int | float]:
     below the quota; M_high is the smallest size at which all-min-weight
     coalitions stay winning after losing a max-weight member (inf when the
     minimum weight is 0).  Read as: sizes <= m_low cannot win, sizes >=
-    M_high cannot produce a swing.
+    M_high cannot produce a swing.  "Below the quota" means below the
+    winning threshold, boundary tolerance included, as in `ht_profile`.
     """
     require_single_quota(game, "size_window")
     w = _weights(game)
     q = game.quotas[0]
+    lose = game.winning_thresholds[0]  # below it a sum cannot win
     w_max = max(w)
     w_min = min(w)
     n = game.num_players
     if w_max == 0.0:
         m_low = n
     else:
-        m_low = max(0, math.ceil(q / w_max) - 1)
-        while (m_low + 1) * w_max < q:
+        m_low = max(0, math.ceil(lose / w_max) - 1)
+        while (m_low + 1) * w_max < lose:
             m_low += 1
-        while m_low > 0 and not m_low * w_max < q:
+        while m_low > 0 and not m_low * w_max < lose:
             m_low -= 1
     if w_min == 0.0:
         m_high: int | float = math.inf
@@ -317,8 +319,10 @@ def conjecture_scan(
     """
     if trials <= 0:
         raise InvalidGameError(f"trials must be positive, got {trials}")
-    if spec.max_players > HARD_PLAYER_CAP:
-        raise InvalidGameError(f"max_players must be at most {HARD_PLAYER_CAP}, got {spec.max_players}")
+    if spec.max_players > SINGLE_QUOTA_PLAYER_CAP:
+        raise InvalidGameError(
+            f"max_players must be at most {SINGLE_QUOTA_PLAYER_CAP}, got {spec.max_players}"
+        )
     counterexamples: list[tuple[str, str, float, float]] = []
     min_slack = math.inf
     for trial in range(trials):

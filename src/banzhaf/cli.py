@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``exact`` (full enumeration), ``approx`` (Monte Carlo with
+Subcommands: ``exact`` (every coalition counted), ``approx`` (Monte Carlo with
 confidence intervals), ``bounds`` (combinatorial diagnostics), ``eu`` (the
 18-country EU Council study), ``conjecture`` (random-game scan of the
 max-weight cap).  Reports go to stdout or ``--out``; formats are ``table``,
@@ -174,7 +174,7 @@ def cli() -> None:
 @click.option("--identity", is_flag=True, help="Force the identity association matrix.")
 @_common_options
 def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
-    """Exact indices by full coalition enumeration."""
+    """Exact indices over every coalition."""
     game = _load_game_arg(game_src)
     phi = _resolve_phi(game, association, identity)
     report = exact_indices(game, phi)

@@ -1,23 +1,43 @@
-"""Exact swing counting by full enumeration of the coalition space.
+"""Exact swing counting over the split subset-sum table of a game.
 
-The enumerator materialises per-dimension subset sums for the low ``b`` bits
-of the coalition mask once (``2^b`` floats per dimension) and streams over
-the ``2^(m-b)`` high-bit blocks, so memory stays bounded while every one of
-the ``2^m`` coalitions is visited exactly once.  Swing counts are integers,
-accumulated per block.
+The table splits the players into a low half of ``b`` players and a high
+half of the rest, and holds per-dimension subset sums for each half
+(``2^b`` and ``2^(m-b)`` floats per dimension).  Every coalition sum is
+``high + low`` for one sum from each half, so it is the same float however
+the coalitions are visited.  Swing counts are integers.
 
-Only winning coalitions can be swung, and in games like the EU Council few
-of them win.  Before its first scan under a boundary convention, the table
-decides whether to cache that convention's winners: it compacts their sums
-and membership bits block by block, and keeps them if they fit in one
-block's sum arrays (``2^b * k * 8`` bytes), memory the streaming scan holds
-anyway.  Each scan, one per load matrix, then reads only the cached winners.
-At the first block past the budget it stops, drops what it has compacted
-(at most one budget's worth of work) and marks the convention as streamed:
-its scans visit every block.  Both paths use the same sums and comparisons,
-so their counts are identical.  The comparisons themselves (``s >= t`` to
-win, ``s - l < t`` to break, under either boundary convention's thresholds)
-live in `banzhaf.games`, which every engine shares.
+Single-quota games never visit coalitions one by one.  A player ``i`` with
+removal load ``l`` swings a coalition of sum ``s`` when ``s >= t`` and
+``s - l < t``; for a fixed high sum ``H`` both sides are monotone in the low
+sum ``L`` (float ``H + L`` never decreases as ``L`` grows), so once the low
+sums are sorted the winning coalitions of each high block are a suffix and
+those the removal breaks a prefix.  Per high sum, `np.searchsorted` guesses
+the two bounds and the kernel in `banzhaf.games` itself corrects them,
+stepping over runs of equal sums until its verdict flips, so the counts are
+the enumerator's to the bit (the Horowitz-Sahni split applied to power
+indices; Klinz & Woeginger 2005, Matsui & Matsui 2000).  A high-half player
+then counts the width of the window in the blocks that hold it.  A low-half
+player counts its members in the window as the difference of two prefix
+counts of its membership bit in sorted order, each a binary search among
+the sorted positions of its members; those positions are found for a
+byte-bounded group of players at a time.  Memory grows as ``2^(m/2)``, so
+these games split evenly above 32 players and are capped where a count
+outgrows a stated budget.
+
+Games with several quotas have no such order, and enumerate: the table
+streams over the ``2^(m-b)`` high blocks, visiting every one of the ``2^m``
+coalitions exactly once.  Only winning coalitions can be swung, and in games
+like the EU Council few of them win.  Before its first scan under a boundary
+convention, the table decides whether to cache that convention's winners: it
+compacts their sums and membership bits block by block, and keeps them if
+they fit in one block's sum arrays (``2^b * k * 8`` bytes), memory the
+streaming scan holds anyway.  Each scan, one per load matrix, then reads only
+the cached winners.  At the first block past the budget it stops, drops what
+it has compacted (at most one budget's worth of work) and marks the
+convention as streamed: its scans visit every block.  Both paths use the same
+sums and comparisons, so their counts are identical.  The comparisons
+themselves (``s >= t`` to win, ``s - l < t`` to break, under either boundary
+convention's thresholds) live in `banzhaf.games`, which every engine shares.
 """
 
 from __future__ import annotations
@@ -49,13 +69,36 @@ __all__ = [
     "association_delta",
 ]
 
+# Games with several quotas enumerate all 2^m coalitions.
 HARD_PLAYER_CAP = 32
 SOFT_PLAYER_WARNING = 26
 _DEFAULT_BLOCK_BITS = 16
+# A single-quota table keeps about 28 bytes per entry of its larger half (the
+# low sums, their sorted copy and uint32 order, and the high sums), and a count
+# adds up to about 72 more for one player's bounds and member positions (86
+# in all measured at 32 and 36 players).  The cap keeps that within
+# _SORTED_TABLE_BYTES.
+_SORTED_TABLE_BYTES = 128 << 20
+_BYTES_PER_HALF_ENTRY = 100
+_HALF_BITS_CAP = (_SORTED_TABLE_BYTES // _BYTES_PER_HALF_ENTRY).bit_length() - 1
+SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
+# The bounds and member positions of a group of players are built at once,
+# up to this many bytes.
+_GROUP_BYTES = 1 << 20
+_INF = np.array([np.inf])
 
 
 def _check_size(game: VotingGame) -> None:
     m = game.num_players
+    if game.num_dimensions == 1:
+        if m > SINGLE_QUOTA_PLAYER_CAP:
+            mib = (_BYTES_PER_HALF_ENTRY << _HALF_BITS_CAP) >> 20
+            raise InvalidGameError(
+                f"exact counting of single-quota games is capped at "
+                f"{SINGLE_QUOTA_PLAYER_CAP} players, where each half holds "
+                f"2^{_HALF_BITS_CAP} sums and a count takes about {mib} MiB; got {m}"
+            )
+        return
     if m > HARD_PLAYER_CAP:
         raise InvalidGameError(
             f"exact enumeration is capped at {HARD_PLAYER_CAP} players, got {m}"
@@ -66,6 +109,26 @@ def _check_size(game: VotingGame) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+def _first_holding(padded: np.ndarray, guess: np.ndarray, holds) -> np.ndarray:
+    """Per entry of ``guess``, the first index ``p`` into the sorted sums
+    ``padded[1:-1]`` where ``holds`` is true (their size when none is), for a
+    predicate monotone from false to true along them.
+
+    ``holds`` takes an array of low sums shaped like ``guess`` and judges
+    each against its own entry; the ``-inf`` and ``+inf`` that pad the sums
+    fail and hold for every entry.  ``guess`` is a first estimate, corrected
+    by whole runs of equal sums, which share one verdict, until the run
+    before ``p`` fails and the run at ``p`` holds."""
+    p, sorted_sums = guess, padded[1:-1]
+    while True:
+        before, here = padded[p], padded[p + 1]
+        back, ok = holds(before), holds(here)
+        if ok.all() and not back.any():
+            return p
+        p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
+        p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
 
 
 @dataclass(frozen=True)
@@ -94,20 +157,24 @@ class DeltaReport:
 
 
 class CoalitionTable:
-    """Blocked subset-sum table over a game's full coalition space.
+    """Split subset-sum table over a game's full coalition space.
 
     Building the table costs the one-off sum arrays; `swing_counts` can then
     be called repeatedly with different load matrices (for instance one call
-    per sampled association matrix) without re-enumerating.  Each boundary
-    convention's winning coalitions are compacted once, when they fit the
-    budget, and its scans then read only those.
+    per sampled association matrix) without rebuilding them.  Single-quota
+    games count on the sorted low half; games with several quotas enumerate,
+    and compact each boundary convention's winning coalitions once, when they
+    fit the budget, so that their scans read only those.
     """
 
     def __init__(self, game: VotingGame, block_bits: int | None = None):
         _check_size(game)
         self.game = game
         m = game.num_players
-        b = min(m, _DEFAULT_BLOCK_BITS if block_bits is None else block_bits)
+        if block_bits is None:
+            # above the enumerator's cap only single-quota games remain, split evenly
+            block_bits = _DEFAULT_BLOCK_BITS if m <= HARD_PLAYER_CAP else (m + 1) // 2
+        b = min(m, block_bits)
         if b < 1:
             raise InvalidGameError("block_bits must be at least 1")
         self.low_bits = b
@@ -118,16 +185,118 @@ class CoalitionTable:
         # thresholds -> (sums, members) of every winning coalition, or None
         # when they outgrow the budget; absent until `_winning_set` decides
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray] | None] = {}
+        if game.num_dimensions == 1:
+            # the low sums in ascending order between -inf and +inf, and the
+            # low-half coalition masks in that order
+            order = np.argsort(self.low_sums[0]).astype(np.uint32)
+            self._padded = np.concatenate((-_INF, self.low_sums[0][order], _INF))
+            self._order = order
 
     @staticmethod
     def _subset_sums(weights: np.ndarray) -> np.ndarray:
         """(k, 2^n) sums over every subset of the n rows of ``weights``."""
         n, k = weights.shape
         sums = np.zeros((k, 1 << n), dtype=np.float64)
-        for i in range(n):
+        for i, w in enumerate(weights[:, :, None]):
             lo = 1 << i
-            sums[:, lo : lo << 1] = sums[:, :lo] + weights[i][:, None]
+            np.add(sums[:, :lo], w, out=sums[:, lo : lo << 1])
         return sums
+
+    def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
+        """Count, per player, the coalitions the player swings.
+
+        ``loads`` is the (m, k) matrix of removal loads.
+        """
+        thresholds = self.game.thresholds(strict)
+        if self.game.num_dimensions == 1:
+            return self._sorted_swing_counts(loads, thresholds)
+        return self._enumerated_swing_counts(loads, thresholds)
+
+    def criticality_gain_loss(
+        self,
+        player: int,
+        base_loads: np.ndarray,
+        alt_loads: np.ndarray,
+    ) -> tuple[int, int]:
+        """Coalitions where ``alt`` loads make the player critical but
+        ``base`` loads do not (gain), and vice versa (loss)."""
+        if self.game.num_dimensions == 1:
+            return self._sorted_gain_loss(player, base_loads, alt_loads)
+        return self._enumerated_gain_loss(player, base_loads, alt_loads)
+
+    # -- single quota: bounds on the sorted low half -------------------------
+
+    def _win_bounds(self, thresholds: tuple[float, ...]) -> np.ndarray:
+        """Per high sum, the first sorted low index whose coalition wins."""
+        high = self.high_sums[0]
+        guess = self._padded[1:-1].searchsorted(thresholds[0] - high)
+        return _first_holding(self._padded, guess, lambda low: sums_win((high + low,), thresholds))
+
+    def _break_bounds(
+        self, loads: np.ndarray, thresholds: tuple[float, ...], floor: np.ndarray
+    ) -> np.ndarray:
+        """(g, 2^(m-b)) first sorted low index where removing each of the g
+        ``loads`` stops breaking the quota, raised to at least ``floor``."""
+        high, loads = self.high_sums[0], loads[:, None]
+        guess = self._padded[1:-1].searchsorted((thresholds[0] + loads) - high)
+
+        def holds(low):
+            return ~removal_breaks((high + low,), (loads,), thresholds)
+
+        return np.maximum(_first_holding(self._padded, guess, holds), floor)
+
+    def _members_between(self, players: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """Per row of ``start`` and ``stop``, how many coalitions holding
+        that row's player lie at sorted low indices ``[start, stop)`` of every
+        high block.  The rows pair with ``players``, which sit in one half;
+        a single row or a single player serves every row."""
+        b = self.low_bits
+        if players[0] >= b:  # a high block holds the player or not
+            width = stop - start
+            players = np.broadcast_to(players, width.shape[:1])
+            return np.array(
+                [row.reshape(-1, 2, 1 << (i - b))[:, 1].sum() for row, i in zip(width, players)]
+            )
+        # A low player's members before sorted index x number as many as its
+        # member positions below x.  Row r's positions are offset by r * n,
+        # so one sorted array serves every row.
+        n = self._order.size
+        member = (self._order & (np.uint32(1) << players)[:, None]) != 0
+        positions = member.reshape(-1).nonzero()[0]
+        offset = np.arange(0, players.size * n, n)[:, None]
+        inside = positions.searchsorted(stop + offset) - positions.searchsorted(start + offset)
+        return inside.sum(axis=1)
+
+    def _sorted_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+        m, b = self.game.num_players, self.low_bits
+        loads = np.asarray(loads)
+        lo = self._win_bounds(thresholds)
+        # a player's bounds cost about 64 bytes per high sum, and a low
+        # player's member positions about 10 more per low sum
+        bounds_bytes = 64 * self.high_sums.shape[1]
+        counts = np.zeros(m, dtype=np.int64)
+        for first, end, per_player in (
+            (0, b, bounds_bytes + 10 * self.low_sums.shape[1]),
+            (b, m, bounds_bytes),
+        ):
+            step = max(1, _GROUP_BYTES // per_player)
+            for group in range(first, end, step):
+                stop = min(end, group + step)
+                hi = self._break_bounds(loads[group:stop, 0], thresholds, lo)
+                players = np.arange(group, stop, dtype=np.uint32)
+                counts[group:stop] = self._members_between(players, lo[None, :], hi)
+        return counts
+
+    def _sorted_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):
+        thresholds = self.game.winning_thresholds
+        lo = self._win_bounds(thresholds)
+        base, alt = self._break_bounds(np.array([base_loads[0], alt_loads[0]]), thresholds, lo)
+        top = np.maximum(base, alt)
+        players = np.array([player], dtype=np.uint32)
+        gain, loss = self._members_between(players, np.stack([base, alt]), top[None, :])
+        return int(gain), int(loss)
+
+    # -- several quotas: enumeration ----------------------------------------
 
     @cached_property
     def low_member(self) -> np.ndarray:
@@ -199,27 +368,15 @@ class CoalitionTable:
             for i in present:
                 yield i, sums, (win & self.low_member[i]) if i < b else win
 
-    def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
-        """Count, per player, the coalitions the player swings.
-
-        ``loads`` is the (m, k) matrix of removal loads.
-        """
+    def _enumerated_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
         m = self.game.num_players
-        thresholds = self.game.thresholds(strict)
         counts = np.zeros(m, dtype=np.int64)
         for i, sums, member in self._winners_by_player(thresholds, range(m)):
             breaks = removal_breaks(sums, loads[i], thresholds)
             counts[i] += int(np.count_nonzero(member & breaks))
         return counts
 
-    def criticality_gain_loss(
-        self,
-        player: int,
-        base_loads: np.ndarray,
-        alt_loads: np.ndarray,
-    ) -> tuple[int, int]:
-        """Coalitions where ``alt`` loads make the player critical but
-        ``base`` loads do not (gain), and vice versa (loss)."""
+    def _enumerated_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):
         thresholds = self.game.winning_thresholds
         gain = loss = 0
         for _, sums, member in self._winners_by_player(thresholds, (player,)):
@@ -233,17 +390,14 @@ class CoalitionTable:
 def _make_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport:
     m = game.num_players
     denom = 1 << (m - 1)
-    total = int(counts.sum())
-    absolute = tuple(int(c) / denom for c in counts)
-    if total:
-        normalized = tuple(int(c) / total for c in counts)
-    else:
-        normalized = (0.0,) * m
+    swings = counts.tolist()
+    total = sum(swings)
+    normalized = tuple(c / total for c in swings) if total else (0.0,) * m
     return IndexReport(
         player_ids=game.player_ids,
         mode=mode,
-        swing_counts=tuple(int(c) for c in counts),
-        absolute=absolute,
+        swing_counts=tuple(swings),
+        absolute=tuple(c / denom for c in swings),
         normalized=normalized,
         total_swings=total,
         coalitions_per_player=denom,
@@ -271,7 +425,7 @@ def exact_indices(
     without, its own weight.  ``strict`` switches the quota comparison to the
     alternate strictly-above convention (a sensitivity knob; the default
     non-strict convention is the one every stated result uses).  Passing a
-    prebuilt ``table`` recycles the enumeration arrays across calls.
+    prebuilt ``table`` recycles its sum arrays across calls.
     """
     mode, loads = removal_loads(game, phi)
     counts = _table_for(game, table).swing_counts(loads, strict=strict)

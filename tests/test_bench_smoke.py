@@ -2,11 +2,13 @@
 
 One short untraced run per workload on the default seed: every op's output
 must pass the harness's oracles and golden hashes.  ``eu_council`` covers the
-exact engine's shared coalition table; ``approx_mc`` covers the Monte Carlo
+exact engine's shared coalition table under three quotas; ``exact_large``
+covers the single-quota sorted-half count (subset-sum DP oracle at m = 22
+and 24, plus the seed-0 golden hashes); ``approx_mc`` covers the Monte Carlo
 sampler (Hoeffding check of every estimate plus the seed-0 golden hashes).
-A traced ``eu_council`` run checks that every layer the tracer wraps still
-records spans.  No timing is asserted; timings on a shared machine are too
-noisy to gate on.
+Traced ``eu_council`` and ``exact_large`` runs check that every layer the
+tracer wraps still records spans.  No timing is asserted; timings on a
+shared machine are too noisy to gate on.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _assert_run_is_correct(workload: str, trace: str) -> None:
     assert result["failed"] == 0, proc.stdout
 
 
-@pytest.mark.parametrize("workload", ["eu_council", "approx_mc"])
+@pytest.mark.parametrize("workload", ["eu_council", "exact_large", "approx_mc"])
 def test_smoke_run_is_correct(workload):
     _assert_run_is_correct(workload, "0")
 
@@ -45,3 +47,9 @@ def test_traced_run_is_correct():
     """The tracer wraps package functions by name, and a traced pass fails
     when a layer records no span; this keeps those names in use."""
     _assert_run_is_correct("eu_council", "1")
+
+
+def test_traced_exact_large_run_is_correct():
+    """The same for the single-quota path, whose table methods the tracer
+    wraps by name on ``CoalitionTable``."""
+    _assert_run_is_correct("exact_large", "1")

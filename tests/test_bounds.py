@@ -17,7 +17,7 @@ from banzhaf.bounds import (
     size_window,
 )
 from banzhaf.data import RandomGameSpec
-from banzhaf.exact import exact_indices
+from banzhaf.exact import SINGLE_QUOTA_PLAYER_CAP, exact_indices
 from banzhaf.games import InvalidGameError, VotingGame, coalition_of, single_quota_game
 
 from oracles import corpus, fraction_global_bounds
@@ -93,6 +93,16 @@ class TestSizeWindow:
         assert size_window(game_321()) == (1, 8)
         assert size_window(single_quota_game([1, 1], 3)) == (2, 5)
         assert size_window(single_quota_game([1], 0.5)) == (0, 2)
+
+    def test_m_low_compares_against_the_winning_threshold(self):
+        """A quota one rounding above 3 wins at sum 3 through the boundary
+        tolerance, so the 3-player coalition can win and m_low is 2."""
+        game = single_quota_game([1, 1, 1], 0.30000000000000004 * 10)
+        assert game.quotas[0] > 3.0 >= game.winning_thresholds[0]
+        assert exact_indices(game).absolute == (0.25, 0.25, 0.25)
+        assert size_window(game) == (2, 5)
+        bounds = global_bounds(game)
+        assert (bounds.m_low, bounds.bound1, bounds.bound2) == (2, -0.375, -0.375)
 
     def test_zero_min_weight_unbounded_above(self):
         m_low, m_high = size_window(single_quota_game([2, 0], 1))
@@ -205,8 +215,11 @@ class TestConjecture:
             conjecture_scan(5, seed=1, spec=RandomGameSpec(**fields))
 
     def test_player_cap_checked_before_the_first_trial(self):
-        spec = RandomGameSpec(min_players=33, max_players=40)
-        with pytest.raises(InvalidGameError, match="^max_players must be at most 32, got 40$"):
+        cap = SINGLE_QUOTA_PLAYER_CAP
+        spec = RandomGameSpec(min_players=cap + 1, max_players=cap + 8)
+        with pytest.raises(
+            InvalidGameError, match=f"^max_players must be at most {cap}, got {cap + 8}$"
+        ):
             conjecture_scan(5, seed=1, spec=spec)
 
     def test_zero_weight_spec_finishes(self):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from banzhaf.data import (
     MigrationTable,
@@ -12,6 +13,7 @@ from banzhaf.data import (
 )
 from banzhaf.exact import (
     HARD_PLAYER_CAP,
+    SINGLE_QUOTA_PLAYER_CAP,
     CoalitionTable,
     association_delta,
     exact_indices,
@@ -25,6 +27,7 @@ from banzhaf.games import (
 )
 
 from oracles import corpus, naive_swing_counts
+from test_games import small_games
 
 
 def game_321():
@@ -141,19 +144,40 @@ class TestTable:
             exact_indices(single_quota_game([1, 1], 1), table=table)
 
     def test_player_cap(self):
-        g = single_quota_game([1] * (HARD_PLAYER_CAP + 1), 5)
+        g = _two_quota_game(HARD_PLAYER_CAP + 1)
         with pytest.raises(InvalidGameError, match="capped"):
             exact_indices(g)
 
     def test_soft_warning(self):
-        g = single_quota_game([1] * 26, 13)
+        g = _two_quota_game(26)
         with pytest.warns(RuntimeWarning, match="long run"):
             CoalitionTable(g)
+
+    def test_single_quota_cap_states_its_memory(self):
+        g = single_quota_game([1] * (SINGLE_QUOTA_PLAYER_CAP + 1), 5)
+        message = f"capped at {SINGLE_QUOTA_PLAYER_CAP} players, .* MiB; got {g.num_players}"
+        with pytest.raises(InvalidGameError, match=message):
+            exact_indices(g)
+
+    def test_single_quota_games_skip_the_enumerator_limits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = CoalitionTable(single_quota_game([1] * 36, 18))
+        assert (table.low_bits, table.high_bits) == (18, 18)
+        assert CoalitionTable(single_quota_game([1] * 32, 16)).low_bits == 16
 
     def test_no_warning_below_threshold(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             CoalitionTable(single_quota_game([1] * 12, 6))
+
+
+def _two_quota_game(m):
+    return VotingGame(
+        player_ids=tuple(f"p{i}" for i in range(m)),
+        weights=((1.0, 2.0),) * m,
+        quotas=(m / 2, m),
+    )
 
 
 def _budget(table):
@@ -232,6 +256,8 @@ class TestCompactedWinners:
         assert compacted >= 12
 
     def test_gain_loss_matches_streaming(self):
+        """Single-quota games, enumerated through the private scan that
+        several quotas use, against the sorted-half count."""
         compacted = 0
         for game, phi in corpus(8, seed=913, max_players=12, with_phi=True):
             base = game.weight_matrix
@@ -239,17 +265,132 @@ class TestCompactedWinners:
             compact = CoalitionTable(game)
             stream = CoalitionTable(game, block_bits=2)
             for i in range(game.num_players):
-                expected = compact.criticality_gain_loss(i, base[i], alt[i])
-                assert stream.criticality_gain_loss(i, base[i], alt[i]) == expected
+                expected = compact._enumerated_gain_loss(i, base[i], alt[i])
+                assert stream._enumerated_gain_loss(i, base[i], alt[i]) == expected
+                assert compact.criticality_gain_loss(i, base[i], alt[i]) == expected
             compacted += sum(cached is not None for cached in compact._winning_sets.values())
         assert compacted > 0
 
     def test_large_winning_set_is_not_cached(self):
         game = single_quota_game([1] * 20, 10)
         table = CoalitionTable(game)
-        counts = table.swing_counts(game.weight_matrix)
+        counts = table._enumerated_swing_counts(game.weight_matrix, game.thresholds())
         assert list(table._winning_sets.values()) == [None]
         assert list(counts) == [math.comb(19, 9)] * 20
+
+
+def _against_enumerator(table, loads_list, gain_loss=True):
+    """Every count of the sorted-half path on ``table`` equals the
+    enumerator's over the same sums: swings under both conventions for every
+    load matrix, and each player's gain/loss from the first matrix to the
+    others."""
+    game = table.game
+    for loads in loads_list:
+        for strict in (False, True):
+            counts = table.swing_counts(loads, strict=strict)
+            expected = table._enumerated_swing_counts(loads, game.thresholds(strict))
+            assert np.array_equal(counts, expected)
+    if gain_loss:
+        base = loads_list[0]
+        for alt in loads_list[1:]:
+            for i in range(game.num_players):
+                expected = table._enumerated_gain_loss(i, base[i], alt[i])
+                assert table.criticality_gain_loss(i, base[i], alt[i]) == expected
+
+
+def _block_bits(m):
+    return sorted({1, 2, max(1, m // 2), m})
+
+
+def _pulling_against(m):
+    """Association where every player pushes every other back: most
+    persuasion loads are negative."""
+    a = -np.ones((m, m))
+    np.fill_diagonal(a, 1.0)
+    return AssociationMatrix(tuple(map(tuple, a.tolist())))
+
+
+class TestSortedHalf:
+    """Single-quota games count on the sorted low half.  Its counts must be
+    the enumerator's to the bit over the same table (any split, either
+    convention, any loads) and the brute-force oracle's."""
+
+    def test_oracle_corpus_with_negative_loads(self):
+        for game, phi in corpus(20, seed=921, max_players=8, with_phi=True):
+            against = _pulling_against(game.num_players)
+            loads = [np.array(persuasion_loads(game, p)) for p in (phi, against)]
+            assert (loads[1] < 0).any()
+            assert exact_indices(game, against).swing_counts == tuple(naive_swing_counts(game, against))
+            for bits in _block_bits(game.num_players):
+                table = CoalitionTable(game, block_bits=bits)
+                _against_enumerator(table, [game.weight_matrix, *loads, -game.weight_matrix])
+
+    def test_non_integer_corpus(self):
+        rng = np.random.default_rng(922)
+        for _ in range(30):
+            m = int(rng.integers(2, 11))
+            weights = rng.uniform(0.0, 3.0, size=m)
+            game = single_quota_game(weights.tolist(), float(weights.sum() * rng.uniform(0.2, 0.8)))
+            a = rng.uniform(-1.0, 1.0, size=(m, m))
+            np.fill_diagonal(a, 1.0)
+            loads = np.array(persuasion_loads(game, AssociationMatrix(tuple(map(tuple, a.tolist())))))
+            assert exact_indices(game).swing_counts == tuple(naive_swing_counts(game))
+            for bits in _block_bits(m):
+                _against_enumerator(CoalitionTable(game, block_bits=bits), [game.weight_matrix, loads])
+
+    def test_thresholds_and_loads_on_coalition_sums(self):
+        """Thresholds set to a coalition sum as the table forms it, and one
+        ulp either side, so that the bounds' first guesses must be corrected
+        across runs of equal sums; loads likewise put ``s - l`` on them."""
+        rng = np.random.default_rng(923)
+        for _ in range(12):
+            m = int(rng.integers(3, 10))
+            weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 2.5], size=m)
+            game = single_quota_game(weights.tolist(), float(weights.sum() / 2))
+            for bits in (1, m // 2, m):
+                table = CoalitionTable(game, block_bits=bits)
+                sums = (table.high_sums[0][:, None] + table.low_sums[0][None, :]).ravel()
+                for s in rng.choice(sums, size=3):
+                    for t in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)):
+                        thresholds = (float(t),)
+                        shift = float(rng.choice(sums)) - float(t)
+                        for loads in (game.weight_matrix, game.weight_matrix * 0 + shift):
+                            counts = table._sorted_swing_counts(loads, thresholds)
+                            expected = table._enumerated_swing_counts(loads, thresholds)
+                            assert np.array_equal(counts, expected)
+
+    @given(small_games())
+    @settings(max_examples=150, deadline=None)
+    def test_small_games(self, game):
+        m = game.num_players
+        loads = [game.weight_matrix, game.weight_matrix[::-1] - 1.0]
+        for bits in _block_bits(m):
+            _against_enumerator(CoalitionTable(game, block_bits=bits), loads)
+
+
+class TestLargeSingleQuota:
+    """Past the enumerator's 32 players, against closed forms."""
+
+    def test_unit_weights_at_34_players(self):
+        game = single_quota_game([1] * 34, 17)
+        report = exact_indices(game)
+        assert report.swing_counts == (math.comb(33, 16),) * 34
+
+    def test_two_weight_classes_at_35_players(self):
+        twos, ones, quota = 10, 25, 23
+        game = single_quota_game([2] * twos + [1] * ones, quota)
+        counts = exact_indices(game).swing_counts
+
+        def others(n2, n1, sums):  # subsets of the others with their sum in ``sums``
+            return sum(
+                math.comb(n2, x) * math.comb(n1, y)
+                for x in range(n2 + 1)
+                for y in range(n1 + 1)
+                if 2 * x + y in sums
+            )
+
+        assert counts[:twos] == (others(twos - 1, ones, {quota - 2, quota - 1}),) * twos
+        assert counts[twos:] == (others(twos, ones - 1, {quota - 1}),) * ones
 
 
 def _persuasion_loads_loop(game, phi):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banzhaf.exact import exact_indices
+from banzhaf.exact import CoalitionTable, exact_indices
 from banzhaf.games import (
     AssociationMatrix,
     InvalidGameError,
@@ -417,4 +417,9 @@ class TestKernel:
                     if not strict and s >= q - tol and s_out < q - tol:
                         literal[i] += 1
             assert list(exact_indices(g, strict=strict).swing_counts) == literal
+            for bits in (1, 2, 3):  # every split, counted sorted and enumerated
+                table = CoalitionTable(g, block_bits=bits)
+                loads, thresholds = g.weight_matrix, g.thresholds(strict)
+                assert list(table.swing_counts(loads, strict=strict)) == literal
+                assert list(table._enumerated_swing_counts(loads, thresholds)) == literal
         assert seen_wins == [False, not strict, True]
