@@ -291,10 +291,15 @@ def conjecture_check(
     normalized index, cap), and the min slack cap - index over players.
     """
     require_single_quota(game, "conjecture_check")
+    w = _weights(game)
+    total = sum(w)
+    if total == 0:
+        raise InvalidGameError(
+            "conjecture_check: total weight is 0, so the 2 w_max / w_total cap is undefined"
+        )
     if report is None:
         report = exact_indices(game)
-    w = _weights(game)
-    cap = 2.0 * max(w) / sum(w)
+    cap = 2.0 * max(w) / total
     counterexamples = []
     min_slack = math.inf
     for i, norm in enumerate(report.normalized):

@@ -24,18 +24,14 @@ byte-bounded group of players at a time.  Memory grows as ``2^(m/2)``, so
 these games split evenly above 32 players and are capped where a count
 outgrows a stated budget.
 
-Games with several quotas have no such order, and enumerate: the table
-streams over the ``2^(m-b)`` high blocks, visiting every one of the ``2^m``
-coalitions exactly once.  Only winning coalitions can be swung, and in games
-like the EU Council few of them win.  Before its first scan under a boundary
-convention, the table decides whether to cache that convention's winners: it
-compacts their sums and membership bits block by block, and keeps them if
-they fit in one block's sum arrays (``2^b * k * 8`` bytes), memory the
-streaming scan holds anyway.  Each scan, one per load matrix, then reads only
-the cached winners.  At the first block past the budget it stops, drops what
-it has compacted (at most one budget's worth of work) and marks the
-convention as streamed: its scans visit every block.  Both paths use the same
-sums and comparisons, so their counts are identical.  The comparisons
+Games with several quotas have no such order, and enumerate the ``2^(m-b)``
+high blocks, every one of the ``2^m`` coalitions once.  Only winning
+coalitions can be swung, and in games like the EU Council few of them win,
+so the enumeration compacts each block's winners (their sums and membership
+bits) and counts over those alone.  When all of a boundary convention's
+winners fit in one block's sum arrays (``2^b * k * 8`` bytes), the first
+scan caches them and later scans, one per load matrix, read only the cache;
+larger sets are enumerated and compacted afresh by each scan.  The comparisons
 themselves (``s >= t`` to win, ``s - l < t`` to break, under either boundary
 convention's thresholds) live in `banzhaf.games`, which every engine shares.
 """
@@ -44,8 +40,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -162,9 +156,9 @@ class CoalitionTable:
     Building the table costs the one-off sum arrays; `swing_counts` can then
     be called repeatedly with different load matrices (for instance one call
     per sampled association matrix) without rebuilding them.  Single-quota
-    games count on the sorted low half; games with several quotas enumerate,
-    and compact each boundary convention's winning coalitions once, when they
-    fit the budget, so that their scans read only those.
+    games count on the sorted low half; games with several quotas enumerate
+    the winning coalitions, and cache a boundary convention's winners when
+    they fit the budget.
     """
 
     def __init__(self, game: VotingGame, block_bits: int | None = None):
@@ -182,9 +176,9 @@ class CoalitionTable:
         W = game.weight_matrix
         self.low_sums = self._subset_sums(W[:b])
         self.high_sums = self._subset_sums(W[b:])
-        # thresholds -> (sums, members) of every winning coalition, or None
-        # when they outgrow the budget; absent until `_winning_set` decides
-        self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray] | None] = {}
+        # thresholds -> (sums, members) of every winning coalition, for the
+        # conventions whose winners fit the budget of `_winner_blocks`
+        self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
         if game.num_dimensions == 1:
             # the low sums in ascending order between -inf and +inf, and the
             # low-half coalition masks in that order
@@ -298,88 +292,68 @@ class CoalitionTable:
 
     # -- several quotas: enumeration ----------------------------------------
 
-    @cached_property
-    def low_member(self) -> np.ndarray:
-        """Membership masks over the low block, one bool row per low player;
-        only the streaming scan needs them."""
-        idx = np.arange(1 << self.low_bits, dtype=np.uint32)
-        member = np.empty((self.low_bits, idx.size), dtype=bool)
-        for i in range(self.low_bits):
-            member[i] = (idx >> i) & 1
-        return member
+    def _compact(self, h: int, sums: np.ndarray, win: np.ndarray, n: int):
+        """Sums and membership rows of block ``h``'s ``n`` winning coalitions."""
+        b, m = self.low_bits, self.game.num_players
+        low = np.flatnonzero(win).astype(np.uint32)
+        members = np.empty((m, n), dtype=bool)
+        for i in range(b):
+            np.not_equal(low & np.uint32(1 << i), 0, out=members[i])
+        members[b:] = ((h >> np.arange(m - b)) & 1)[:, None]
+        return np.compress(win, sums, axis=1), members
 
-    def _block_sums(self, h: int) -> np.ndarray:
-        return self.high_sums[:, h : h + 1] + self.low_sums
+    def _winner_blocks(self, thresholds: tuple[float, ...]):
+        """Yield ``(sums, members)`` parts that together hold every coalition
+        winning under ``thresholds``: their sums per dimension and one
+        membership row per player.
 
-    def _compact(self, h: int, sums: np.ndarray, win: np.ndarray):
-        """Sums and membership rows of block ``h``'s winning coalitions."""
-        coalitions = np.flatnonzero(win).astype(np.uint32) | np.uint32(h << self.low_bits)
-        bits = coalitions >> np.arange(self.game.num_players, dtype=np.uint32)[:, None]
-        bits &= 1
-        return np.compress(win, sums, axis=1), bits.astype(bool)  # C order: contiguous rows
-
-    def _winning_set(self, thresholds: tuple[float, ...]):
-        """``(sums, members)`` of every winning coalition under ``thresholds``,
-        or None once the blocks compacted in order overflow the budget;
-        decided once per convention."""
-        if thresholds in self._winning_sets:
-            return self._winning_sets[thresholds]
+        Yields the cached set when there is one.  Otherwise it compacts the
+        high blocks in order and holds them back while they fit the budget;
+        at the first block past it, it yields what it holds and streams the
+        rest, and a set that fits is cached and yielded whole.
+        """
+        cached = self._winning_sets.get(thresholds)
+        if cached is not None:
+            yield cached
+            return
         m, k = self.game.num_players, self.game.num_dimensions
         # A compacted winner costs 8k bytes of sums and m of membership.  The
-        # budget is one block's sum arrays, which the streaming scan holds anyway.
+        # budget is one block's sum arrays, which the scan holds anyway.
         room = ((1 << self.low_bits) * k * 8) // (k * 8 + m)
-        parts = [(np.empty((k, 0)), np.empty((m, 0), dtype=bool))]
+        # an empty part first, so that a convention nothing wins caches an empty set
+        held = [(np.empty((k, 0)), np.empty((m, 0), dtype=bool))]
         for h in range(1 << self.high_bits):
-            sums = self._block_sums(h)
+            sums = self.high_sums[:, h : h + 1] + self.low_sums
             win = sums_win(sums, thresholds)
             n = int(np.count_nonzero(win))
-            if n > room:
-                self._winning_sets[thresholds] = None
-                return None
+            if not n:
+                continue
+            part = self._compact(h, sums, win, n)
             room -= n
-            if n:
-                parts.append(self._compact(h, sums, win))
-        winners = tuple(np.concatenate(p, axis=1) for p in zip(*parts))
-        self._winning_sets[thresholds] = winners
-        return winners
-
-    def _winners_by_player(self, thresholds: tuple[float, ...], players: Sequence[int]):
-        """Yield ``(i, sums, member)`` over groups of winning coalitions:
-        ``sums`` per dimension, and the mask of those that player ``i`` of
-        ``players`` belongs to.
-
-        Reads the cached winning set when there is one, and otherwise
-        streams the blocks that hold any of ``players``.
-        """
-        winners = self._winning_set(thresholds)
-        if winners is not None:
-            sums, members = winners
-            yield from ((i, sums, members[i]) for i in players)
-            return
-        b = self.low_bits
-        for h in range(1 << self.high_bits):
-            present = [i for i in players if i < b or (h >> (i - b)) & 1]
-            if not present:
+            if room >= 0:
+                held.append(part)
                 continue
-            sums = self._block_sums(h)
-            win = sums_win(sums, thresholds)
-            if not win.any():
-                continue
-            for i in present:
-                yield i, sums, (win & self.low_member[i]) if i < b else win
+            yield from held
+            held = []
+            yield part
+        if room >= 0:
+            winners = tuple(np.concatenate(p, axis=1) for p in zip(*held))
+            self._winning_sets[thresholds] = winners
+            yield winners
 
     def _enumerated_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-        m = self.game.num_players
-        counts = np.zeros(m, dtype=np.int64)
-        for i, sums, member in self._winners_by_player(thresholds, range(m)):
-            breaks = removal_breaks(sums, loads[i], thresholds)
-            counts[i] += int(np.count_nonzero(member & breaks))
+        counts = np.zeros(self.game.num_players, dtype=np.int64)
+        for sums, members in self._winner_blocks(thresholds):
+            for i, member in enumerate(members):
+                breaks = removal_breaks(sums, loads[i], thresholds)
+                counts[i] += int(np.count_nonzero(member & breaks))
         return counts
 
     def _enumerated_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):
         thresholds = self.game.winning_thresholds
         gain = loss = 0
-        for _, sums, member in self._winners_by_player(thresholds, (player,)):
+        for sums, members in self._winner_blocks(thresholds):
+            member = members[player]
             base = member & removal_breaks(sums, base_loads, thresholds)
             alt = member & removal_breaks(sums, alt_loads, thresholds)
             gain += int(np.count_nonzero(alt & ~base))

@@ -22,6 +22,7 @@ predicates below, the exact enumerator and the sampler all call these two.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -63,31 +64,39 @@ class InvalidGameError(ValueError):
 
 
 def as_finite(v: object, where: str) -> float:
-    """``v`` as a finite float; otherwise an error naming ``where``."""
+    """``v`` as a finite float; otherwise an error naming ``where``.  A
+    numeric string or a bool, which float() would read, is not numeric."""
+    if not isinstance(v, numbers.Number) or isinstance(v, bool):
+        raise InvalidGameError(f"{where}: not numeric")
     try:
         f = float(v)
     except OverflowError:  # an int beyond the float range
         f = math.inf
-    except (TypeError, ValueError):
+    except (TypeError, ValueError):  # a complex number, for one
         raise InvalidGameError(f"{where}: not numeric") from None
     if not math.isfinite(f):
         raise InvalidGameError(f"{where}: not finite")
     return f
 
 
+_PLAIN_NUMBERS = {float, int}
+
+
 def _float_row(values: Sequence[float], what: str) -> tuple[float, ...]:
-    # one conversion pass; labels are built only to name the first offender.
+    # A row of plain Python numbers takes one type check and one conversion
+    # pass; any other row is read entry by entry, to name the first offender.
     # A string or a dict iterates, but is not a row of numbers.
-    if not isinstance(values, (str, dict)):
+    if isinstance(values, (str, dict)) or not hasattr(values, "__iter__"):
+        raise InvalidGameError(f"{what}: not numeric")
+    values = tuple(values)
+    if set(map(type, values)) <= _PLAIN_NUMBERS:
         try:
             row = tuple(map(float, values))
-            if all(map(math.isfinite, row)):
-                return row
-        except (TypeError, ValueError, OverflowError):
-            pass
-        for pos, v in enumerate(values if isinstance(values, Iterable) else ()):
-            as_finite(v, f"{what}[{pos}]")
-    raise InvalidGameError(f"{what}: not numeric")
+        except OverflowError:  # an int beyond the float range
+            row = (math.inf,)
+        if all(map(math.isfinite, row)):
+            return row
+    return tuple(as_finite(v, f"{what}[{pos}]") for pos, v in enumerate(values))
 
 
 def _require_size(phi: AssociationMatrix, m: int) -> None:

@@ -15,8 +15,11 @@ from banzhaf.games import (
     AssociationMatrix,
     VotingGame,
     coalition_members,
+    coalition_weight,
     is_critical_assoc,
     is_critical_classical,
+    removal_breaks,
+    sums_win,
 )
 from banzhaf.data import RandomGameSpec, random_game
 
@@ -34,6 +37,45 @@ def naive_swing_counts(game: VotingGame, phi: AssociationMatrix | None = None) -
             if crit:
                 counts[i] += 1
     return counts
+
+
+def winning_coalitions(game: VotingGame, strict: bool = False) -> list[tuple[int, tuple[float, ...]]]:
+    """``(coalition, sums)`` of every coalition that wins under the given
+    convention, summed one coalition at a time."""
+    thresholds = game.thresholds(strict)
+    out = []
+    for c in range(1 << game.num_players):
+        sums = coalition_weight(game, c)
+        if sums_win(sums, thresholds):
+            out.append((c, sums))
+    return out
+
+
+def naive_load_swings(game: VotingGame, loads, strict: bool = False) -> list[int]:
+    """Per player, the winning coalitions that removing its row of ``loads``
+    breaks, under either convention."""
+    thresholds = game.thresholds(strict)
+    loads = np.asarray(loads).tolist()
+    counts = [0] * game.num_players
+    for c, sums in winning_coalitions(game, strict):
+        for i in coalition_members(c):
+            counts[i] += bool(removal_breaks(sums, loads[i], thresholds))
+    return counts
+
+
+def naive_gain_loss(winners, base_loads, alt_loads, thresholds) -> list[tuple[int, int]]:
+    """Per player, the ``winners`` (from `winning_coalitions`) where removing
+    its ``alt_loads`` row breaks a quota and its ``base_loads`` row does not
+    (gain), and the reverse (loss)."""
+    base_loads, alt_loads = np.asarray(base_loads).tolist(), np.asarray(alt_loads).tolist()
+    gain, loss = [0] * len(base_loads), [0] * len(base_loads)
+    for c, sums in winners:
+        for i in coalition_members(c):
+            base = removal_breaks(sums, base_loads[i], thresholds)
+            alt = removal_breaks(sums, alt_loads[i], thresholds)
+            gain[i] += alt and not base
+            loss[i] += base and not alt
+    return list(zip(gain, loss))
 
 
 def naive_absolute(game: VotingGame, phi: AssociationMatrix | None = None) -> list[float]:

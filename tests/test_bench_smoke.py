@@ -6,9 +6,11 @@ exact engine's shared coalition table under three quotas; ``exact_large``
 covers the single-quota sorted-half count (subset-sum DP oracle at m = 22
 and 24, plus the seed-0 golden hashes); ``approx_mc`` covers the Monte Carlo
 sampler (Hoeffding check of every estimate plus the seed-0 golden hashes).
-Traced ``eu_council`` and ``exact_large`` runs check that every layer the
-tracer wraps still records spans.  No timing is asserted; timings on a
-shared machine are too noisy to gate on.
+Traced runs of all three check that every layer the tracer wraps still
+records spans: ``eu_council`` and ``exact_large`` the exact engine's names,
+``approx_mc`` the sampler's (``estimate_indices``, ``confidence_interval``,
+``required_samples``, and ``ht_bound`` from the bounds module).  No timing is
+asserted; timings on a shared machine are too noisy to gate on.
 """
 
 from __future__ import annotations
@@ -53,3 +55,8 @@ def test_traced_exact_large_run_is_correct():
     """The same for the single-quota path, whose table methods the tracer
     wraps by name on ``CoalitionTable``."""
     _assert_run_is_correct("exact_large", "1")
+
+
+def test_traced_approx_mc_run_is_correct():
+    """The same for the Monte Carlo sampler and the ``ht_bound`` it calls."""
+    _assert_run_is_correct("approx_mc", "1")

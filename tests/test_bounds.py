@@ -189,6 +189,10 @@ class TestConjecture:
         assert ce1 == []
         assert slack1 == pytest.approx(1.0)
 
+    def test_zero_total_weight_rejected(self):
+        with pytest.raises(InvalidGameError, match="total weight is 0"):
+            conjecture_check(single_quota_game([0, 0], 1))
+
     def test_scan_deterministic(self):
         spec = RandomGameSpec(max_players=8)
         a = conjecture_scan(50, seed=77, spec=spec)

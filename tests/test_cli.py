@@ -340,15 +340,24 @@ class TestMalformedInput:
             ("association", {"association": [[1, 0], [0, 1]]},
              "association matrix is 2x2 but the game has 3 players"),
             ("association", [[1, 0, 0], "010", [0, 0, 1]], "association row 1: not numeric"),
+            ("association", [[1, "0.5", 0], [0, 1, 0], [0, 0, 1]],
+             "association row 0[1]: not numeric"),
+            ("association", [[1, 0, 0], [0, True, 0], [0, 0, 1]],
+             "association row 1[1]: not numeric"),
             ("game", {**_TWO_PLAYERS, "association": [[1, 0], 5]}, "association row 1: not numeric"),
+            ("game", {**_TWO_PLAYERS, "association": [[1, "0.5"], [0, 1]]},
+             "association row 0[1]: not numeric"),
+            ("game", {**_TWO_PLAYERS, "association": [[True, 0], [0, 1]]},
+             "association row 0[0]: not numeric"),
             ("game", {**_TWO_PLAYERS, "quotas": ["1"]},
              "quotas[0]: must be a number or a fraction object"),
             ("migration", f"A,B\n0,{_BIG}\n1,0\n", "migration flow [A][B]: not finite"),
             ("migration", "A,B\n0,nan\n1,0\n", "migration flow [A][B]: not finite"),
         ],
         ids=["association-row-not-list", "association-wrong-size", "association-row-string",
-             "game-association-row-not-list", "game-string-quota", "migration-huge-flow",
-             "migration-nan-flow"],
+             "association-numeric-string", "association-bool", "game-association-row-not-list",
+             "game-association-numeric-string", "game-association-bool", "game-string-quota",
+             "migration-huge-flow", "migration-nan-flow"],
     )
     def test_rejected_with_one_error_line(self, capsys, g3, tmp_path, source, content, message):
         path = tmp_path / "input"

@@ -26,7 +26,13 @@ from banzhaf.games import (
     single_quota_game,
 )
 
-from oracles import corpus, naive_swing_counts
+from oracles import (
+    corpus,
+    naive_gain_loss,
+    naive_load_swings,
+    naive_swing_counts,
+    winning_coalitions,
+)
 from test_games import small_games
 
 
@@ -184,16 +190,23 @@ def _budget(table):
     return (1 << table.low_bits) * table.game.num_dimensions * 8
 
 
-def _streaming_table(game):
-    """A default table with both conventions marked over budget, so every
-    scan streams block by block and nothing is compacted."""
-    table = CoalitionTable(game)
-    for strict in (False, True):
-        table._winning_sets[game.thresholds(strict)] = None
-    return table
+def _room(table):
+    """How many compacted winners fit the budget."""
+    return _budget(table) // (8 * table.game.num_dimensions + table.game.num_players)
+
+
+def _check_cache(table, strict, winners):
+    """After a scan, a convention is cached exactly when its ``winners``
+    fit the budget, and the cache holds them within it."""
+    cached = table._winning_sets.get(table.game.thresholds(strict))
+    assert (cached is not None) == (winners <= _room(table))
+    if cached is not None:
+        assert cached[0].shape[1] == winners
+        assert sum(a.nbytes for a in cached) <= _budget(table)
 
 
 def _eu_load_matrices():
+    """Classical loads, a migration PPM, then 20 random PPMs."""
     game = eu_game()
     rng = np.random.default_rng(911)
     flows = rng.integers(0, 100_000, size=(18, 18))
@@ -219,41 +232,101 @@ def _random_three_quota_games(count, seed):
         yield game, rng.uniform(-1, 1, size=(m, 3)) * weights.max(axis=0)
 
 
-class TestCompactedWinners:
-    """The compacted winning set and the streaming scan count identically."""
+def _random_two_quota_game(m, fractions, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 40, size=(m, 2)).astype(float)
+    return VotingGame(
+        player_ids=tuple(f"p{i}" for i in range(m)),
+        weights=tuple(map(tuple, weights.tolist())),
+        quotas=tuple((weights.sum(axis=0) * np.array(fractions)).tolist()),
+    )
 
-    def _check(self, game, loads_list, small_blocks=None):
-        """Compare the default table against a streaming-only one on every
-        load matrix, and against 4-bit blocks, whose budget holds only a few
-        winners, on the first ``small_blocks`` of them."""
-        compact = CoalitionTable(game)
-        streamed = _streaming_table(game)
-        stream = CoalitionTable(game, block_bits=4)
+
+class TestCompactedWinners:
+    """Multi-quota scans count over each block's compacted winners, and a
+    convention's winners are cached by its first scan exactly when they fit
+    the budget; the counts are the literal oracle's either way."""
+
+    def _check(self, game, loads_list, tables):
+        """Every table's swing counts under both conventions, and its
+        gain/loss from the first load matrix to the others, against the
+        oracle; the caches are checked after every scan."""
         for strict in (False, True):
-            for n, loads in enumerate(loads_list):
-                counts = compact.swing_counts(loads, strict=strict)
-                assert np.array_equal(counts, streamed.swing_counts(loads, strict=strict))
-                if small_blocks is None or n < small_blocks:
-                    assert np.array_equal(counts, stream.swing_counts(loads, strict=strict))
-        assert set(streamed._winning_sets.values()) == {None}
-        for table in (compact, stream):
-            for cached in table._winning_sets.values():
-                if cached is not None:
-                    assert sum(a.nbytes for a in cached) <= _budget(table)
-        return compact
+            winners = len(winning_coalitions(game, strict))
+            for loads in loads_list:
+                expected = naive_load_swings(game, loads, strict)
+                for table in tables:
+                    assert table.swing_counts(loads, strict=strict).tolist() == expected
+                    _check_cache(table, strict, winners)
+        base, m = loads_list[0], game.num_players
+        for alt in loads_list[1:]:
+            expected = naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
+            for table in tables:
+                assert [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)] == expected
 
     def test_eu_game(self):
-        table = self._check(eu_game(), _eu_load_matrices(), small_blocks=2)
+        """The cached table against 12-bit blocks, whose 64 blocks overflow
+        the budget, on every load matrix; the first two also against 4-bit
+        blocks, whose budget holds only a few winners."""
+        game = eu_game()
+        table = CoalitionTable(game)
+        over = [CoalitionTable(game, block_bits=bits) for bits in (12, 4)]
+        for strict in (False, True):
+            for n, loads in enumerate(_eu_load_matrices()):
+                counts = table.swing_counts(loads, strict=strict)
+                for other in over[: 1 + (n < 2)]:
+                    assert np.array_equal(counts, other.swing_counts(loads, strict=strict))
         assert len(table._winning_sets) == 2
-        assert all(cached is not None for cached in table._winning_sets.values())
+        assert all(other._winning_sets == {} for other in over)
+        for cached in table._winning_sets.values():
+            assert sum(a.nbytes for a in cached) <= _budget(table)
+
+    def test_eu_gain_loss_against_oracle(self):
+        """Classical loads against a migration PPM and two random PPMs."""
+        game = eu_game()
+        table, winners = CoalitionTable(game), winning_coalitions(game)
+        base, *alts = _eu_load_matrices()[:4]
+        for alt in alts:
+            expected = naive_gain_loss(winners, base, alt, game.winning_thresholds)
+            assert [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(18)] == expected
 
     def test_random_three_quota_games(self):
-        compacted = 0
+        cached = over = 0
         for game, noise in _random_three_quota_games(12, seed=912):
-            loads = [game.weight_matrix, game.weight_matrix + noise]
-            table = self._check(game, loads)
-            compacted += sum(cached is not None for cached in table._winning_sets.values())
-        assert compacted >= 12
+            tables = [CoalitionTable(game), CoalitionTable(game, block_bits=4)]
+            self._check(game, [game.weight_matrix, game.weight_matrix + noise], tables)
+            cached += len(tables[0]._winning_sets)
+            over += 2 - len(tables[1]._winning_sets)
+        assert cached >= 12 and over >= 12
+
+    def test_over_budget_games(self):
+        """A dense game (66% of coalitions win) in one block and in 64, and
+        a sparse one (6.5%) whose winners overflow after several blocks."""
+        dense = _random_two_quota_game(12, (0.4, 0.35), seed=931)
+        sparse = _random_two_quota_game(12, (0.7, 0.68), seed=931)
+        rng = np.random.default_rng(932)
+        for game, bits in ((dense, None), (dense, 6), (sparse, 6)):
+            table = CoalitionTable(game, block_bits=bits)
+            assert len(winning_coalitions(game)) > _room(table)
+            loads = game.weight_matrix * rng.uniform(0.5, 1.5, size=(12, 2))
+            self._check(game, [game.weight_matrix, loads], [table])
+            assert table._winning_sets == {}
+
+    def test_budget_boundary(self):
+        """Power-of-two weights give every coalition its own sum, so the
+        quota sets the number of winners: exactly the budget's worth is
+        cached, one more is not (the strict convention has one fewer)."""
+        m, room = 10, (16 * 2 * 8) // (2 * 8 + 10)
+        for extra in (0, 1):
+            game = VotingGame(
+                player_ids=tuple(f"p{i}" for i in range(m)),
+                weights=tuple((float(1 << i), 1.0) for i in range(m)),
+                quotas=(float((1 << m) - room - extra), 1.0),
+            )
+            table = CoalitionTable(game, block_bits=4)
+            assert (_room(table), len(winning_coalitions(game))) == (room, room + extra)
+            self._check(game, [game.weight_matrix, game.weight_matrix * 0.5], [table])
+            assert len(table._winning_sets) == 2 - extra
 
     def test_gain_loss_matches_streaming(self):
         """Single-quota games, enumerated through the private scan that
@@ -268,14 +341,14 @@ class TestCompactedWinners:
                 expected = compact._enumerated_gain_loss(i, base[i], alt[i])
                 assert stream._enumerated_gain_loss(i, base[i], alt[i]) == expected
                 assert compact.criticality_gain_loss(i, base[i], alt[i]) == expected
-            compacted += sum(cached is not None for cached in compact._winning_sets.values())
+            compacted += len(compact._winning_sets)
         assert compacted > 0
 
     def test_large_winning_set_is_not_cached(self):
         game = single_quota_game([1] * 20, 10)
         table = CoalitionTable(game)
         counts = table._enumerated_swing_counts(game.weight_matrix, game.thresholds())
-        assert list(table._winning_sets.values()) == [None]
+        assert table._winning_sets == {}
         assert list(counts) == [math.comb(19, 9)] * 20
 
 

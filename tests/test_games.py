@@ -99,7 +99,8 @@ class TestAssociationMatrix:
 
     def test_rows_as_lists_tuples_or_tolist(self):
         as_tuples = AssociationMatrix(((1.0, 0.5), (0.0, 1.0)))
-        for rows in ([[1, 0.5], [0, 1]], np.array([[1.0, 0.5], [0.0, 1.0]]).tolist()):
+        numpy_scalars = [[np.float64(1), np.float32(0.5)], [np.int64(0), np.int8(1)]]
+        for rows in ([[1, 0.5], [0, 1]], np.array([[1.0, 0.5], [0.0, 1.0]]).tolist(), numpy_scalars):
             phi = AssociationMatrix(rows)
             assert phi == as_tuples
             assert all(type(v) is float for row in phi.entries for v in row)
@@ -113,6 +114,9 @@ class TestAssociationMatrix:
             (((1.0, 0.0), {"0": 1}), "association row 1: not numeric"),
             (7, "association matrix must be a list of rows"),
             ("1", "association matrix must be a list of rows"),
+            (((1.0, "0.5"), (0.0, 1.0)), r"association row 0\[1\]: not numeric"),
+            (((True, 0.0), (0.0, 1.0)), r"association row 0\[0\]: not numeric"),
+            (((1.0, 0.0), (0.0, np.True_)), r"association row 1\[1\]: not numeric"),
         ],
     )
     def test_malformed_rows_named(self, entries, message):
