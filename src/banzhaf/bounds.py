@@ -11,19 +11,23 @@ rather than to hide it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .games import (
     InvalidGameError,
     VotingGame,
     coalition_members,
     coalition_size,
-    is_critical_classical,
+    coalition_weight,
     is_winning,
+    removal_breaks,
     require_single_quota,
     seeded_rng,
+    sums_win,
 )
 from .exact import SINGLE_QUOTA_PLAYER_CAP, IndexReport, exact_indices
 from .data import RandomGameSpec, random_game
@@ -54,7 +58,8 @@ def ht_profile(game: VotingGame, player: int | str) -> tuple[int, int | None]:
     t is the largest count such that the t smallest weights, with the player
     forced in, still lose: they sum below the winning threshold (0 when even
     the player alone wins).  h is the smallest count such that the h largest
-    other weights sum strictly above the quota (None when none does).
+    other weights sum strictly above the quota (None when none does).  Both
+    running sums only grow, so each count is one binary search among them.
     """
     require_single_quota(game, "ht_profile")
     i = game.player_index(player)
@@ -62,24 +67,10 @@ def ht_profile(game: VotingGame, player: int | str) -> tuple[int, int | None]:
     q = game.quotas[0]
     lose = game.winning_thresholds[0]  # below it a sum cannot win, tolerance included
     others = sorted(w[:i] + w[i + 1 :])
-    t = 0
-    acc = w[i]
-    if acc < lose:
-        t = 1
-        for v in others:
-            if acc + v < lose:
-                acc += v
-                t += 1
-            else:
-                break
-    h: int | None = None
-    acc = 0.0
-    for count, v in enumerate(reversed(others), start=1):
-        acc += v
-        if acc > q:
-            h = count
-            break
-    return t, h
+    t = bisect.bisect_left(list(accumulate(others, initial=w[i])), lose)
+    tops = list(accumulate(reversed(others), initial=0.0))
+    h = bisect.bisect_right(tops, q)
+    return t, (h if h < len(tops) else None)
 
 
 def ht_bound(game: VotingGame, player: int | str) -> float:
@@ -102,6 +93,17 @@ def ht_bound(game: VotingGame, player: int | str) -> float:
     return (total - excluded) / total
 
 
+def _first_size(holds, estimate: float) -> int:
+    """The smallest size k >= 1 where ``holds(k)``, false then true as k
+    grows, is true.  ``estimate`` is where it flips in exact arithmetic, and
+    rounding moves the flip by a few parts in 2^52, so the search spans 2^-48
+    of it, plus 2, either side."""
+    guess = math.ceil(estimate)
+    margin = (abs(guess) >> 48) + 2
+    sizes = range(max(1, guess - margin), guess + margin)
+    return sizes.start + bisect.bisect_left(sizes, True, key=holds)
+
+
 def size_window(game: VotingGame) -> tuple[int, int | float]:
     """Coalition-size window (m_low, M_high) outside of which no swings live.
 
@@ -111,30 +113,21 @@ def size_window(game: VotingGame) -> tuple[int, int | float]:
     minimum weight is 0).  Read as: sizes <= m_low cannot win, sizes >=
     M_high cannot produce a swing.  "Below the quota" means below the
     winning threshold, boundary tolerance included, as in `ht_profile`.
+    Each edge is one binary search over sizes with its float comparison.
     """
     require_single_quota(game, "size_window")
     w = _weights(game)
     q = game.quotas[0]
     lose = game.winning_thresholds[0]  # below it a sum cannot win
-    w_max = max(w)
-    w_min = min(w)
-    n = game.num_players
+    w_max, w_min = max(w), min(w)
     if w_max == 0.0:
-        m_low = n
+        m_low = game.num_players
     else:
-        m_low = max(0, math.ceil(lose / w_max) - 1)
-        while (m_low + 1) * w_max < lose:
-            m_low += 1
-        while m_low > 0 and not m_low * w_max < lose:
-            m_low -= 1
+        m_low = _first_size(lambda k: not k * w_max < lose, lose / w_max) - 1
     if w_min == 0.0:
         m_high: int | float = math.inf
     else:
-        m_high = math.floor((q + w_max) / w_min) + 1
-        while not (m_high * w_min - w_max > q):
-            m_high += 1
-        while m_high > 1 and (m_high - 1) * w_min - w_max > q:
-            m_high -= 1
+        m_high = _first_size(lambda k: k * w_min - w_max > q, (q + w_max) / w_min)
     return m_low, m_high
 
 
@@ -234,16 +227,16 @@ def all_critical_weight_check(game: VotingGame, coalition: int) -> str:
     coalitions are rejected.
     """
     require_single_quota(game, "all_critical_weight_check")
-    if not is_winning(game, coalition):
+    sums = coalition_weight(game, coalition)
+    t = game.winning_thresholds
+    if not sums_win(sums, t):
         raise InvalidGameError("all_critical_weight_check needs a winning coalition")
     size = coalition_size(coalition)
     if size < 2:
         return "not-applicable"
-    if not all(is_critical_classical(game, i, coalition) for i in coalition_members(coalition)):
+    if not all(removal_breaks(sums, game.weights[i], t) for i in coalition_members(coalition)):
         return "not-applicable"
-    weight = sum(game.weights[i][0] for i in coalition_members(coalition))
-    q = game.quotas[0]
-    return "holds" if weight < size * q / (size - 1) else "violated"
+    return "holds" if sums[0] < size * game.quotas[0] / (size - 1) else "violated"
 
 
 def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:

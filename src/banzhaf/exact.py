@@ -11,18 +11,20 @@ removal load ``l`` swings a coalition of sum ``s`` when ``s >= t`` and
 ``s - l < t``; for a fixed high sum ``H`` both sides are monotone in the low
 sum ``L`` (float ``H + L`` never decreases as ``L`` grows), so once the low
 sums are sorted the winning coalitions of each high block are a suffix and
-those the removal breaks a prefix.  Per high sum, `np.searchsorted` guesses
-the two bounds and the kernel in `banzhaf.games` itself corrects them,
-stepping over runs of equal sums until its verdict flips, so the counts are
-the enumerator's to the bit (the Horowitz-Sahni split applied to power
-indices; Klinz & Woeginger 2005, Matsui & Matsui 2000).  A high-half player
-then counts the width of the window in the blocks that hold it.  A low-half
-player counts its members in the window as the difference of two prefix
-counts of its membership bit in sorted order, each a binary search among
-the sorted positions of its members; those positions are found for a
-byte-bounded group of players at a time.  Memory grows as ``2^(m/2)``, so
-these games split evenly above 32 players and are capped where a count
-outgrows a stated budget.
+those the removal breaks a prefix.  Each edge is one search per high sum
+for where the removal stops breaking the quota, and the winning edge is the
+same search at load 0 (``s - 0.0 < t`` is ``s < t`` for every float):
+`np.searchsorted` guesses it and the kernel in `banzhaf.games` itself
+corrects it over runs of equal sums, so the counts are the enumerator's to
+the bit (the Horowitz-Sahni split applied to power indices; Klinz &
+Woeginger 2005, Matsui & Matsui 2000).  A high-half player then counts the
+width of the window in the blocks that hold it.  A low-half player counts
+its members in the window as the difference of two prefix counts of its
+membership bit in sorted order, each a binary search among the sorted
+positions of its members; those positions are found for a byte-bounded
+group of players at a time.  Memory grows as ``2^(m/2)``, so these games
+split evenly above 32 players and are capped where a count outgrows a
+stated budget.
 
 Games with several quotas have no such order, and enumerate the ``2^(m-b)``
 high blocks, every one of the ``2^m`` coalitions once.  Only winning
@@ -103,26 +105,6 @@ def _check_size(game: VotingGame) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-def _first_holding(padded: np.ndarray, guess: np.ndarray, holds) -> np.ndarray:
-    """Per entry of ``guess``, the first index ``p`` into the sorted sums
-    ``padded[1:-1]`` where ``holds`` is true (their size when none is), for a
-    predicate monotone from false to true along them.
-
-    ``holds`` takes an array of low sums shaped like ``guess`` and judges
-    each against its own entry; the ``-inf`` and ``+inf`` that pad the sums
-    fail and hold for every entry.  ``guess`` is a first estimate, corrected
-    by whole runs of equal sums, which share one verdict, until the run
-    before ``p`` fails and the run at ``p`` holds."""
-    p, sorted_sums = guess, padded[1:-1]
-    while True:
-        before, here = padded[p], padded[p + 1]
-        back, ok = holds(before), holds(here)
-        if ok.all() and not back.any():
-            return p
-        p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
-        p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
 
 
 @dataclass(frozen=True)
@@ -220,24 +202,29 @@ class CoalitionTable:
 
     # -- single quota: bounds on the sorted low half -------------------------
 
-    def _win_bounds(self, thresholds: tuple[float, ...]) -> np.ndarray:
-        """Per high sum, the first sorted low index whose coalition wins."""
-        high = self.high_sums[0]
-        guess = self._padded[1:-1].searchsorted(thresholds[0] - high)
-        return _first_holding(self._padded, guess, lambda low: sums_win((high + low,), thresholds))
-
     def _break_bounds(
-        self, loads: np.ndarray, thresholds: tuple[float, ...], floor: np.ndarray
+        self, loads: np.ndarray, thresholds: tuple[float, ...], floor: np.ndarray | int
     ) -> np.ndarray:
         """(g, 2^(m-b)) first sorted low index where removing each of the g
-        ``loads`` stops breaking the quota, raised to at least ``floor``."""
+        ``loads`` stops breaking the quota, raised to at least ``floor``; at
+        load 0, the first index whose coalition wins.
+
+        `np.searchsorted` guesses each index, and the kernel's verdicts
+        correct it by whole runs of equal sums, which share one verdict,
+        until the run before it breaks and the run at it does not; the
+        ``-inf`` and ``+inf`` that pad the sums break and hold for every
+        load."""
         high, loads = self.high_sums[0], loads[:, None]
-        guess = self._padded[1:-1].searchsorted((thresholds[0] + loads) - high)
-
-        def holds(low):
-            return ~removal_breaks((high + low,), (loads,), thresholds)
-
-        return np.maximum(_first_holding(self._padded, guess, holds), floor)
+        padded, sorted_sums = self._padded, self._padded[1:-1]
+        p = sorted_sums.searchsorted((thresholds[0] + loads) - high)
+        while True:
+            before, here = padded[p], padded[p + 1]
+            back = ~removal_breaks((high + before,), (loads,), thresholds)
+            ok = ~removal_breaks((high + here,), (loads,), thresholds)
+            if ok.all() and not back.any():
+                return np.maximum(p, floor)
+            p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
+            p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
 
     def _members_between(self, players: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
         """Per row of ``start`` and ``stop``, how many coalitions holding
@@ -264,7 +251,7 @@ class CoalitionTable:
     def _sorted_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
         m, b = self.game.num_players, self.low_bits
         loads = np.asarray(loads)
-        lo = self._win_bounds(thresholds)
+        lo = self._break_bounds(np.zeros(1), thresholds, 0)[0]
         # a player's bounds cost about 64 bytes per high sum, and a low
         # player's member positions about 10 more per low sum
         bounds_bytes = 64 * self.high_sums.shape[1]
@@ -283,7 +270,7 @@ class CoalitionTable:
 
     def _sorted_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):
         thresholds = self.game.winning_thresholds
-        lo = self._win_bounds(thresholds)
+        lo = self._break_bounds(np.zeros(1), thresholds, 0)[0]
         base, alt = self._break_bounds(np.array([base_loads[0], alt_loads[0]]), thresholds, lo)
         top = np.maximum(base, alt)
         players = np.array([player], dtype=np.uint32)

@@ -287,6 +287,8 @@ def resolve_player(player_ids: Sequence[str], player: int | str) -> int:
             return player_ids.index(player)
         except ValueError:
             raise InvalidGameError(f"unknown player id {player!r}") from None
+    if not isinstance(player, numbers.Integral) or isinstance(player, bool):
+        raise InvalidGameError(f"player must be an id or an integer index, got {player!r}")
     if not 0 <= player < len(player_ids):
         raise InvalidGameError(f"player index {player} out of range")
     return player

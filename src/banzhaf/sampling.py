@@ -17,6 +17,7 @@ chunk size does not change which coalitions are drawn.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -140,6 +141,8 @@ def estimate_indices(
     is the exact unbiased variance of the 0/1 draws, ``s(n-s)/(n(n-1))``
     computed from the integer swing count ``s`` (``None`` when ``n < 2``).
     """
+    if not isinstance(samples, numbers.Integral) or isinstance(samples, bool):
+        raise InvalidGameError(f"samples must be an integer, got {samples!r}")
     if samples <= 0:
         raise InvalidGameError(f"samples must be positive, got {samples}")
     m = game.num_players

@@ -7,6 +7,7 @@ beyond the game-core predicates themselves.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,11 @@ from banzhaf.games import (
     is_critical_assoc,
     is_critical_classical,
     removal_breaks,
+    single_quota_game,
     sums_win,
 )
 from banzhaf.data import RandomGameSpec, random_game
+from banzhaf.exact import CoalitionTable
 
 
 def naive_swing_counts(game: VotingGame, phi: AssociationMatrix | None = None) -> list[int]:
@@ -78,6 +81,78 @@ def naive_gain_loss(winners, base_loads, alt_loads, thresholds) -> list[tuple[in
     return list(zip(gain, loss))
 
 
+# -- earlier step-by-step versions of edges now found by one search ----------
+
+
+def loop_ht_profile(game: VotingGame, i: int) -> tuple[int, int | None]:
+    """``bounds.ht_profile`` as hand-walked loops: t grows the player's sum by
+    the smallest other weights while it stays below the winning threshold,
+    and h adds the largest ones until they pass the quota."""
+    w = [row[0] for row in game.weights]
+    q, lose = game.quotas[0], game.winning_thresholds[0]
+    others = sorted(w[:i] + w[i + 1 :])
+    t = 0
+    acc = w[i]
+    if acc < lose:
+        t = 1
+        for v in others:
+            if acc + v < lose:
+                acc += v
+                t += 1
+            else:
+                break
+    h = None
+    acc = 0.0
+    for count, v in enumerate(reversed(others), start=1):
+        acc += v
+        if acc > q:
+            h = count
+            break
+    return t, h
+
+
+def loop_size_window(game: VotingGame) -> tuple[int, int | float]:
+    """``bounds.size_window`` as a division's guess stepped up and then down
+    until each size test flips."""
+    w = [row[0] for row in game.weights]
+    q, lose = game.quotas[0], game.winning_thresholds[0]
+    w_max, w_min = max(w), min(w)
+    if w_max == 0.0:
+        m_low = game.num_players
+    else:
+        m_low = max(0, math.ceil(lose / w_max) - 1)
+        while (m_low + 1) * w_max < lose:
+            m_low += 1
+        while m_low > 0 and not m_low * w_max < lose:
+            m_low -= 1
+    if w_min == 0.0:
+        m_high = math.inf
+    else:
+        m_high = math.floor((q + w_max) / w_min) + 1
+        while not (m_high * w_min - w_max > q):
+            m_high += 1
+        while m_high > 1 and (m_high - 1) * w_min - w_max > q:
+            m_high -= 1
+    return m_low, m_high
+
+
+def loop_win_bounds(table: CoalitionTable, thresholds: tuple[float, ...]) -> np.ndarray:
+    """Per high sum of a single-quota ``table``, the first sorted low index
+    whose coalition wins, searched with ``sums_win`` itself rather than as
+    the break edge at load 0: a `searchsorted` guess, corrected by whole runs
+    of equal sums until the run before it loses and the run at it wins."""
+    high, padded = table.high_sums[0], table._padded
+    sorted_sums = padded[1:-1]
+    p = sorted_sums.searchsorted(thresholds[0] - high)
+    while True:
+        before, here = padded[p], padded[p + 1]
+        back, ok = sums_win((high + before,), thresholds), sums_win((high + here,), thresholds)
+        if ok.all() and not back.any():
+            return p
+        p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
+        p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
+
+
 def naive_absolute(game: VotingGame, phi: AssociationMatrix | None = None) -> list[float]:
     denom = 1 << (game.num_players - 1)
     return [c / denom for c in naive_swing_counts(game, phi)]
@@ -122,3 +197,34 @@ def corpus(
             phi = AssociationMatrix(tuple(tuple(float(v) for v in row) for row in a))
         out.append((game, phi))
     return out
+
+
+def parity_games(count: int, seed: int, max_players: int) -> list[VotingGame]:
+    """Seeded single-quota games for comparing a search with the loop it
+    replaced: integer, non-integer and zero-heavy weights, quotas from 1% to
+    300% of the total (half of them whole numbers, where integer sums tie
+    with the quota), and the quota ``0.30000000000000004 * 10``, which a sum
+    of 3 meets only through the boundary tolerance."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    tolerance_quota = 0.30000000000000004 * 10
+    games = [
+        single_quota_game([1, 1, 1], tolerance_quota),
+        single_quota_game([1, 1, 1, 7], tolerance_quota),
+        single_quota_game([0.5, 1, 1.5, 0, 2], tolerance_quota),
+    ]
+    for trial in range(count):
+        m = int(rng.integers(1, max_players + 1))
+        kind = trial % 3
+        if kind == 0:
+            weights = rng.integers(1, 30, size=m).astype(float)
+        elif kind == 1:
+            weights = rng.uniform(0.0, 10.0, size=m)
+        else:  # about a quarter zeros, on an integer or a 0.3 grid
+            weights = rng.integers(0, 4, size=m) * rng.choice([1.0, 0.3])
+        total = float(weights.sum())
+        fraction = math.exp(rng.uniform(math.log(0.01), math.log(3.0)))  # log-uniform
+        quota = total * fraction if total else float(rng.uniform(0.1, 5.0))
+        if rng.random() < 0.5:
+            quota = max(1.0, float(round(quota)))
+        games.append(single_quota_game(weights.tolist(), quota))
+    return games

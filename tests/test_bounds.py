@@ -20,7 +20,7 @@ from banzhaf.data import RandomGameSpec
 from banzhaf.exact import SINGLE_QUOTA_PLAYER_CAP, exact_indices
 from banzhaf.games import InvalidGameError, VotingGame, coalition_of, single_quota_game
 
-from oracles import corpus, fraction_global_bounds
+from oracles import corpus, fraction_global_bounds, loop_ht_profile, loop_size_window, parity_games
 
 
 def game_321():
@@ -86,6 +86,34 @@ class TestHtBound:
         exact = exact_indices(game)
         for i in range(game.num_players):
             assert exact.absolute[i] <= ht_bound(game, i)
+
+
+class TestSearchParity:
+    """`ht_profile` and `size_window` find each edge with one binary search;
+    they must agree with the step-by-step loops they replaced."""
+
+    def test_ht_profile_matches_loops(self):
+        for game in parity_games(1500, seed=811, max_players=12):
+            for i in range(game.num_players):
+                assert ht_profile(game, i) == loop_ht_profile(game, i), (game, i)
+
+    def test_size_window_matches_loops(self):
+        games = parity_games(3000, seed=812, max_players=40)
+        assert max(g.num_players for g in games) == 40
+        for game in games:
+            assert size_window(game) == loop_size_window(game), game
+
+    @pytest.mark.parametrize(
+        "weights, quota",
+        [([1e-20, 1, 2], 2.0), ([1, 2.5], 1e17), ([1, 2.5], 1e19), ([7, 3], 1e18),
+         ([3e-9, 0.7, 5.0], 12.5), ([1e-16, 1], 1.0)],
+    )
+    def test_size_window_far_past_the_players(self, weights, quota):
+        """Where an edge lies beyond 2^53, consecutive sizes share a float
+        product, and the flip sits thousands of sizes from the division's
+        guess; the search window must still hold it."""
+        game = single_quota_game(weights, quota)
+        assert size_window(game) == loop_size_window(game)
 
 
 class TestSizeWindow:

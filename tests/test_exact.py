@@ -24,13 +24,16 @@ from banzhaf.games import (
     VotingGame,
     persuasion_loads,
     single_quota_game,
+    sums_win,
 )
 
 from oracles import (
     corpus,
+    loop_win_bounds,
     naive_gain_loss,
     naive_load_swings,
     naive_swing_counts,
+    parity_games,
     winning_coalitions,
 )
 from test_games import small_games
@@ -431,6 +434,20 @@ class TestSortedHalf:
                             counts = table._sorted_swing_counts(loads, thresholds)
                             expected = table._enumerated_swing_counts(loads, thresholds)
                             assert np.array_equal(counts, expected)
+
+    def test_win_edge_is_the_break_edge_at_load_zero(self):
+        """Where each high block's coalitions start to win is the break edge
+        at load 0.  It must equal the search with `sums_win` it replaced, and
+        the count of losers per block, for every split and convention."""
+        for game in parity_games(150, seed=924, max_players=10):
+            for bits in range(1, game.num_players + 1):
+                table = CoalitionTable(game, block_bits=bits)
+                sums = table.high_sums[0][:, None] + table.low_sums[0][None, :]
+                for strict in (False, True):
+                    thresholds = game.thresholds(strict)
+                    edge = table._break_bounds(np.zeros(1), thresholds, 0)[0]
+                    assert np.array_equal(edge, loop_win_bounds(table, thresholds))
+                    assert np.array_equal(edge, np.count_nonzero(~sums_win((sums,), thresholds), axis=1))
 
     @given(small_games())
     @settings(max_examples=150, deadline=None)

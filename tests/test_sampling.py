@@ -84,6 +84,18 @@ class TestEstimates:
         with pytest.raises(Exception, match="positive"):
             estimate_indices(game_321(), samples=0, seed=1)
 
+    @pytest.mark.parametrize("samples", [True, False, 2.5, 3.0, "10", None])
+    def test_sample_count_must_be_an_integer(self, samples):
+        """A bool would run as one or zero samples and a float fail inside
+        numpy; both are named as the sample count instead."""
+        with pytest.raises(InvalidGameError, match=f"^samples must be an integer, got {re.escape(repr(samples))}$"):
+            estimate_indices(game_321(), samples=samples, seed=1)
+
+    def test_numpy_integer_sample_count(self):
+        assert estimate_indices(game_321(), samples=np.int64(40), seed=1) == estimate_indices(
+            game_321(), samples=40, seed=1
+        )
+
     def test_unbiased_mean_loose(self):
         g = single_quota_game([4, 3, 2, 1], 6)
         exact = exact_indices(g).absolute
@@ -283,7 +295,12 @@ class TestConfidenceIntervals:
     @pytest.mark.parametrize(
         "player, message",
         [(-1, "player index -1 out of range"), (3, "player index 3 out of range"),
-         ("p9", "unknown player id 'p9'")],
+         ("p9", "unknown player id 'p9'"),
+         (True, "player must be an id or an integer index, got True"),
+         (False, "player must be an id or an integer index, got False"),
+         (np.True_, f"player must be an id or an integer index, got {np.True_!r}"),
+         (1.0, "player must be an id or an integer index, got 1.0"),
+         (None, "player must be an id or an integer index, got None")],
     )
     def test_player_resolved_like_the_game(self, player, message):
         r = self.make_report()
@@ -291,6 +308,14 @@ class TestConfidenceIntervals:
                         lambda: game_321().player_index(player)):
             with pytest.raises(InvalidGameError, match=re.escape(message)):
                 resolve()
+
+    def test_numpy_integer_player(self):
+        r = self.make_report()
+        assert game_321().player_index(np.int64(2)) == 2
+        for method in CI_METHODS:
+            assert confidence_interval(r, np.int32(1), 0.1, method) == confidence_interval(
+                r, 1, 0.1, method
+            )
 
     @pytest.mark.parametrize("method", CI_METHODS)
     def test_game_with_other_players_rejected(self, method):
