@@ -82,8 +82,11 @@ def ht_bound(game: VotingGame, player: int | str) -> float:
     is excluded and subtracting 2^0 would falsely shave the bound below an
     attainable index of 1).
     """
-    t, h = ht_profile(game, player)
-    n = game.num_players
+    return _profile_bound(game.num_players, *ht_profile(game, player))
+
+
+def _profile_bound(n: int, t: int, h: int | None) -> float:
+    """`ht_bound` of an n-player game from the player's (t, h) profile."""
     total = 1 << n
     excluded = 0
     if t >= 1:
@@ -93,11 +96,23 @@ def ht_bound(game: VotingGame, player: int | str) -> float:
     return (total - excluded) / total
 
 
-def _first_size(holds, estimate: float) -> int:
+# The search for a size edge near ``guess`` spans ``2 * (guess >> 48) + 4``
+# sizes, a `range` whose length must fit a C ssize_t (below 2^63), so edges
+# are searched below 2^109.
+_SIZE_EDGE_LIMIT = 2.0**109
+
+
+def _first_size(holds, estimate: float, ratio: str) -> int:
     """The smallest size k >= 1 where ``holds(k)``, false then true as k
     grows, is true.  ``estimate`` is where it flips in exact arithmetic, and
     rounding moves the flip by a few parts in 2^52, so the search spans 2^-48
-    of it, plus 2, either side."""
+    of it, plus 2, either side.  ``ratio`` names the quota-to-weight ratio
+    that ``estimate`` is, for the error raised when it is too large."""
+    if not estimate < _SIZE_EDGE_LIMIT:
+        raise InvalidGameError(
+            f"size window: the quota-to-weight ratio {ratio} = {estimate:.6g} "
+            "is at or above 2^109; coalition sizes that far out are not searched"
+        )
     guess = math.ceil(estimate)
     margin = (abs(guess) >> 48) + 2
     sizes = range(max(1, guess - margin), guess + margin)
@@ -123,11 +138,13 @@ def size_window(game: VotingGame) -> tuple[int, int | float]:
     if w_max == 0.0:
         m_low = game.num_players
     else:
-        m_low = _first_size(lambda k: not k * w_max < lose, lose / w_max) - 1
+        m_low = _first_size(lambda k: not k * w_max < lose, lose / w_max, "quota / max weight") - 1
     if w_min == 0.0:
         m_high: int | float = math.inf
     else:
-        m_high = _first_size(lambda k: k * w_min - w_max > q, (q + w_max) / w_min)
+        m_high = _first_size(
+            lambda k: k * w_min - w_max > q, (q + w_max) / w_min, "(quota + max weight) / min weight"
+        )
     return m_low, m_high
 
 
@@ -197,8 +214,9 @@ class BoundsReport:
 def bounds_report(game: VotingGame, exact: IndexReport | None = None) -> BoundsReport:
     """Assemble every bound for the game, flagged against ``exact`` when given."""
     require_single_quota(game, "bounds_report")
-    profiles = [ht_profile(game, i) for i in range(game.num_players)]
-    hts = tuple(ht_bound(game, i) for i in range(game.num_players))
+    m = game.num_players
+    profiles = [ht_profile(game, i) for i in range(m)]
+    hts = tuple(_profile_bound(m, t, h) for t, h in profiles)
     gb = global_bounds(game, exact)
     ht_violations = None
     if exact is not None:

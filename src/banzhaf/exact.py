@@ -52,6 +52,7 @@ from .games import (
     removal_breaks,
     removal_loads,
     require_single_quota,
+    subset_sums,
     sums_win,
 )
 
@@ -156,8 +157,8 @@ class CoalitionTable:
         self.low_bits = b
         self.high_bits = m - b
         W = game.weight_matrix
-        self.low_sums = self._subset_sums(W[:b])
-        self.high_sums = self._subset_sums(W[b:])
+        self.low_sums = subset_sums(W[:b])
+        self.high_sums = subset_sums(W[b:])
         # thresholds -> (sums, members) of every winning coalition, for the
         # conventions whose winners fit the budget of `_winner_blocks`
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
@@ -167,16 +168,6 @@ class CoalitionTable:
             order = np.argsort(self.low_sums[0]).astype(np.uint32)
             self._padded = np.concatenate((-_INF, self.low_sums[0][order], _INF))
             self._order = order
-
-    @staticmethod
-    def _subset_sums(weights: np.ndarray) -> np.ndarray:
-        """(k, 2^n) sums over every subset of the n rows of ``weights``."""
-        n, k = weights.shape
-        sums = np.zeros((k, 1 << n), dtype=np.float64)
-        for i, w in enumerate(weights[:, :, None]):
-            lo = 1 << i
-            np.add(sums[:, :lo], w, out=sums[:, lo : lo << 1])
-        return sums
 
     def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.

@@ -377,6 +377,18 @@ def coalition_weight(game: VotingGame, coalition: int) -> tuple[float, ...]:
     return tuple(totals)
 
 
+def subset_sums(weights: np.ndarray) -> np.ndarray:
+    """(k, 2^n) sums over every subset of the n rows of ``weights``: entry
+    ``c`` sums the rows whose bits are set in ``c``, adding them to 0.0 in
+    index order."""
+    n, k = weights.shape
+    sums = np.zeros((k, 1 << n), dtype=np.float64)
+    for i, w in enumerate(weights[:, :, None]):
+        lo = 1 << i
+        np.add(sums[:, :lo], w, out=sums[:, lo : lo << 1])
+    return sums
+
+
 def sums_win(sums, thresholds: Sequence[float]):
     """Whether ``s >= t`` in every dimension.
 

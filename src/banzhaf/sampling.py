@@ -7,11 +7,24 @@ reproducible bit for bit regardless of evaluation order and the per-player
 streams stay independent.
 A sample for player ``i`` is a uniform coalition containing ``i``: the other
 ``m - 1`` membership bits are fair coin flips.  Player ``j``'s bit is bit
-``j % 64`` of the sample's uint64 word ``j // 64``.  Samples are drawn and
-evaluated in chunks whose float64 membership block stays near
-`_CHUNK_BYTES`, so sampler memory does not grow with the sample count or the
-player count; full-range uint64 draws consume the stream in order, so the
-chunk size does not change which coalitions are drawn.
+``j % 64`` of the sample's uint64 word ``j // 64``, which is bit ``j % 8`` of
+its little-endian byte ``j // 8``.
+
+A sample is summed from per-byte tables, not from a membership row: the
+weight rows, padded with zero rows to a multiple of 8, split into groups of
+8 players, and `subset_sums` gives each group the 256 sums of its subsets.
+In each dimension a sample's sum is the table entries of its bytes added to
+0.0 in byte order, so random bits past player ``m - 1`` add an exact 0.0.
+In a dimension of integer weights every partial sum is an integer below the
+column total, which `VotingGame` keeps below 2^53, so the sums are exact in
+any order; in a non-integer dimension they follow this one order on every
+machine.  Samples are drawn and evaluated in chunks whose buffers, with the
+tables, stay within `_CHUNK_BYTES`, so sampler memory does not grow with the
+sample count or the player count; full-range uint64 draws consume the stream
+in order, so the chunk size does not change which coalitions are drawn.
+
+Only the Student interval and its sample sizing use scipy, which they import
+on first use.
 """
 
 from __future__ import annotations
@@ -22,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import special
 
 from .bounds import ht_bound
 from .games import (
@@ -33,6 +45,7 @@ from .games import (
     removal_loads,
     resolve_player,
     seeded_rng,
+    subset_sums,
     sums_win,
 )
 
@@ -47,8 +60,9 @@ __all__ = [
 
 CI_METHODS = ("hoeffding", "student", "selfbounding")
 
-# Bytes of the float64 membership block of one chunk of samples.
-_CHUNK_BYTES = 4 << 20
+# Bytes of the sampler's working set: the byte tables plus one chunk of
+# samples' buffers and temporaries.
+_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -90,38 +104,71 @@ class ConfidenceInterval:
     B: float | None = None
 
 
+def _byte_tables(W: np.ndarray) -> np.ndarray:
+    """(ceil(m/8), k, 256) subset sums of each group of 8 rows of the (m, k)
+    ``W``: entry ``[b, d, v]`` sums dimension ``d`` over the players ``8b + j``
+    with bit ``j`` of ``v`` set.  Rows past ``m - 1`` are zero."""
+    m, k = W.shape
+    padded = np.zeros((m + -m % 8, k))
+    padded[:m] = W
+    return np.stack([subset_sums(group) for group in padded.reshape(-1, 8, k)])
+
+
+def _lookup_sums(
+    tables: np.ndarray, octets: np.ndarray, out: np.ndarray, part: np.ndarray, index: np.ndarray
+) -> None:
+    """Fill the (k, c) ``out`` with the sums of the c coalitions whose
+    membership bytes are the rows of ``octets``: per dimension, the table
+    entries of bytes 0, 1, ... added to 0.0 in that order.  ``part`` and
+    ``index`` are float64 and intp buffers of c entries."""
+    out.fill(0.0)
+    for b, byte_tables in enumerate(tables):
+        np.copyto(index, octets[:, b])
+        for d, table in enumerate(byte_tables):
+            # every index is below 256, so "clip" never clips; it spares the
+            # copy of ``out`` that the default "raise" mode makes
+            np.take(table, index, out=part, mode="clip")
+            out[d] += part
+
+
 def _swing_count_for_player(
     game: VotingGame,
     i: int,
     load_row: np.ndarray,
     n: int,
     seed: int,
+    tables: np.ndarray | None = None,
 ) -> int:
-    m = game.num_players
-    W = game.weight_matrix
+    if tables is None:
+        tables = _byte_tables(game.weight_matrix)
+    k = tables.shape[1]
     thresholds = game.winning_thresholds
     rng = seeded_rng(seed, i)
-    words = (m + 63) // 64
-    # one membership block per call, reused by every chunk: a fresh block
-    # per chunk would be mmapped and page-faulted each time under glibc malloc
-    members = np.empty((max(1, min(n, _CHUNK_BYTES // (8 * m))), m), dtype=np.float64)
+    words = (game.num_players + 63) // 64
+    # per sample: the raw words, k sums, one looked-up row and its intp byte
+    # indices, and the kernel's temporaries (a float row and a few bool rows)
+    rows = max(1, min(n, (_CHUNK_BYTES - tables.nbytes) // (8 * (words + k + 4))))
+    # buffers per call, reused by every chunk: fresh ones per chunk would be
+    # mmapped and page-faulted each time under glibc malloc
+    sums = np.empty((k, rows))
+    looked_up = np.empty(rows)
+    index = np.empty(rows, dtype=np.intp)
     swings = 0
     done = 0
     while done < n:
-        chunk = min(len(members), n - done)
-        raw = rng.integers(0, 2**64, size=(chunk, words), dtype=np.uint64)
-        block = members[:chunk]
-        # little-endian bytes, low bit first: column j is bit j % 64 of word j // 64
-        np.copyto(
-            block,
-            np.unpackbits(
-                raw.astype("<u8", copy=False).view(np.uint8), axis=1, count=m, bitorder="little"
-            ),
+        chunk = min(rows, n - done)
+        # little-endian bytes, low bit first: player j is bit j % 8 of byte j // 8
+        octets = (
+            rng.integers(0, 2**64, size=(chunk, words), dtype=np.uint64)
+            .astype("<u8", copy=False)
+            .view(np.uint8)
         )
-        block[:, i] = 1.0
-        sums = (block @ W).T
+        octets[:, i // 8] |= np.uint8(1 << (i % 8))
+        block = sums[:, :chunk]
+        _lookup_sums(tables, octets, block, looked_up[:chunk], index[:chunk])
+        del octets  # free this chunk's draws before the next is drawn
         swings += int(
-            np.count_nonzero(sums_win(sums, thresholds) & removal_breaks(sums, load_row, thresholds))
+            np.count_nonzero(sums_win(block, thresholds) & removal_breaks(block, load_row, thresholds))
         )
         done += chunk
     return swings
@@ -147,8 +194,9 @@ def estimate_indices(
         raise InvalidGameError(f"samples must be positive, got {samples}")
     m = game.num_players
     mode, loads = removal_loads(game, phi)
+    tables = _byte_tables(game.weight_matrix)
     counts = [
-        _swing_count_for_player(game, i, loads[i], samples, seed) for i in range(m)
+        _swing_count_for_player(game, i, loads[i], samples, seed, tables) for i in range(m)
     ]
     n = samples
     estimates = tuple(c / n for c in counts)
@@ -175,6 +223,9 @@ def student_t_quantile(tail: float, df: int) -> float:
         raise ValueError(f"tail probability must be in (0, 1), got {tail}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    # imported on first use, not with the package: scipy is most of its import time
+    from scipy import special
+
     return -float(special.stdtrit(df, tail))
 
 
@@ -273,6 +324,8 @@ def required_samples(
             raise ValueError("student sizing needs a variance estimate s2")
         if s2 < 0:
             raise ValueError(f"s2 must be non-negative, got {s2}")
+        from scipy import special
+
         z = float(special.ndtri(1.0 - delta / 2.0))
         return max(2, math.ceil(s2 * z * z / (epsilon * epsilon)))
     if method == "selfbounding":

@@ -20,6 +20,7 @@ from banzhaf.games import (
     is_critical_assoc,
     is_critical_classical,
     removal_breaks,
+    seeded_rng,
     single_quota_game,
     sums_win,
 )
@@ -151,6 +152,41 @@ def loop_win_bounds(table: CoalitionTable, thresholds: tuple[float, ...]) -> np.
             return p
         p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
         p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
+
+
+# -- the sampler's earlier summation, kept as its parity reference ------------
+
+
+def matmul_swing_count(game: VotingGame, i: int, load_row, n: int, seed: int) -> int:
+    """Player ``i``'s sampled swing count, each coalition summed as the sampler
+    did before its byte tables: the random words unpacked into a float64 0/1
+    membership block of at most 4 MiB per chunk, then ``block @ W``."""
+    m = game.num_players
+    W = game.weight_matrix
+    thresholds = game.winning_thresholds
+    rng = seeded_rng(seed, i)
+    words = (m + 63) // 64
+    members = np.empty((max(1, min(n, (4 << 20) // (8 * m))), m), dtype=np.float64)
+    swings = 0
+    done = 0
+    while done < n:
+        chunk = min(len(members), n - done)
+        raw = rng.integers(0, 2**64, size=(chunk, words), dtype=np.uint64)
+        block = members[:chunk]
+        # little-endian bytes, low bit first: column j is bit j % 64 of word j // 64
+        np.copyto(
+            block,
+            np.unpackbits(
+                raw.astype("<u8", copy=False).view(np.uint8), axis=1, count=m, bitorder="little"
+            ),
+        )
+        block[:, i] = 1.0
+        sums = (block @ W).T
+        swings += int(
+            np.count_nonzero(sums_win(sums, thresholds) & removal_breaks(sums, load_row, thresholds))
+        )
+        done += chunk
+    return swings
 
 
 def naive_absolute(game: VotingGame, phi: AssociationMatrix | None = None) -> list[float]:

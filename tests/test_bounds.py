@@ -156,6 +156,31 @@ class TestSizeWindow:
                         assert not is_critical_classical(game, i, c)
 
 
+class TestSizeEdgeLimit:
+    """An edge at or beyond 2^109 sizes is a data error naming the ratio,
+    not an `OverflowError` from the search."""
+
+    @pytest.mark.parametrize(
+        "weights, quota, ratio",
+        [([1, 2], 1e34, "quota / max weight"),
+         ([1, 2], 2.0**109 * 1.5, r"\(quota \+ max weight\) / min weight"),
+         ([1e-300, 1], 1e10, r"\(quota \+ max weight\) / min weight")],
+    )
+    def test_extreme_quota_is_a_data_error(self, weights, quota, ratio):
+        game = single_quota_game(weights, quota)
+        with pytest.raises(InvalidGameError, match=f"quota-to-weight ratio {ratio} = "):
+            size_window(game)
+        with pytest.raises(InvalidGameError, match="2\\^109"):
+            bounds_report(game)
+
+    def test_edges_just_below_the_limit_are_searched(self):
+        q = 2.0**108
+        m_low, m_high = size_window(single_quota_game([1, 2], q))
+        # each edge is where its float test flips, sizes rounding to a float
+        assert m_low * 2.0 < q and not (m_low + 1) * 2.0 < q
+        assert m_high * 1.0 - 2.0 > q and not (m_high - 1) * 1.0 - 2.0 > q
+
+
 class TestGlobalBounds:
     def test_spec_example_and_flags(self):
         g = game_321()
@@ -282,3 +307,10 @@ class TestBoundsReport:
     def test_multi_quota_rejected(self):
         with pytest.raises(InvalidGameError, match="single-quota"):
             bounds_report(multi_quota_game())
+
+    def test_bounds_are_ht_bound_of_each_profile(self):
+        for game, _ in corpus(60, seed=831, max_players=12):
+            rep = bounds_report(game)
+            m = game.num_players
+            assert rep.ht_bounds == tuple(ht_bound(game, i) for i in range(m))
+            assert list(zip(rep.t_values, rep.h_values)) == [ht_profile(game, i) for i in range(m)]

@@ -202,6 +202,14 @@ class TestBounds:
         assert code == 2
         assert "single-quota" in err
 
+    def test_extreme_quota_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "far.json"
+        path.write_text(dump_game(single_quota_game([1, 2], 1e34)), encoding="utf-8")
+        code, out, err = run(capsys, ["bounds", "--game", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: size window: the quota-to-weight ratio quota / max weight")
+        assert "Traceback" not in err
+
     def test_rejected_before_enumeration(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("enumerated a game bounds cannot report on")

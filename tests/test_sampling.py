@@ -1,6 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,19 +20,25 @@ from banzhaf.games import (
     VotingGame,
     persuasion_loads,
     removal_breaks,
+    removal_loads,
     seeded_rng,
     single_quota_game,
+    subset_sums,
     sums_win,
 )
 from banzhaf.sampling import (
     CI_METHODS,
     ConfidenceInterval,
+    _byte_tables,
+    _lookup_sums,
     _swing_count_for_player,
     confidence_interval,
     estimate_indices,
     required_samples,
     student_t_quantile,
 )
+
+from oracles import matmul_swing_count
 
 
 def game_321():
@@ -390,3 +401,126 @@ class TestCoverage:
         slack = 3 * math.sqrt(0.25 / trials)
         assert up / trials <= upper_bound + slack
         assert down / trials <= lower_bound + slack
+
+
+def _random_octets(m, n, seed):
+    """``n`` samples' membership bytes as the sampler draws them, before the
+    sampled player's bit is set: bit j % 8 of byte j // 8 is player j."""
+    words = (m + 63) // 64
+    raw = seeded_rng(seed, 0).integers(0, 2**64, size=(n, words), dtype=np.uint64)
+    return raw.astype("<u8", copy=False).view(np.uint8)
+
+
+class TestByteTables:
+    """Each sample is summed from per-byte subset-sum tables."""
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65, 1000])
+    def test_sums_equal_membership_matmul(self, m):
+        # integer weights up to 2^40: every partial sum is an integer below
+        # 2^53, so both summation orders are exact
+        W = np.random.default_rng(m).integers(0, 2**40, size=(m, 2)).astype(np.float64)
+        n = 400
+        octets = _random_octets(m, n, seed=m)
+        got = np.empty((2, n))
+        _lookup_sums(_byte_tables(W), octets, got, np.empty(n), np.empty(n, dtype=np.intp))
+        members = np.unpackbits(octets, axis=1, count=m, bitorder="little").astype(np.float64)
+        assert np.array_equal(got, (members @ W).T)
+        if m % 8:
+            # the last byte's random bits past player m - 1 count for nothing
+            assert (octets[:, m // 8] >> (m % 8)).any()
+
+    def test_non_integer_sums_follow_byte_order(self):
+        # non-integer sums depend on the order of their additions, which is
+        # fixed: table entries of bytes 0, 1, 2, ... added to 0.0
+        m, n = 65, 200
+        W = np.random.default_rng(5).uniform(0.0, 1.0, size=(m, 2))
+        tables = _byte_tables(W)
+        octets = _random_octets(m, n, seed=5)
+        got = np.empty((2, n))
+        _lookup_sums(tables, octets, got, np.empty(n), np.empty(n, dtype=np.intp))
+        for r in range(n):
+            for d in range(2):
+                total = 0.0
+                for b in range(len(tables)):
+                    total += tables[b, d, octets[r, b]]
+                assert got[d, r] == total
+
+    @pytest.mark.parametrize("m", [1, 8, 13, 20])
+    def test_tables_are_subset_sums_of_padded_groups(self, m):
+        W = np.random.default_rng(m).uniform(0.0, 5.0, size=(m, 3))
+        tables = _byte_tables(W)
+        padded = np.vstack([W, np.zeros((-m % 8, 3))])
+        assert tables.shape == (len(padded) // 8, 3, 256)
+        for b, table in enumerate(tables):
+            assert np.array_equal(table, subset_sums(padded[8 * b : 8 * b + 8]))
+            for v in (0, 1, 0b10110101, 255):
+                members = [j for j in range(8 * b, min(m, 8 * b + 8)) if v >> (j - 8 * b) & 1]
+                for d in range(3):
+                    total = 0.0
+                    for j in members:
+                        total += W[j, d]
+                    assert table[d, v] == total
+
+    def test_memory_under_budget_at_m1000(self):
+        # 30,000 samples at m = 1,000 span three chunks of the budget
+        game = _integer_game(1000, seed=4)
+        tracemalloc.start()
+        try:
+            _swing_count_for_player(game, 999, game.weight_matrix[999], 30_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sampling._CHUNK_BYTES
+
+    @pytest.mark.parametrize("budget", [40_000, 70_000])
+    @pytest.mark.parametrize("case", ["int-m65", "two-quota-m70", "eu"])
+    def test_ragged_chunks_match(self, monkeypatch, case, budget):
+        # these budgets leave 49 to 920 samples per chunk after the tables,
+        # so 1,000 samples end in a partial chunk
+        game = UNPACK_CASES[case]
+        phi = random_association(game.num_players, seed=6)
+        default = [estimate_indices(game, p, samples=1000, seed=4) for p in (None, phi)]
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", budget)
+        assert [estimate_indices(game, p, samples=1000, seed=4) for p in (None, phi)] == default
+
+
+MATMUL_CASES = {**UNPACK_CASES, "int-m9": _integer_game(9, seed=9), "int-m1000": _integer_game(1000, seed=2)}
+
+
+class TestMatmulParity:
+    """The byte-table sums count the same swings as the unpack-and-matmul
+    sampler they replaced, on integer games (where both sums are exact) and
+    on the non-integer two-quota and EU games."""
+
+    @pytest.mark.parametrize("case", sorted(MATMUL_CASES))
+    @pytest.mark.parametrize("mode", ["classical", "association"])
+    def test_counts_match_matmul_reference(self, case, mode):
+        game = MATMUL_CASES[case]
+        m = game.num_players
+        n = 64 if m >= 1000 else 700
+        phi = random_association(m, seed=11) if mode == "association" else None
+        _, loads = removal_loads(game, phi)
+        got = estimate_indices(game, phi, samples=n, seed=23).swing_counts
+        assert got == tuple(matmul_swing_count(game, i, loads[i], n, 23) for i in range(m))
+
+
+def test_scipy_is_imported_on_first_student_use():
+    script = textwrap.dedent(
+        """
+        import math, sys
+        import banzhaf, banzhaf.cli
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+        from banzhaf.sampling import required_samples, student_t_quantile
+        q = student_t_quantile(0.025, 10)
+        assert "scipy.special" in sys.modules
+        import scipy.special
+        assert q == -scipy.special.stdtrit(10, 0.025), q
+        z = float(scipy.special.ndtri(1 - 0.05 / 2))
+        assert required_samples(0.02, 0.05, "student", s2=0.2) == math.ceil(0.2 * z * z / 0.02**2)
+        """
+    )
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
