@@ -194,20 +194,14 @@ def global_bounds(game: VotingGame, exact: IndexReport | None = None) -> GlobalB
 
 
 @dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(GlobalBounds):
     """Per-player and game-level bound diagnostics for one game."""
 
     player_ids: tuple[str, ...]
     ht_bounds: tuple[float, ...]
     t_values: tuple[int, ...]
     h_values: tuple[int | None, ...]
-    m_low: int
-    M_high: float
-    bound1: float
-    bound2: float
     ht_violations: tuple[bool, ...] | None
-    bound1_violated: bool | None
-    bound2_violated: bool | None
     size_window_reading: str = "m_low read as largest size that cannot win; M_high literal"
 
 
@@ -217,22 +211,16 @@ def bounds_report(game: VotingGame, exact: IndexReport | None = None) -> BoundsR
     m = game.num_players
     profiles = [ht_profile(game, i) for i in range(m)]
     hts = tuple(_profile_bound(m, t, h) for t, h in profiles)
-    gb = global_bounds(game, exact)
     ht_violations = None
     if exact is not None:
         ht_violations = tuple(a > b for a, b in zip(exact.absolute, hts))
     return BoundsReport(
+        **vars(global_bounds(game, exact)),
         player_ids=game.player_ids,
         ht_bounds=hts,
         t_values=tuple(p[0] for p in profiles),
         h_values=tuple(p[1] for p in profiles),
-        m_low=gb.m_low,
-        M_high=gb.M_high,
-        bound1=gb.bound1,
-        bound2=gb.bound2,
         ht_violations=ht_violations,
-        bound1_violated=gb.bound1_violated,
-        bound2_violated=gb.bound2_violated,
     )
 
 

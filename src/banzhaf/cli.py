@@ -21,7 +21,7 @@ import numpy as np
 from .games import AssociationMatrix, InvalidGameError, VotingGame, require_single_quota
 from .exact import CoalitionTable, exact_indices
 from .sampling import CI_METHODS, confidence_interval, estimate_indices, index_cap, required_samples
-from .bounds import bounds_report, conjecture_scan
+from .bounds import bounds_report, conjecture_scan, size_window
 from .data import (
     RandomGameSpec,
     build_migration_association,
@@ -261,6 +261,7 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     """Combinatorial bound diagnostics (single-quota games)."""
     game = _load_game_arg(game_src)
     require_single_quota(game, "bounds_report")
+    size_window(game)  # a window it cannot search is rejected before the exact count
     indices = range(game.num_players)
     if player is not None:
         indices = [game.player_index(player)]
@@ -389,8 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit codes."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", file=sys.stderr)
         return 1

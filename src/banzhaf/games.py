@@ -419,34 +419,41 @@ def is_winning(game: VotingGame, coalition: int, strict: bool = False) -> bool:
     return sums_win(coalition_weight(game, coalition), game.thresholds(strict))
 
 
-def is_critical_classical(game: VotingGame, player: int, coalition: int) -> bool:
-    """Player swings the coalition: it wins, and removing the player's
-    weight breaks at least one quota."""
-    i = game.player_index(player)
+def _swings(game: VotingGame, i: int, coalition: int, load: Sequence[float]) -> bool:
+    """Whether player ``i`` swings the coalition: it wins, and removing
+    ``load`` from its weight breaks at least one quota."""
     validate_coalition(game, coalition)
     if not (coalition >> i) & 1:
         raise InvalidGameError(f"player {game.player_ids[i]} is not in the coalition")
     sums = coalition_weight(game, coalition)
     t = game.winning_thresholds
-    return sums_win(sums, t) and removal_breaks(sums, game.weights[i], t)
+    return sums_win(sums, t) and removal_breaks(sums, load, t)
+
+
+def is_critical_classical(game: VotingGame, player: int, coalition: int) -> bool:
+    """Player swings the coalition: it wins, and removing the player's
+    weight breaks at least one quota."""
+    i = game.player_index(player)
+    return _swings(game, i, coalition, game.weights[i])
+
+
+def _load_sums(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(r, k) loads of the (r, m) association rows ``A`` over the (m, k)
+    weights ``W``: each row's products ``a_j * w_j`` added in player order,
+    one rounding per product and per sum, and a -0.0 total read as 0.0, so
+    every load is bit-identical to the running sum from 0.0 (a matmul is not)."""
+    return np.cumsum(A[:, :, None] * W, axis=1)[:, -1] + 0.0
 
 
 def persuasion_loads(game: VotingGame, phi: AssociationMatrix) -> tuple[tuple[float, ...], ...]:
     """Per-player persuasion load in every dimension.
 
-    Row ``i`` holds ``sum_k a_ik * w_kd`` over all ``m`` players, the weight
+    Row ``i`` holds ``sum_j a_ij * w_jd`` over all ``m`` players, the weight
     player ``i`` can move by leaving and pulling along (or pushing back)
-    everyone it influences.
+    everyone it influences, summed in player order (`_load_sums`).
     """
     _require_size(phi, game.num_players)
-    A = phi.matrix
-    W = game.weight_matrix
-    # accumulate over j in order, one rounding per product and per sum, so
-    # every load is bit-identical to the running sum; a matmul is not
-    out = np.zeros_like(W)
-    for j in range(game.num_players):
-        out += A[:, j : j + 1] * W[j]
-    return tuple(map(tuple, out.tolist()))
+    return tuple(map(tuple, _load_sums(phi.matrix, game.weight_matrix).tolist()))
 
 
 def removal_loads(game: VotingGame, phi: AssociationMatrix | None) -> tuple[str, np.ndarray]:
@@ -468,8 +475,9 @@ class PersuasionLoad:
 
 
 def persuasion_load(game: VotingGame, phi: AssociationMatrix, player: int | str) -> PersuasionLoad:
+    _require_size(phi, game.num_players)
     i = game.player_index(player)
-    load = persuasion_loads(game, phi)[i]
+    load = tuple(_load_sums(phi.matrix[i : i + 1], game.weight_matrix)[0].tolist())
     surplus = tuple(l - w for l, w in zip(load, game.weights[i]))
     return PersuasionLoad(player=game.player_ids[i], load=load, surplus=surplus)
 
@@ -486,22 +494,13 @@ def is_critical_assoc(
     The coalition must win, and subtracting the player's persuasion load
     from the coalition weight must break at least one quota.  By default the
     load runs over all players, inside the coalition or not; pass
-    ``members_only=True`` to restrict the pull to coalition members.
+    ``members_only=True`` to restrict the pull to coalition members, whose
+    products are then summed in player order as in `persuasion_loads`.  A
+    matrix of the wrong size is rejected whether or not the coalition wins.
     """
+    _require_size(phi, game.num_players)
     i = game.player_index(player)
-    validate_coalition(game, coalition)
-    if not (coalition >> i) & 1:
-        raise InvalidGameError(f"player {game.player_ids[i]} is not in the coalition")
-    sums = coalition_weight(game, coalition)
-    t = game.winning_thresholds
-    if not sums_win(sums, t):
-        return False
+    row = phi.matrix[i]
     if members_only:
-        k = game.num_dimensions
-        arow = phi.entries[i]
-        load = [0.0] * k
-        for j in coalition_members(coalition):
-            for d in range(k):
-                load[d] += arow[j] * game.weights[j][d]
-        return removal_breaks(sums, load, t)
-    return removal_breaks(sums, persuasion_loads(game, phi)[i], t)
+        row = np.where([(coalition >> j) & 1 for j in range(game.num_players)], row, 0.0)
+    return _swings(game, i, coalition, _load_sums(row[None], game.weight_matrix)[0].tolist())

@@ -137,10 +137,8 @@ def _swing_count_for_player(
     load_row: np.ndarray,
     n: int,
     seed: int,
-    tables: np.ndarray | None = None,
+    tables: np.ndarray,
 ) -> int:
-    if tables is None:
-        tables = _byte_tables(game.weight_matrix)
     k = tables.shape[1]
     thresholds = game.winning_thresholds
     rng = seeded_rng(seed, i)

@@ -43,6 +43,20 @@ def naive_swing_counts(game: VotingGame, phi: AssociationMatrix | None = None) -
     return counts
 
 
+def loop_load(game: VotingGame, phi: AssociationMatrix, i: int, coalition: int) -> list[float]:
+    """Player ``i``'s persuasion load over the members of ``coalition`` only,
+    one product at a time in player order from 0.0: `is_critical_assoc`'s
+    ``members_only`` load as it was written out before the shared load sum.
+    Over the full coalition it is the whole-game load."""
+    k = game.num_dimensions
+    arow = phi.entries[i]
+    load = [0.0] * k
+    for j in coalition_members(coalition):
+        for d in range(k):
+            load[d] += arow[j] * game.weights[j][d]
+    return load
+
+
 def winning_coalitions(game: VotingGame, strict: bool = False) -> list[tuple[int, tuple[float, ...]]]:
     """``(coalition, sums)`` of every coalition that wins under the given
     convention, summed one coalition at a time."""

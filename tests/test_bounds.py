@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -241,6 +242,15 @@ class TestConjecture:
         ce1, slack1 = conjecture_check(single_quota_game([5], 3))
         assert ce1 == []
         assert slack1 == pytest.approx(1.0)
+
+    def test_counterexample_reported(self):
+        # no random game in the suite breaks the cap, so the report is doctored:
+        # p1's normalized index 1.25 exceeds 2 * 3 / 6 = 1
+        game = game_321()
+        report = dataclasses.replace(exact_indices(game), normalized=(1.25, 0.0, 0.0))
+        ce, slack = conjecture_check(game, report)
+        assert ce == [("weights=[3.0, 2.0, 1.0] q=4.0", "p1", 1.25, 1.0)]
+        assert slack == -0.25
 
     def test_zero_total_weight_rejected(self):
         with pytest.raises(InvalidGameError, match="total weight is 0"):

@@ -91,6 +91,21 @@ class TestExact:
         assert code == 0
         assert json.loads(out)["mode"] == "association"
 
+    def test_association_and_identity_exclusive(self, capsys, g3, tmp_path):
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), encoding="utf-8")
+        argv = ["exact", "--game", g3, "--association", str(phi_path), "--identity"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "--association and --identity are mutually exclusive" in err
+
+    def test_association_file_not_json(self, capsys, g3, tmp_path):
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text("[[1, 0", encoding="utf-8")
+        code, out, err = run(capsys, ["exact", "--game", g3, "--association", str(phi_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: association file: invalid JSON")
+
     def test_association_size_mismatch(self, capsys, g3, tmp_path):
         phi_path = tmp_path / "phi.json"
         phi_path.write_text(json.dumps([[1, 0], [0, 1]]), encoding="utf-8")
@@ -219,6 +234,17 @@ class TestBounds:
         assert code == 2
         assert "bounds_report requires a single-quota game" in err
 
+    def test_extreme_quota_rejected_before_enumeration(self, capsys, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerated a game whose size window cannot be searched")
+
+        monkeypatch.setattr("banzhaf.cli.exact_indices", fail)
+        path = tmp_path / "far.json"
+        path.write_text(dump_game(single_quota_game([1] * 33 + [2], 1e34)), encoding="utf-8")
+        code, out, err = run(capsys, ["bounds", "--game", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: size window: the quota-to-weight ratio quota / max weight")
+
 
 class TestEu:
     def test_wta_table(self, capsys):
@@ -268,6 +294,11 @@ class TestEu:
         )
         assert code2 == 0
         assert "mean" in table
+
+    def test_random_association_runs_must_be_positive(self, capsys):
+        code, out, err = run(capsys, ["eu", "--random-association", "--runs", "0"])
+        assert (code, out) == (1, "")
+        assert "--runs must be positive" in err
 
     def test_migration_and_random_exclusive(self, capsys, tmp_path):
         path = tmp_path / "mig.csv"

@@ -147,6 +147,8 @@ class TestMigration:
             MigrationTable(labels=("A", "B"), flows=((0, 1, 2), (1, 0, 2)))
         with pytest.raises(InvalidGameError, match="unique"):
             MigrationTable(labels=("A", "A"), flows=((0, 1), (1, 0)))
+        with pytest.raises(InvalidGameError, match="^migration table is empty$"):
+            MigrationTable(labels=(), flows=())
 
     @pytest.mark.parametrize(
         "flows, message",
@@ -363,6 +365,11 @@ class TestMigrationCsv:
         t = load_migration_csv(text)
         assert t.labels == ("A", "B", "C")
         assert t.flows[0][1] == 10.0
+
+    @pytest.mark.parametrize("text", ["", "\n , \n\n"])
+    def test_empty_file(self, text):
+        with pytest.raises(InvalidGameError, match="^migration csv: empty file$"):
+            load_migration_csv(text)
 
     def test_row_count_mismatch(self):
         with pytest.raises(InvalidGameError, match="data rows"):

@@ -22,6 +22,7 @@ from banzhaf.games import (
     AssociationMatrix,
     InvalidGameError,
     VotingGame,
+    persuasion_load,
     persuasion_loads,
     single_quota_game,
     sums_win,
@@ -131,6 +132,10 @@ class TestExactIntegerLimit:
 
 
 class TestTable:
+    def test_block_bits_must_be_positive(self):
+        with pytest.raises(InvalidGameError, match="^block_bits must be at least 1$"):
+            CoalitionTable(single_quota_game([3, 2, 1], 4), block_bits=0)
+
     def test_block_width_invariance_on_integer_weights(self):
         game, phi = corpus(1, seed=904, max_players=10, with_phi=True)[0]
         reports = [
@@ -496,13 +501,25 @@ def _persuasion_loads_loop(game, phi):
     return tuple(out)
 
 
+def _bytes(loads):
+    """Loads as float64 bytes, so that -0.0 and 0.0 differ."""
+    return np.array(loads, dtype=np.float64).tobytes()
+
+
 def test_persuasion_loads_match_sequential_loop():
-    game = eu_game()
-    for seed in range(100):
-        phi = random_association(game.num_players, seed)
-        assert persuasion_loads(game, phi) == _persuasion_loads_loop(game, phi)
-    for game, phi in corpus(30, seed=914, max_players=10, with_phi=True):
-        assert persuasion_loads(game, phi) == _persuasion_loads_loop(game, phi)
+    eu = eu_game()
+    cases = [(eu, random_association(eu.num_players, seed)) for seed in range(100)]
+    cases += corpus(30, seed=914, max_players=10, with_phi=True)
+    # every product in row 0 is -0.0: a running sum from 0.0 gives 0.0, and
+    # a bare cumulative sum, which starts at the first product, -0.0
+    rows = [[1, -1, -1, -0.0]] + [[float(i == j) for j in range(4)] for i in range(1, 4)]
+    cases.append((single_quota_game([-0.0, 0, 0, 4], 4), AssociationMatrix(rows)))
+    assert _bytes(_persuasion_loads_loop(*cases[-1])[0]) == _bytes([0.0])
+    for game, phi in cases:
+        expected = _persuasion_loads_loop(game, phi)
+        assert _bytes(persuasion_loads(game, phi)) == _bytes(expected)
+        for i, row in enumerate(expected):
+            assert _bytes(persuasion_load(game, phi, i).load) == _bytes(row)
 
 
 class TestDelta:

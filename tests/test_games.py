@@ -26,6 +26,8 @@ from banzhaf.games import (
     validate_coalition,
 )
 
+from oracles import corpus, loop_load
+
 
 def game_321():
     return single_quota_game([3, 2, 1], 4)
@@ -75,6 +77,14 @@ class TestConstruction:
             VotingGame(("a",), ((1.0, 1.0),), (1.0, -big))
         with pytest.raises(InvalidGameError, match=r"association row 0\[1\]: not finite"):
             AssociationMatrix(((1.0, big), (0.0, 1.0)))
+
+    def test_no_quota_rejected(self):
+        with pytest.raises(InvalidGameError, match="^game needs at least one quota dimension$"):
+            VotingGame(("a",), ((),), ())
+
+    def test_complex_weight_rejected(self):
+        with pytest.raises(InvalidGameError, match=r"^weights for player p1\[0\]: not numeric$"):
+            single_quota_game([1 + 2j, 1], 1)
 
     def test_weight_rows_counted_before_their_entries(self):
         with pytest.raises(InvalidGameError, match="^1 players but 2 weight rows$"):
@@ -295,6 +305,38 @@ class TestAssociationCriticality:
         g = single_quota_game([2, 1], 2)
         with pytest.raises(InvalidGameError, match="not in the coalition"):
             is_critical_assoc(g, AssociationMatrix.identity(2), 0, 0b10)
+
+    @pytest.mark.parametrize("members_only", [False, True])
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_wrong_size_matrix_rejected_for_every_coalition(self, members_only, size):
+        g = game_321()
+        phi = AssociationMatrix.identity(size)
+        for c in (0b111, 0b001):  # winning, losing
+            with pytest.raises(InvalidGameError, match=f"{size}x{size} but the game has 3"):
+                is_critical_assoc(g, phi, 0, c, members_only=members_only)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_verdicts_match_the_member_loops(self, seed):
+        """Both association variants and the classical test agree, for every
+        (player, coalition), with the literal verdict on loads summed one
+        product at a time: multi-quota games with quotas on a coalition's
+        sums, and single-quota corpus games, each with a random matrix."""
+        if seed % 2:
+            game, phi = corpus(1, seed=seed, max_players=8, with_phi=True)[0]
+        else:
+            game, phi = _kernel_game(np.random.default_rng(1000 + seed), integral=seed % 4 == 0)
+        t = game.winning_thresholds
+        full = full_coalition(game.num_players)
+        for c in range(1, full + 1):
+            sums = coalition_weight(game, c)
+            win = sums_win(sums, t)
+            for i in coalition_members(c):
+                for load, verdict in (
+                    (game.weights[i], is_critical_classical(game, i, c)),
+                    (loop_load(game, phi, i, full), is_critical_assoc(game, phi, i, c)),
+                    (loop_load(game, phi, i, c), is_critical_assoc(game, phi, i, c, True)),
+                ):
+                    assert verdict is (win and removal_breaks(sums, load, t))
 
 
 @st.composite

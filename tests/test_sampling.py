@@ -180,12 +180,27 @@ class TestUnpack:
     @pytest.mark.parametrize("case", ["int-m65", "two-quota-m70", "eu"])
     def test_chunk_size_does_not_change_counts(self, monkeypatch, case, rows):
         game = UNPACK_CASES[case]
-        m = game.num_players
+        m, k = game.num_players, game.num_dimensions
         phi = random_association(m, seed=3)
         default = [estimate_indices(game, p, samples=120, seed=9) for p in (None, phi)]
-        monkeypatch.setattr(sampling, "_CHUNK_BYTES", rows * 8 * m)
+        # the byte tables plus ``rows`` samples of 8 * (words + k + 4) bytes each
+        words = (m + 63) // 64
+        budget = _byte_tables(game.weight_matrix).nbytes + rows * 8 * (words + k + 4)
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", budget)
+        drawn = []
+
+        class RecordingRng:  # the sampler's stream, noting each chunk's sample count
+            def __init__(self, *key):
+                self.rng = seeded_rng(*key)
+
+            def integers(self, *args, size, **kwargs):
+                drawn.append(size[0])
+                return self.rng.integers(*args, size=size, **kwargs)
+
+        monkeypatch.setattr(sampling, "seeded_rng", RecordingRng)
         chunked = [estimate_indices(game, p, samples=120, seed=9) for p in (None, phi)]
         assert chunked == default
+        assert max(drawn) == rows
 
     def test_chunked_draws_continue_the_stream(self):
         whole = seeded_rng(5, 3).integers(0, 2**64, size=(40, 3), dtype=np.uint64)
@@ -198,7 +213,8 @@ class TestUnpack:
         game = _integer_game(300, seed=1)
         tracemalloc.start()
         try:
-            _swing_count_for_player(game, 0, game.weight_matrix[0], 20_000, 0)
+            tables = _byte_tables(game.weight_matrix)
+            _swing_count_for_player(game, 0, game.weight_matrix[0], 20_000, 0, tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -366,6 +382,11 @@ class TestRequiredSamples:
             required_samples(0.1, 0.1, "selfbounding")
         with pytest.raises(ValueError, match="method"):
             required_samples(0.1, 0.1, "bogus")
+        with pytest.raises(ValueError, match=r"^s2 must be non-negative, got -0\.1$"):
+            required_samples(0.1, 0.1, "student", s2=-0.1)
+        for B in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^B must be positive, got {B}$"):
+                required_samples(0.1, 0.1, "selfbounding", B=B)
 
 
 class TestCoverage:
@@ -466,7 +487,8 @@ class TestByteTables:
         game = _integer_game(1000, seed=4)
         tracemalloc.start()
         try:
-            _swing_count_for_player(game, 999, game.weight_matrix[999], 30_000, 0)
+            tables = _byte_tables(game.weight_matrix)
+            _swing_count_for_player(game, 999, game.weight_matrix[999], 30_000, 0, tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
