@@ -17,19 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
+
 from .games import (
     InvalidGameError,
     VotingGame,
-    coalition_members,
-    coalition_size,
     coalition_weight,
-    is_winning,
     removal_breaks,
+    require_same_players,
     require_single_quota,
     seeded_rng,
     sums_win,
 )
-from .exact import SINGLE_QUOTA_PLAYER_CAP, IndexReport, exact_indices
+from .exact import SINGLE_QUOTA_PLAYER_CAP, CoalitionTable, IndexReport, _check_size, exact_indices
 from .data import RandomGameSpec, random_game
 
 __all__ = [
@@ -180,6 +180,7 @@ def global_bounds(game: VotingGame, exact: IndexReport | None = None) -> GlobalB
     bound2 = float(Fraction(isum, n * total) - Fraction(1, 2))
     b1v = b2v = None
     if exact is not None:
+        require_same_players(game, exact)
         peak = max(exact.absolute)
         b1v = peak > bound1
         b2v = peak > bound2
@@ -224,6 +225,16 @@ def bounds_report(game: VotingGame, exact: IndexReport | None = None) -> BoundsR
     )
 
 
+def _all_critical(game: VotingGame, sums: np.ndarray, members: np.ndarray):
+    """Whether the all-critical cap applies to each winner of a block (two or
+    more members, all critical) and whether it is violated.  Every member is
+    critical iff the lightest is, because ``s - w`` cannot grow as ``w`` does."""
+    lightest = np.where(members, game.weight_matrix, np.inf).min(axis=0)
+    size = members.sum(axis=0)
+    applies = (size >= 2) & removal_breaks(sums, (lightest,), game.winning_thresholds)
+    return applies, applies & ~(sums[0] < size * game.quotas[0] / np.maximum(size - 1, 1))
+
+
 def all_critical_weight_check(game: VotingGame, coalition: int) -> str:
     """Check the weight cap on winning coalitions whose members are all
     critical: w(C) < |C| q / (|C| - 1).
@@ -234,35 +245,30 @@ def all_critical_weight_check(game: VotingGame, coalition: int) -> str:
     """
     require_single_quota(game, "all_critical_weight_check")
     sums = coalition_weight(game, coalition)
-    t = game.winning_thresholds
-    if not sums_win(sums, t):
+    if not sums_win(sums, game.winning_thresholds):
         raise InvalidGameError("all_critical_weight_check needs a winning coalition")
-    size = coalition_size(coalition)
-    if size < 2:
-        return "not-applicable"
-    if not all(removal_breaks(sums, game.weights[i], t) for i in coalition_members(coalition)):
-        return "not-applicable"
-    return "holds" if sums[0] < size * game.quotas[0] / (size - 1) else "violated"
+    members = np.array([[(coalition >> i) & 1] for i in range(game.num_players)], dtype=bool)
+    applies, violated = _all_critical(game, np.array(sums)[:, None], members)
+    return "not-applicable" if not applies[0] else "violated" if violated[0] else "holds"
 
 
 def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:
     """Apply the all-critical weight cap to every winning coalition.
 
     Returns the number of coalitions where the cap applied and the list of
-    coalitions (as bitmasks) that violated it.
+    coalitions (as bitmasks) that violated it.  It reads
+    `CoalitionTable.winner_blocks`, so it costs 2^m and is capped at 32
+    players.  Up to 16 players the table's high half is empty, so its sums
+    are `coalition_weight`'s to the bit; above, they are high plus low sums,
+    as in `exact_indices`, which are exact for integer weights.
     """
     require_single_quota(game, "scan_all_critical_coalitions")
-    checked = 0
-    violations = []
-    for c in range(1, 1 << game.num_players):
-        if not is_winning(game, c):
-            continue
-        verdict = all_critical_weight_check(game, c)
-        if verdict == "not-applicable":
-            continue
-        checked += 1
-        if verdict == "violated":
-            violations.append(c)
+    _check_size(game, enumerates=True)
+    checked, violations = 0, []
+    for sums, members in CoalitionTable(game).winner_blocks(game.winning_thresholds):
+        applies, violated = _all_critical(game, sums, members)
+        checked += int(np.count_nonzero(applies))
+        violations += ((1 << np.arange(game.num_players)) @ members[:, violated]).tolist()
     return checked, violations
 
 
@@ -298,6 +304,7 @@ def conjecture_check(
         )
     if report is None:
         report = exact_indices(game)
+    require_same_players(game, report)
     cap = 2.0 * max(w) / total
     counterexamples = []
     min_slack = math.inf

@@ -127,6 +127,12 @@ def _common_options(f):
     return f
 
 
+def _association_options(f):
+    f = click.option("--identity", is_flag=True, help="Force the identity association matrix.")(f)
+    return click.option("--association", type=click.Path(exists=True, dir_okay=False), default=None,
+                        help="Association matrix file (JSON rows).")(f)
+
+
 def _resolve_phi(game: VotingGame, association: str | None, identity: bool) -> AssociationMatrix | None:
     if association and identity:
         raise click.UsageError("--association and --identity are mutually exclusive")
@@ -169,9 +175,7 @@ def cli() -> None:
 @cli.command("exact")
 @click.option("--game", "game_src", required=True,
               help="Game file (JSON), or 'eu' for the built-in EU game.")
-@click.option("--association", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Association matrix file (JSON rows).")
-@click.option("--identity", is_flag=True, help="Force the identity association matrix.")
+@_association_options
 @_common_options
 def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
     """Exact indices over every coalition."""
@@ -196,8 +200,7 @@ def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
 @cli.command("approx")
 @click.option("--game", "game_src", required=True,
               help="Game file (JSON), or 'eu' for the built-in EU game.")
-@click.option("--association", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--identity", is_flag=True)
+@_association_options
 @click.option("--epsilon", type=float, required=True, help="Target halfwidth.")
 @click.option("--delta", type=float, required=True, help="Confidence parameter.")
 @click.option("--method", type=click.Choice(CI_METHODS),

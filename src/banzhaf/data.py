@@ -82,10 +82,6 @@ class MigrationTable:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "flows", tuple(rows))
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
 
 def build_migration_association(table: MigrationTable) -> AssociationMatrix:
     """Turn net migration imbalances into an association matrix.

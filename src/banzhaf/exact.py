@@ -85,9 +85,9 @@ _GROUP_BYTES = 1 << 20
 _INF = np.array([np.inf])
 
 
-def _check_size(game: VotingGame) -> None:
+def _check_size(game: VotingGame, enumerates: bool = False) -> None:
     m = game.num_players
-    if game.num_dimensions == 1:
+    if game.num_dimensions == 1 and not enumerates:  # a 2^m scan takes the enumerator's cap
         if m > SINGLE_QUOTA_PLAYER_CAP:
             mib = (_BYTES_PER_HALF_ENTRY << _HALF_BITS_CAP) >> 20
             raise InvalidGameError(
@@ -160,7 +160,7 @@ class CoalitionTable:
         self.low_sums = subset_sums(W[:b])
         self.high_sums = subset_sums(W[b:])
         # thresholds -> (sums, members) of every winning coalition, for the
-        # conventions whose winners fit the budget of `_winner_blocks`
+        # conventions whose winners fit the budget of `winner_blocks`
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
         if game.num_dimensions == 1:
             # the low sums in ascending order between -inf and +inf, and the
@@ -280,10 +280,10 @@ class CoalitionTable:
         members[b:] = ((h >> np.arange(m - b)) & 1)[:, None]
         return np.compress(win, sums, axis=1), members
 
-    def _winner_blocks(self, thresholds: tuple[float, ...]):
-        """Yield ``(sums, members)`` parts that together hold every coalition
-        winning under ``thresholds``: their sums per dimension and one
-        membership row per player.
+    def winner_blocks(self, thresholds: tuple[float, ...]):
+        """Yield ``(sums, members)``, in ascending bitmask order, for every
+        coalition winning under ``thresholds``: (k, n) sums and an (m, n)
+        bool membership row per player.  Nothing else visits every coalition.
 
         Yields the cached set when there is one.  Otherwise it compacts the
         high blocks in order and holds them back while they fit the budget;
@@ -321,7 +321,7 @@ class CoalitionTable:
 
     def _enumerated_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
         counts = np.zeros(self.game.num_players, dtype=np.int64)
-        for sums, members in self._winner_blocks(thresholds):
+        for sums, members in self.winner_blocks(thresholds):
             for i, member in enumerate(members):
                 breaks = removal_breaks(sums, loads[i], thresholds)
                 counts[i] += int(np.count_nonzero(member & breaks))
@@ -330,7 +330,7 @@ class CoalitionTable:
     def _enumerated_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):
         thresholds = self.game.winning_thresholds
         gain = loss = 0
-        for sums, members in self._winner_blocks(thresholds):
+        for sums, members in self.winner_blocks(thresholds):
             member = members[player]
             base = member & removal_breaks(sums, base_loads, thresholds)
             alt = member & removal_breaks(sums, alt_loads, thresholds)

@@ -299,6 +299,11 @@ def require_single_quota(game: VotingGame, what: str) -> None:
         raise InvalidGameError(f"{what} requires a single-quota game")
 
 
+def require_same_players(game: VotingGame, report) -> None:
+    if game.player_ids != report.player_ids:
+        raise InvalidGameError("game players do not match the report's")
+
+
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox stream keyed by ``seed`` and the spawn ``key``: the same
     arguments give the same stream, and different keys independent ones."""

@@ -43,6 +43,7 @@ from .games import (
     VotingGame,
     removal_breaks,
     removal_loads,
+    require_same_players,
     resolve_player,
     seeded_rng,
     subset_sums,
@@ -256,8 +257,8 @@ def confidence_interval(
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if method not in CI_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {CI_METHODS}")
-    if game is not None and game.player_ids != report.player_ids:
-        raise InvalidGameError("game players do not match the report's")
+    if game is not None:
+        require_same_players(game, report)
     i = resolve_player(report.player_ids, player)
     n = report.samples
     est = report.estimates[i]

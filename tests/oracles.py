@@ -14,11 +14,14 @@ import numpy as np
 
 from banzhaf.games import (
     AssociationMatrix,
+    InvalidGameError,
     VotingGame,
     coalition_members,
+    coalition_size,
     coalition_weight,
     is_critical_assoc,
     is_critical_classical,
+    is_winning,
     removal_breaks,
     seeded_rng,
     single_quota_game,
@@ -166,6 +169,41 @@ def loop_win_bounds(table: CoalitionTable, thresholds: tuple[float, ...]) -> np.
             return p
         p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
         p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
+
+
+# -- the all-critical scan before it read the coalition table's winners ------
+
+
+def loop_all_critical_check(game: VotingGame, coalition: int) -> str:
+    """``bounds.all_critical_weight_check`` as it was written before the shared
+    kernel: the coalition summed on its own and every member removed in turn."""
+    sums = coalition_weight(game, coalition)
+    t = game.winning_thresholds
+    if not sums_win(sums, t):
+        raise InvalidGameError("all_critical_weight_check needs a winning coalition")
+    size = coalition_size(coalition)
+    if size < 2:
+        return "not-applicable"
+    if not all(removal_breaks(sums, game.weights[i], t) for i in coalition_members(coalition)):
+        return "not-applicable"
+    return "holds" if sums[0] < size * game.quotas[0] / (size - 1) else "violated"
+
+
+def loop_all_critical_scan(game: VotingGame) -> tuple[int, list[int]]:
+    """``bounds.scan_all_critical_coalitions`` as a loop over every coalition
+    mask, each tested with `is_winning` and `loop_all_critical_check`."""
+    checked = 0
+    violations = []
+    for c in range(1, 1 << game.num_players):
+        if not is_winning(game, c):
+            continue
+        verdict = loop_all_critical_check(game, c)
+        if verdict == "not-applicable":
+            continue
+        checked += 1
+        if verdict == "violated":
+            violations.append(c)
+    return checked, violations
 
 
 # -- the sampler's earlier summation, kept as its parity reference ------------

@@ -2,11 +2,14 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banzhaf import bounds, exact
 from banzhaf.bounds import (
+    _all_critical,
     all_critical_weight_check,
     bounds_report,
     conjecture_check,
@@ -21,11 +24,29 @@ from banzhaf.data import RandomGameSpec
 from banzhaf.exact import SINGLE_QUOTA_PLAYER_CAP, exact_indices
 from banzhaf.games import InvalidGameError, VotingGame, coalition_of, single_quota_game
 
-from oracles import corpus, fraction_global_bounds, loop_ht_profile, loop_size_window, parity_games
+from oracles import (
+    corpus,
+    fraction_global_bounds,
+    loop_all_critical_check,
+    loop_all_critical_scan,
+    loop_ht_profile,
+    loop_size_window,
+    parity_games,
+    winning_coalitions,
+)
 
 
 def game_321():
     return single_quota_game([3, 2, 1], 4)
+
+
+def other_reports():
+    """Exact reports that are not `game_321`'s: five players, and its own
+    three players renamed."""
+    return (
+        exact_indices(single_quota_game([1, 1, 1, 1, 9], 7)),
+        exact_indices(single_quota_game([3, 2, 1], 4, player_ids=("a", "b", "c"))),
+    )
 
 
 def multi_quota_game():
@@ -197,6 +218,11 @@ class TestGlobalBounds:
         assert gb.bound1 == 0.0
         assert gb.bound1_violated is True
 
+    def test_report_of_another_game_rejected(self):
+        for report in other_reports():
+            with pytest.raises(InvalidGameError, match="players do not match"):
+                global_bounds(game_321(), report)
+
     def test_flags_absent_without_exact(self):
         gb = global_bounds(game_321())
         assert gb.bound1_violated is None
@@ -233,6 +259,67 @@ class TestAllCriticalWeight:
             _, violations = scan_all_critical_coalitions(game)
             assert violations == []
 
+    def test_check_matches_loop_on_every_winner(self):
+        games = [g for g, _ in corpus(150, seed=806, max_players=9)]
+        for game in games + parity_games(60, seed=810, max_players=9):
+            for c, _ in winning_coalitions(game):
+                assert all_critical_weight_check(game, c) == loop_all_critical_check(game, c)
+
+    def test_scan_matches_loop_up_to_16_players(self):
+        rng = np.random.default_rng(807)
+        tenths = [single_quota_game((rng.integers(0, 30, m) / 10).tolist(), q)
+                  for m, q in ((5, 1.1), (8, 2.3), (11, 0.7), (12, 5.0))]
+        weights16 = [0, 0.1, 0.3, 1, 2.5, 0, 7, 0.2, 3, 3, 1.5, 0, 0.1, 4, 2, 9.7]
+        mixed = single_quota_game(weights16, 15.3)
+        for game in parity_games(45, seed=808, max_players=12) + tenths + [mixed]:
+            assert scan_all_critical_coalitions(game) == loop_all_critical_scan(game)
+
+    def test_scan_matches_loop_across_high_blocks(self, monkeypatch):
+        # a 3-bit low half puts most players in the high half and streams
+        # blocks past the cache budget, as games beyond 16 players do
+        monkeypatch.setattr(exact, "_DEFAULT_BLOCK_BITS", 3)
+        rng = np.random.default_rng(809)
+        for m in range(4, 13):
+            weights = rng.integers(1, 20, m)
+            game = single_quota_game(weights.tolist(), float(rng.integers(1, weights.sum() + 1)))
+            assert scan_all_critical_coalitions(game) == loop_all_critical_scan(game)
+
+    def test_violations_listed_in_mask_order(self, monkeypatch):
+        # flag every coalition the cap applies to, to see each bitmask rebuilt
+        # from its membership column, in order, across streamed high blocks
+        monkeypatch.setattr(exact, "_DEFAULT_BLOCK_BITS", 3)
+        kernel = bounds._all_critical
+        monkeypatch.setattr(bounds, "_all_critical", lambda *a: (kernel(*a)[0],) * 2)
+        game = single_quota_game([5, 1, 4, 2, 2, 6, 3, 1, 2, 5], 16)
+        applicable = [c for c, _ in winning_coalitions(game)
+                      if loop_all_critical_check(game, c) != "not-applicable"]
+        assert scan_all_critical_coalitions(game) == (len(applicable), applicable)
+
+    def test_kernel_flags_a_violation(self):
+        # no true coalition sum violates the cap, so the sums are crafted:
+        # members {p1, p2} of weights 7 and 7 with quota 6 have cap 2 * 6 / 1 = 12
+        game = single_quota_game([7, 7, 1], 6)
+        members = np.array([[1, 1, 1, 1], [1, 1, 0, 1], [0, 0, 0, 1]], dtype=bool)
+        sums = np.array([[12.0, 11.5, 12.0, 13.0]])
+        applies, violated = _all_critical(game, sums, members)
+        # the third is a singleton; the fourth is not all-critical (13 - 1 >= 6)
+        assert applies.tolist() == [True, True, False, False]
+        assert violated.tolist() == [True, False, False, False]
+
+    def test_scan_capped_before_any_table(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("built a table for a game past the cap")
+
+        monkeypatch.setattr(bounds, "CoalitionTable", fail)
+        with pytest.raises(InvalidGameError, match="capped at 32 players, got 33"):
+            scan_all_critical_coalitions(single_quota_game([1] * 33, 17))
+
+    def test_scan_warns_like_the_enumerator(self, monkeypatch):
+        monkeypatch.setattr(exact, "SOFT_PLAYER_WARNING", 3)
+        with pytest.warns(RuntimeWarning, match=r"enumerating 2\^3 coalitions") as record:
+            assert scan_all_critical_coalitions(game_321()) == (2, [])
+        assert record[0].filename == __file__
+
 
 class TestConjecture:
     def test_hand_instances(self):
@@ -251,6 +338,12 @@ class TestConjecture:
         ce, slack = conjecture_check(game, report)
         assert ce == [("weights=[3.0, 2.0, 1.0] q=4.0", "p1", 1.25, 1.0)]
         assert slack == -0.25
+
+    def test_report_of_another_game_rejected(self):
+        five = single_quota_game([1, 1, 1, 1, 9], 7)
+        for game, report in ((five, exact_indices(game_321())), (game_321(), other_reports()[1])):
+            with pytest.raises(InvalidGameError, match="players do not match"):
+                conjecture_check(game, report)
 
     def test_zero_total_weight_rejected(self):
         with pytest.raises(InvalidGameError, match="total weight is 0"):
@@ -317,6 +410,11 @@ class TestBoundsReport:
     def test_multi_quota_rejected(self):
         with pytest.raises(InvalidGameError, match="single-quota"):
             bounds_report(multi_quota_game())
+
+    def test_report_of_another_game_rejected(self):
+        for report in other_reports():
+            with pytest.raises(InvalidGameError, match="players do not match"):
+                bounds_report(game_321(), report)
 
     def test_bounds_are_ht_bound_of_each_profile(self):
         for game, _ in corpus(60, seed=831, max_players=12):

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import re
 import weakref
 
 import pytest
@@ -170,6 +171,12 @@ class TestApprox:
         doc = json.loads(out)
         # B = 2 * min(1, max ht bound) + epsilon = 2 * 0.75 + 0.2
         assert doc["samples"] == 128
+
+    @pytest.mark.parametrize("command", ["exact", "approx"])
+    def test_association_options_have_help(self, capsys, command):
+        _, out, _ = run(capsys, [command, "--help"])
+        assert re.search(r"--association FILE +Association matrix file \(JSON rows\)\.\n", out)
+        assert re.search(r"--identity +Force the identity association matrix\.\n", out)
 
     def test_missing_epsilon_is_usage_error(self, capsys, g3):
         code, _, err = run(capsys, ["approx", "--game", g3, "--delta", "0.1", "--seed", "1"])
@@ -355,6 +362,14 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["exact", "--game", "/no/such/file.json"])
         assert code == 2
+
+    def test_interrupt_exits_1(self, capsys, monkeypatch, g3):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        # click turns Ctrl-C into Abort, after a newline on stderr
+        monkeypatch.setattr("banzhaf.cli.exact_indices", interrupt)
+        assert run(capsys, ["exact", "--game", g3]) == (1, "", "\n")
 
     def test_malformed_game_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
