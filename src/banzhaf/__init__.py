@@ -1,112 +1,17 @@
 """Banzhaf power indices for weighted voting games, classical and
-association-aware, exact and Monte Carlo."""
+association-aware, exact and Monte Carlo.
 
-from .games import (
-    AssociationMatrix,
-    InvalidGameError,
-    PersuasionLoad,
-    VotingGame,
-    coalition_members,
-    coalition_of,
-    coalition_size,
-    is_critical_assoc,
-    is_critical_classical,
-    is_winning,
-    persuasion_load,
-    persuasion_loads,
-    single_quota_game,
-)
-from .exact import (
-    CoalitionTable,
-    DeltaReport,
-    IndexReport,
-    association_delta,
-    exact_indices,
-)
-from .sampling import (
-    CI_METHODS,
-    ConfidenceInterval,
-    EstimateReport,
-    confidence_interval,
-    estimate_indices,
-    required_samples,
-    student_t_quantile,
-)
-from .bounds import (
-    BoundsReport,
-    ConjectureReport,
-    GlobalBounds,
-    all_critical_weight_check,
-    bounds_report,
-    conjecture_check,
-    conjecture_scan,
-    global_bounds,
-    ht_bound,
-    ht_profile,
-    size_window,
-)
-from .data import (
-    EU_COUNTRIES,
-    MigrationTable,
-    RandomGameSpec,
-    build_migration_association,
-    dump_game,
-    eu_game,
-    load_game,
-    load_game_file,
-    load_migration_csv,
-    random_association,
-    random_game,
-)
+The package exports every name in the ``__all__`` of its modules `games`,
+`exact`, `sampling`, `bounds` and `data`, in that order; each module's
+``__all__`` is the one list of its public names."""
+
+from . import games, exact, sampling, bounds, data
+from .games import *
+from .exact import *
+from .sampling import *
+from .bounds import *
+from .data import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssociationMatrix",
-    "InvalidGameError",
-    "PersuasionLoad",
-    "VotingGame",
-    "coalition_members",
-    "coalition_of",
-    "coalition_size",
-    "is_critical_assoc",
-    "is_critical_classical",
-    "is_winning",
-    "persuasion_load",
-    "persuasion_loads",
-    "single_quota_game",
-    "CoalitionTable",
-    "DeltaReport",
-    "IndexReport",
-    "association_delta",
-    "exact_indices",
-    "CI_METHODS",
-    "ConfidenceInterval",
-    "EstimateReport",
-    "confidence_interval",
-    "estimate_indices",
-    "required_samples",
-    "student_t_quantile",
-    "BoundsReport",
-    "ConjectureReport",
-    "GlobalBounds",
-    "all_critical_weight_check",
-    "bounds_report",
-    "conjecture_check",
-    "conjecture_scan",
-    "global_bounds",
-    "ht_bound",
-    "ht_profile",
-    "size_window",
-    "EU_COUNTRIES",
-    "MigrationTable",
-    "RandomGameSpec",
-    "build_migration_association",
-    "dump_game",
-    "eu_game",
-    "load_game",
-    "load_game_file",
-    "load_migration_csv",
-    "random_association",
-    "random_game",
-]
+__all__ = [*games.__all__, *exact.__all__, *sampling.__all__, *bounds.__all__, *data.__all__]

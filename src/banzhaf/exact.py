@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,12 +163,17 @@ class CoalitionTable:
         # thresholds -> (sums, members) of every winning coalition, for the
         # conventions whose winners fit the budget of `winner_blocks`
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
-        if game.num_dimensions == 1:
-            # the low sums in ascending order between -inf and +inf, and the
-            # low-half coalition masks in that order
-            order = np.argsort(self.low_sums[0]).astype(np.uint32)
-            self._padded = np.concatenate((-_INF, self.low_sums[0][order], _INF))
-            self._order = order
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """The low-half coalition masks in ascending order of their sums,
+        sorted on the first single-quota count (`winner_blocks` never reads it)."""
+        return np.argsort(self.low_sums[0]).astype(np.uint32)
+
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """The low sums in ascending order between -inf and +inf."""
+        return np.concatenate((-_INF, self.low_sums[0][self._order], _INF))
 
     def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.

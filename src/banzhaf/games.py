@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -342,18 +343,20 @@ def coalition_of(indices: Iterable[int]) -> int:
     return mask
 
 
+def _mask(coalition: int) -> int:
+    c = operator.index(coalition)
+    if c < 0:
+        raise InvalidGameError(f"coalition {c} is negative, not a bitmask of players")
+    return c
+
+
 def coalition_members(coalition: int) -> Iterator[int]:
-    i = 0
-    c = coalition
-    while c:
-        if c & 1:
-            yield i
-        c >>= 1
-        i += 1
+    c = _mask(coalition)
+    return (i for i in range(c.bit_length()) if c >> i & 1)
 
 
 def coalition_size(coalition: int) -> int:
-    return coalition.bit_count()
+    return _mask(coalition).bit_count()
 
 
 def full_coalition(m: int) -> int:

@@ -51,6 +51,7 @@ from .games import (
 )
 
 __all__ = [
+    "CI_METHODS",
     "EstimateReport",
     "ConfidenceInterval",
     "estimate_indices",

@@ -144,6 +144,15 @@ class TestTable:
         ]
         assert all(r.swing_counts == reports[0].swing_counts for r in reports)
 
+    def test_winner_blocks_leave_the_sorted_half_unbuilt(self):
+        game = single_quota_game(list(range(1, 13)), 39)
+        table = CoalitionTable(game, block_bits=6)
+        winners = sum(s.shape[1] for s, _ in table.winner_blocks(game.winning_thresholds))
+        assert winners == len(winning_coalitions(game))
+        assert "_order" not in vars(table) and "_padded" not in vars(table)
+        table.swing_counts(np.zeros((12, 1)))
+        assert "_order" in vars(table) and "_padded" in vars(table)
+
     def test_table_reuse_across_matrices(self):
         game = single_quota_game([4, 3, 2, 1], 6)
         table = CoalitionTable(game)

@@ -192,6 +192,15 @@ class TestCoalitions:
     def test_full(self):
         assert full_coalition(3) == 0b111
 
+    def test_negative_mask_has_no_members(self):
+        # -1 >> 1 is -1, so a bit loop over a negative mask never ends
+        with pytest.raises(InvalidGameError, match="^coalition -1 is negative"):
+            coalition_members(-1)
+
+    def test_negative_mask_has_no_size(self):
+        with pytest.raises(InvalidGameError, match="^coalition -6 is negative"):
+            coalition_size(-6)
+
     def test_out_of_range_bits_rejected(self):
         g = game_321()
         with pytest.raises(InvalidGameError, match="bits outside"):
