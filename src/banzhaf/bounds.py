@@ -29,6 +29,7 @@ from .games import (
     seeded_rng,
     sums_win,
 )
+from . import exact
 from .exact import SINGLE_QUOTA_PLAYER_CAP, CoalitionTable, IndexReport, _check_size, exact_indices
 from .data import RandomGameSpec, random_game
 
@@ -265,7 +266,9 @@ def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:
     require_single_quota(game, "scan_all_critical_coalitions")
     _check_size(game, enumerates=True)
     checked, violations = 0, []
-    for sums, members in CoalitionTable(game).winner_blocks(game.winning_thresholds):
+    # the enumerator's 16-bit blocks: on an even split the scan is slower
+    table = CoalitionTable(game, block_bits=exact._DEFAULT_BLOCK_BITS)
+    for sums, members in table.winner_blocks(game.winning_thresholds):
         applies, violated = _all_critical(game, sums, members)
         checked += int(np.count_nonzero(applies))
         violations += ((1 << np.arange(game.num_players)) @ members[:, violated]).tolist()

@@ -3,28 +3,30 @@
 The table splits the players into a low half of ``b`` players and a high
 half of the rest, and holds per-dimension subset sums for each half
 (``2^b`` and ``2^(m-b)`` floats per dimension).  Every coalition sum is
-``high + low`` for one sum from each half, so it is the same float however
-the coalitions are visited.  Swing counts are integers.
+``high + low`` for one sum from each half, and float addition commutes, so
+it is the same float however the coalitions are visited.  Swing counts are
+integers.
 
-Single-quota games never visit coalitions one by one.  A player ``i`` with
-removal load ``l`` swings a coalition of sum ``s`` when ``s >= t`` and
-``s - l < t``; for a fixed high sum ``H`` both sides are monotone in the low
-sum ``L`` (float ``H + L`` never decreases as ``L`` grows), so once the low
-sums are sorted the winning coalitions of each high block are a suffix and
-those the removal breaks a prefix.  Each edge is one search per high sum
-for where the removal stops breaking the quota, and the winning edge is the
-same search at load 0 (``s - 0.0 < t`` is ``s < t`` for every float):
-`np.searchsorted` guesses it and the kernel in `banzhaf.games` itself
-corrects it over runs of equal sums, so the counts are the enumerator's to
-the bit (the Horowitz-Sahni split applied to power indices; Klinz &
-Woeginger 2005, Matsui & Matsui 2000).  A high-half player then counts the
-width of the window in the blocks that hold it.  A low-half player counts
-its members in the window as the difference of two prefix counts of its
-membership bit in sorted order, each a binary search among the sorted
-positions of its members; those positions are found for a byte-bounded
-group of players at a time.  Memory grows as ``2^(m/2)``, so these games
-split evenly above 32 players and are capped where a count outgrows a
-stated budget.
+Single-quota games never visit coalitions one by one.  Both halves are
+sorted once by sum, and every player is counted by one rule.  A player
+``i`` with removal load ``l`` swings a coalition of sum ``s`` when
+``s >= t`` and ``s - l < t``.  For a fixed sum ``a`` of one half both sides
+are monotone in the other half's sum ``c`` (float ``a + c`` never decreases
+as ``c`` grows), so over the other half's sorted sums the winning
+coalitions are a suffix and those the removal breaks a prefix.  Each edge
+is one search per sum of the scanned half for where the removal stops
+breaking the quota, and the winning edge is the same search at load 0
+(``s - 0.0 < t`` is ``s < t`` for every float): `np.searchsorted` guesses
+it and the kernel in `banzhaf.games` itself corrects it over runs of equal
+sums, so the counts are the enumerator's to the bit (the Horowitz-Sahni
+split applied to power indices; Klinz & Woeginger 2005, Matsui & Matsui
+2000).  Player ``i`` then adds, over the sums of its own half whose
+coalitions hold it, the width of the window between the winning edge and
+its break edge; its gain and loss between two loads are the differences of
+two such windows.  The scanned sums are taken in sorted order too, so the
+searches and corrections walk both arrays in order.  Single-quota tables
+split evenly, memory grows as ``2^(m/2)``, and the games are capped where a
+count outgrows a stated budget.
 
 Games with several quotas have no such order, and enumerate the ``2^(m-b)``
 high blocks, every one of the ``2^m`` coalitions once.  Only winning
@@ -71,17 +73,16 @@ __all__ = [
 HARD_PLAYER_CAP = 32
 SOFT_PLAYER_WARNING = 26
 _DEFAULT_BLOCK_BITS = 16
-# A single-quota table keeps about 28 bytes per entry of its larger half (the
-# low sums, their sorted copy and uint32 order, and the high sums), and a count
-# adds up to about 72 more for one player's bounds and member positions (86
-# in all measured at 32 and 36 players).  The cap keeps that within
+# A single-quota table keeps about 40 bytes per entry of its larger half (each
+# half's sums, their sorted copy and uint32 order), and a count adds up to
+# about 50 more for one group's bounds and the winning edge (90 in all,
+# measured at 32, 34 and 38 players).  The cap keeps that within
 # _SORTED_TABLE_BYTES.
 _SORTED_TABLE_BYTES = 128 << 20
 _BYTES_PER_HALF_ENTRY = 100
 _HALF_BITS_CAP = (_SORTED_TABLE_BYTES // _BYTES_PER_HALF_ENTRY).bit_length() - 1
 SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
-# The bounds and member positions of a group of players are built at once,
-# up to this many bytes.
+# The bounds of a group of players are built at once, up to this many bytes.
 _GROUP_BYTES = 1 << 20
 _INF = np.array([np.inf])
 
@@ -140,7 +141,7 @@ class CoalitionTable:
     Building the table costs the one-off sum arrays; `swing_counts` can then
     be called repeatedly with different load matrices (for instance one call
     per sampled association matrix) without rebuilding them.  Single-quota
-    games count on the sorted low half; games with several quotas enumerate
+    games count on both halves sorted by sum; games with several quotas enumerate
     the winning coalitions, and cache a boundary convention's winners when
     they fit the budget.
     """
@@ -150,8 +151,7 @@ class CoalitionTable:
         self.game = game
         m = game.num_players
         if block_bits is None:
-            # above the enumerator's cap only single-quota games remain, split evenly
-            block_bits = _DEFAULT_BLOCK_BITS if m <= HARD_PLAYER_CAP else (m + 1) // 2
+            block_bits = (m + 1) // 2 if game.num_dimensions == 1 else _DEFAULT_BLOCK_BITS
         b = min(m, block_bits)
         if b < 1:
             raise InvalidGameError("block_bits must be at least 1")
@@ -164,22 +164,12 @@ class CoalitionTable:
         # conventions whose winners fit the budget of `winner_blocks`
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    @cached_property
-    def _order(self) -> np.ndarray:
-        """The low-half coalition masks in ascending order of their sums,
-        sorted on the first single-quota count (`winner_blocks` never reads it)."""
-        return np.argsort(self.low_sums[0]).astype(np.uint32)
-
-    @cached_property
-    def _padded(self) -> np.ndarray:
-        """The low sums in ascending order between -inf and +inf."""
-        return np.concatenate((-_INF, self.low_sums[0][self._order], _INF))
-
     def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.
 
         ``loads`` is the (m, k) matrix of removal loads.
         """
+        loads = _shaped(loads, (self.game.num_players, self.game.num_dimensions), "loads")
         thresholds = self.game.thresholds(strict)
         if self.game.num_dimensions == 1:
             return self._sorted_swing_counts(loads, thresholds)
@@ -187,91 +177,61 @@ class CoalitionTable:
 
     def criticality_gain_loss(
         self,
-        player: int,
+        player: int | str,
         base_loads: np.ndarray,
         alt_loads: np.ndarray,
     ) -> tuple[int, int]:
         """Coalitions where ``alt`` loads make the player critical but
-        ``base`` loads do not (gain), and vice versa (loss)."""
+        ``base`` loads do not (gain), and vice versa (loss).  Each load row
+        holds one load per dimension."""
+        player = self.game.player_index(player)
+        k = (self.game.num_dimensions,)
+        base_loads, alt_loads = _shaped(base_loads, k, "base_loads"), _shaped(alt_loads, k, "alt_loads")
         if self.game.num_dimensions == 1:
             return self._sorted_gain_loss(player, base_loads, alt_loads)
         return self._enumerated_gain_loss(player, base_loads, alt_loads)
 
-    # -- single quota: bounds on the sorted low half -------------------------
+    # -- single quota: windows over the other half's sorted sums ------------
 
-    def _break_bounds(
-        self, loads: np.ndarray, thresholds: tuple[float, ...], floor: np.ndarray | int
-    ) -> np.ndarray:
-        """(g, 2^(m-b)) first sorted low index where removing each of the g
-        ``loads`` stops breaking the quota, raised to at least ``floor``; at
-        load 0, the first index whose coalition wins.
-
-        `np.searchsorted` guesses each index, and the kernel's verdicts
-        correct it by whole runs of equal sums, which share one verdict,
-        until the run before it breaks and the run at it does not; the
-        ``-inf`` and ``+inf`` that pad the sums break and hold for every
-        load."""
-        high, loads = self.high_sums[0], loads[:, None]
-        padded, sorted_sums = self._padded, self._padded[1:-1]
-        p = sorted_sums.searchsorted((thresholds[0] + loads) - high)
-        while True:
-            before, here = padded[p], padded[p + 1]
-            back = ~removal_breaks((high + before,), (loads,), thresholds)
-            ok = ~removal_breaks((high + here,), (loads,), thresholds)
-            if ok.all() and not back.any():
-                return np.maximum(p, floor)
-            p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
-            p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
-
-    def _members_between(self, players: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-        """Per row of ``start`` and ``stop``, how many coalitions holding
-        that row's player lie at sorted low indices ``[start, stop)`` of every
-        high block.  The rows pair with ``players``, which sit in one half;
-        a single row or a single player serves every row."""
-        b = self.low_bits
-        if players[0] >= b:  # a high block holds the player or not
-            width = stop - start
-            players = np.broadcast_to(players, width.shape[:1])
-            return np.array(
-                [row.reshape(-1, 2, 1 << (i - b))[:, 1].sum() for row, i in zip(width, players)]
-            )
-        # A low player's members before sorted index x number as many as its
-        # member positions below x.  Row r's positions are offset by r * n,
-        # so one sorted array serves every row.
-        n = self._order.size
-        member = (self._order & (np.uint32(1) << players)[:, None]) != 0
-        positions = member.reshape(-1).nonzero()[0]
-        offset = np.arange(0, players.size * n, n)[:, None]
-        inside = positions.searchsorted(stop + offset) - positions.searchsorted(start + offset)
-        return inside.sum(axis=1)
+    @cached_property
+    def _sides(self) -> tuple[tuple, tuple]:
+        """Per half, low then high: its players ``first`` to ``end``, its
+        coalition masks in ascending order of their sums and those sums, and
+        the other half's sums in order between -inf and +inf.  Built on the
+        first single-quota count (`winner_blocks` never reads them)."""
+        halves = []
+        for sums in (self.low_sums[0], self.high_sums[0]):
+            order = np.argsort(sums).astype(np.uint32)
+            halves.append((order, np.concatenate((-_INF, sums[order], _INF))))
+        (low, low_padded), (high, high_padded) = halves
+        b, m = self.low_bits, self.game.num_players
+        return (0, b, low, low_padded[1:-1], high_padded), (b, m, high, high_padded[1:-1], low_padded)
 
     def _sorted_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-        m, b = self.game.num_players, self.low_bits
-        loads = np.asarray(loads)
-        lo = self._break_bounds(np.zeros(1), thresholds, 0)[0]
-        # a player's bounds cost about 64 bytes per high sum, and a low
-        # player's member positions about 10 more per low sum
-        bounds_bytes = 64 * self.high_sums.shape[1]
-        counts = np.zeros(m, dtype=np.int64)
-        for first, end, per_player in (
-            (0, b, bounds_bytes + 10 * self.low_sums.shape[1]),
-            (b, m, bounds_bytes),
-        ):
-            step = max(1, _GROUP_BYTES // per_player)
-            for group in range(first, end, step):
-                stop = min(end, group + step)
-                hi = self._break_bounds(loads[group:stop, 0], thresholds, lo)
-                players = np.arange(group, stop, dtype=np.uint32)
-                counts[group:stop] = self._members_between(players, lo[None, :], hi)
+        counts = np.zeros(self.game.num_players, dtype=np.int64)
+        for first, end, order, own, other in self._sides:
+            # a row of bounds costs about 64 bytes per scanned sum; the first
+            # row is load 0, whose bounds are the winning edge
+            step = max(1, _GROUP_BYTES // (64 * own.size))
+            rows = np.concatenate(([0.0], loads[first:end, 0]))
+            i = first
+            for start in range(0, rows.size, step):
+                bounds = _break_bounds(own, other, rows[start : start + step], thresholds)
+                if not start:
+                    win, bounds = bounds[0], bounds[1:]
+                bits = np.arange(i - first, i - first + len(bounds), dtype=np.uint32)
+                counts[i : i + len(bounds)] = _member_sums(order, bits[:, None], np.maximum(bounds, win) - win)
+                i += len(bounds)
+                del bounds  # before the next group's bounds are built
         return counts
 
     def _sorted_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):
-        thresholds = self.game.winning_thresholds
-        lo = self._break_bounds(np.zeros(1), thresholds, 0)[0]
-        base, alt = self._break_bounds(np.array([base_loads[0], alt_loads[0]]), thresholds, lo)
-        top = np.maximum(base, alt)
-        players = np.array([player], dtype=np.uint32)
-        gain, loss = self._members_between(players, np.stack([base, alt]), top[None, :])
+        first, _, order, own, other = self._sides[player >= self.low_bits]
+        loads = np.array([0.0, base_loads[0], alt_loads[0]])
+        win, base, alt = _break_bounds(own, other, loads, self.game.winning_thresholds)
+        # the removal breaks at [win, base) and at [win, alt)
+        base, alt = np.maximum(base, win), np.maximum(alt, win)
+        gain, loss = _member_sums(order, np.uint32(player - first), np.maximum([alt - base, base - alt], 0))
         return int(gain), int(loss)
 
     # -- several quotas: enumeration ----------------------------------------
@@ -343,6 +303,43 @@ class CoalitionTable:
             gain += int(np.count_nonzero(alt & ~base))
             loss += int(np.count_nonzero(base & ~alt))
         return gain, loss
+
+
+def _break_bounds(
+    scanned: np.ndarray, padded: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]
+) -> np.ndarray:
+    """(g, n) first index among the other half's sorted sums (``padded``
+    without its ends) where removing each of the g ``loads`` stops breaking
+    the quota, for the coalitions of each of the n ``scanned`` sums; at load
+    0, the first index whose coalition wins.
+
+    `np.searchsorted` guesses each index, and the kernel's verdicts correct
+    it by whole runs of equal sums, which share one verdict, until the run
+    before it breaks and the run at it does not; the ``-inf`` and ``+inf``
+    that pad the sums break and hold for every load."""
+    loads, sorted_sums = loads[:, None], padded[1:-1]
+    p = sorted_sums.searchsorted((thresholds[0] + loads) - scanned)
+    while True:
+        before, here = padded[p], padded[p + 1]
+        back = ~removal_breaks((scanned + before,), (loads,), thresholds)
+        ok = ~removal_breaks((scanned + here,), (loads,), thresholds)
+        if ok.all() and not back.any():
+            return p
+        p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
+        p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
+
+
+def _member_sums(order: np.ndarray, bits: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Per row of ``widths``, its sum over the entries whose mask in
+    ``order`` has that row's bit of ``bits`` set."""
+    return (((order >> bits) & 1) * widths).sum(axis=-1)
+
+
+def _shaped(loads, shape: tuple[int, ...], what: str) -> np.ndarray:
+    loads = np.asarray(loads)
+    if loads.shape != shape:
+        raise InvalidGameError(f"{what} must be shaped {shape}, got {loads.shape}")
+    return loads
 
 
 def _make_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport:

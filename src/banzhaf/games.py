@@ -219,6 +219,12 @@ class VotingGame:
         object.__setattr__(self, "weights", rows)
         object.__setattr__(self, "quotas", quotas)
         object.__setattr__(self, "metadata", dict(self.metadata))
+        for d, (q, tol) in enumerate(zip(quotas, self.quota_tolerances)):
+            if q - tol <= 0:
+                raise InvalidGameError(
+                    f"quotas[{d}]: boundary tolerance {tol!r} reaches the quota {q!r}, "
+                    "so the empty coalition would win"
+                )
 
     # eq on the metadata dict is fine: loaders produce plain str/float values.
 

@@ -28,7 +28,6 @@ from banzhaf.games import (
     sums_win,
 )
 from banzhaf.data import RandomGameSpec, random_game
-from banzhaf.exact import CoalitionTable
 
 
 def naive_swing_counts(game: VotingGame, phi: AssociationMatrix | None = None) -> list[int]:
@@ -154,17 +153,17 @@ def loop_size_window(game: VotingGame) -> tuple[int, int | float]:
     return m_low, m_high
 
 
-def loop_win_bounds(table: CoalitionTable, thresholds: tuple[float, ...]) -> np.ndarray:
-    """Per high sum of a single-quota ``table``, the first sorted low index
-    whose coalition wins, searched with ``sums_win`` itself rather than as
-    the break edge at load 0: a `searchsorted` guess, corrected by whole runs
-    of equal sums until the run before it loses and the run at it wins."""
-    high, padded = table.high_sums[0], table._padded
+def loop_win_bounds(scanned: np.ndarray, padded: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+    """Per sum of one half of a single-quota table, ``scanned``, the first
+    index among the other half's sorted sums (``padded`` between -inf and
+    +inf) whose coalition wins, searched with ``sums_win`` itself rather than
+    as the break edge at load 0: a `searchsorted` guess, corrected by whole
+    runs of equal sums until the run before it loses and the run at it wins."""
     sorted_sums = padded[1:-1]
-    p = sorted_sums.searchsorted(thresholds[0] - high)
+    p = sorted_sums.searchsorted(thresholds[0] - scanned)
     while True:
         before, here = padded[p], padded[p + 1]
-        back, ok = sums_win((high + before,), thresholds), sums_win((high + here,), thresholds)
+        back, ok = sums_win((scanned + before,), thresholds), sums_win((scanned + here,), thresholds)
         if ok.all() and not back.any():
             return p
         p = np.where(back, sorted_sums.searchsorted(before, "left"), p)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from banzhaf import exact
 from banzhaf.data import (
     MigrationTable,
     build_migration_association,
@@ -15,6 +17,7 @@ from banzhaf.exact import (
     HARD_PLAYER_CAP,
     SINGLE_QUOTA_PLAYER_CAP,
     CoalitionTable,
+    _break_bounds,
     association_delta,
     exact_indices,
 )
@@ -149,9 +152,44 @@ class TestTable:
         table = CoalitionTable(game, block_bits=6)
         winners = sum(s.shape[1] for s, _ in table.winner_blocks(game.winning_thresholds))
         assert winners == len(winning_coalitions(game))
-        assert "_order" not in vars(table) and "_padded" not in vars(table)
+        assert "_sides" not in vars(table)
         table.swing_counts(np.zeros((12, 1)))
-        assert "_order" in vars(table) and "_padded" in vars(table)
+        assert "_sides" in vars(table)
+
+    def test_loads_of_another_dimension_count_rejected(self):
+        game = eu_game()
+        with pytest.raises(InvalidGameError, match=r"^loads must be shaped \(18, 3\), got \(18, 1\)$"):
+            CoalitionTable(game).swing_counts(game.weight_matrix[:, :1])
+
+    def test_loads_of_more_players_rejected(self):
+        table = CoalitionTable(single_quota_game([5, 4, 3, 2, 1], 8))
+        with pytest.raises(InvalidGameError, match=r"^loads must be shaped \(5, 1\), got \(8, 1\)$"):
+            table.swing_counts(np.ones((8, 1)))
+
+    def test_loads_of_several_dimensions_on_one_quota_rejected(self):
+        table = CoalitionTable(single_quota_game([5, 4, 3, 2, 1], 8))
+        with pytest.raises(InvalidGameError, match=r"^loads must be shaped \(5, 1\), got \(5, 3\)$"):
+            table.swing_counts(np.ones((5, 3)))
+
+    def test_gain_loss_rows_must_hold_one_load_per_dimension(self):
+        table = CoalitionTable(single_quota_game([5, 4, 3, 2, 1], 8))
+        with pytest.raises(InvalidGameError, match=r"^alt_loads must be shaped \(1,\), got \(2,\)$"):
+            table.criticality_gain_loss(0, np.ones(1), np.ones(2))
+        with pytest.raises(InvalidGameError, match=r"^base_loads must be shaped \(3,\), got \(1,\)$"):
+            CoalitionTable(eu_game()).criticality_gain_loss(0, np.ones(1), np.ones(3))
+
+    def test_negative_player_on_several_quotas_rejected(self):
+        game = eu_game()
+        with pytest.raises(InvalidGameError, match="^player index -1 out of range$"):
+            CoalitionTable(game).criticality_gain_loss(-1, game.weight_matrix[0], game.weight_matrix[0])
+
+    def test_player_out_of_range_on_one_quota_rejected(self):
+        game = single_quota_game([5, 4, 3, 2, 1], 8)
+        table, w = CoalitionTable(game), game.weight_matrix[0]
+        for player in (-1, 5, 2**40):
+            with pytest.raises(InvalidGameError, match=f"^player index {player} out of range$"):
+                table.criticality_gain_loss(player, w, w)
+        assert table.criticality_gain_loss("p5", w, w) == (0, 0)
 
     def test_table_reuse_across_matrices(self):
         game = single_quota_game([4, 3, 2, 1], 6)
@@ -352,7 +390,7 @@ class TestCompactedWinners:
         for game, phi in corpus(8, seed=913, max_players=12, with_phi=True):
             base = game.weight_matrix
             alt = np.array(persuasion_loads(game, phi))
-            compact = CoalitionTable(game)
+            compact = CoalitionTable(game, block_bits=exact._DEFAULT_BLOCK_BITS)
             stream = CoalitionTable(game, block_bits=2)
             for i in range(game.num_players):
                 expected = compact._enumerated_gain_loss(i, base[i], alt[i])
@@ -450,18 +488,20 @@ class TestSortedHalf:
                             assert np.array_equal(counts, expected)
 
     def test_win_edge_is_the_break_edge_at_load_zero(self):
-        """Where each high block's coalitions start to win is the break edge
-        at load 0.  It must equal the search with `sums_win` it replaced, and
-        the count of losers per block, for every split and convention."""
+        """Where the coalitions of each scanned sum start to win, among the
+        other half's sorted sums, is the break edge at load 0.  It must equal
+        the search with `sums_win` it replaced, and the count of losers per
+        scanned sum, for both halves of every split and either convention."""
         for game in parity_games(150, seed=924, max_players=10):
             for bits in range(1, game.num_players + 1):
                 table = CoalitionTable(game, block_bits=bits)
-                sums = table.high_sums[0][:, None] + table.low_sums[0][None, :]
-                for strict in (False, True):
-                    thresholds = game.thresholds(strict)
-                    edge = table._break_bounds(np.zeros(1), thresholds, 0)[0]
-                    assert np.array_equal(edge, loop_win_bounds(table, thresholds))
-                    assert np.array_equal(edge, np.count_nonzero(~sums_win((sums,), thresholds), axis=1))
+                for _, _, _, own, other in table._sides:
+                    sums = own[:, None] + other[None, 1:-1]
+                    for strict in (False, True):
+                        thresholds = game.thresholds(strict)
+                        edge = _break_bounds(own, other, np.zeros(1), thresholds)[0]
+                        assert np.array_equal(edge, loop_win_bounds(own, other, thresholds))
+                        assert np.array_equal(edge, np.count_nonzero(~sums_win((sums,), thresholds), axis=1))
 
     @given(small_games())
     @settings(max_examples=150, deadline=None)
@@ -479,6 +519,20 @@ class TestLargeSingleQuota:
         game = single_quota_game([1] * 34, 17)
         report = exact_indices(game)
         assert report.swing_counts == (math.comb(33, 16),) * 34
+
+    def test_memory_within_the_stated_bytes_per_half_entry(self):
+        """The per-entry figure behind the single-quota cap bounds a real
+        count: at 34 players each half holds 2^17 sums."""
+        weights = np.random.default_rng(925).integers(1, 100, 34).tolist()
+        game = single_quota_game(weights, sum(weights) // 2)
+        tracemalloc.start()
+        try:
+            exact_indices(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= exact._BYTES_PER_HALF_ENTRY << 17
+        assert SINGLE_QUOTA_PLAYER_CAP == 40
 
     def test_two_weight_classes_at_35_players(self):
         twos, ones, quota = 10, 25, 23

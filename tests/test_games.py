@@ -49,6 +49,15 @@ class TestConstruction:
         with pytest.raises(InvalidGameError, match="positive"):
             single_quota_game([1, 2], 0)
 
+    def test_tolerance_reaching_the_quota_rejected(self):
+        # the tolerance 1e-12 * 1e13 = 10 would put the winning threshold
+        # below 0, where the empty coalition wins and every index reads 0
+        with pytest.raises(InvalidGameError, match=r"^quotas\[0\]: boundary tolerance .* reaches the quota 0.25"):
+            single_quota_game([1e13, 0.5], 0.25)
+        with pytest.raises(InvalidGameError, match=r"^quotas\[1\]: "):
+            VotingGame(("a", "b"), ((1.0, 1e13), (1.0, 0.5)), (1.0, 0.25))
+        assert single_quota_game([1e13, 0.5], 20.0).winning_thresholds[0] > 0
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidGameError, match="expected 2 entries"):
             VotingGame(player_ids=("a", "b"), weights=((1.0, 2.0), (1.0,)), quotas=(1.0, 1.0))
