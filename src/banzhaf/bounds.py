@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -319,6 +320,11 @@ def conjecture_check(
     return counterexamples, min_slack
 
 
+# Trials are drawn and counted this many games at a time, so a scan's memory
+# does not grow with its trial count.
+_SCAN_WINDOW = 128
+
+
 def conjecture_scan(
     trials: int,
     seed: int,
@@ -329,8 +335,13 @@ def conjecture_scan(
 
     Each trial derives its own stream from (seed, trial index), so the
     report is identical for identical arguments regardless of evaluation
-    order.  Never asserts the cap; it reports the evidence.
+    order.  The games of each window are counted together, those of one
+    size in a few numpy calls, to the same reports as `exact_indices`.
+    Never asserts the cap; it reports the evidence.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise InvalidGameError(f"{name} must be an integer, got {value!r}")
     if trials <= 0:
         raise InvalidGameError(f"trials must be positive, got {trials}")
     if spec.max_players > SINGLE_QUOTA_PLAYER_CAP:
@@ -339,11 +350,15 @@ def conjecture_scan(
         )
     counterexamples: list[tuple[str, str, float, float]] = []
     min_slack = math.inf
-    for trial in range(trials):
-        game = random_game(seeded_rng(seed, trial), spec)
-        found, slack = conjecture_check(game)
-        counterexamples.extend(found)
-        min_slack = min(min_slack, slack)
+    for start in range(0, trials, _SCAN_WINDOW):
+        games = [
+            random_game(seeded_rng(seed, trial), spec)
+            for trial in range(start, min(trials, start + _SCAN_WINDOW))
+        ]
+        for game, report in zip(games, exact._classical_reports(games)):
+            found, slack = conjecture_check(game, report)
+            counterexamples.extend(found)
+            min_slack = min(min_slack, slack)
     return ConjectureReport(
         games_scanned=trials,
         counterexamples=tuple(counterexamples),

@@ -354,7 +354,7 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
             )
         # reordering commutes with the build: it is elementwise, and its max is over all pairs
         order = [mt.labels.index(c) for c in game.player_ids]
-        phi = AssociationMatrix(build_migration_association(mt).matrix[np.ix_(order, order)].tolist())
+        phi = AssociationMatrix(build_migration_association(mt).matrix[np.ix_(order, order)])
         for rec, wa in zip(players, exact_indices(game, phi, table=table).normalized):
             rec["wa"] = wa
     else:

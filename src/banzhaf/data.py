@@ -102,7 +102,7 @@ def build_migration_association(table: MigrationTable) -> AssociationMatrix:
         )
     entries = net / biggest
     np.fill_diagonal(entries, 1.0)
-    return AssociationMatrix(entries.tolist())
+    return AssociationMatrix(entries)
 
 
 def random_association(m: int, seed: int) -> AssociationMatrix:
@@ -112,7 +112,7 @@ def random_association(m: int, seed: int) -> AssociationMatrix:
         raise InvalidGameError(f"need at least one player, got m={m}")
     a = seeded_rng(seed).uniform(-1.0, 1.0, size=(m, m))
     np.fill_diagonal(a, 1.0)
-    return AssociationMatrix(a.tolist())
+    return AssociationMatrix(a)
 
 
 @dataclass(frozen=True)

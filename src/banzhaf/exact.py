@@ -38,6 +38,12 @@ scan caches them and later scans, one per load matrix, read only the cache;
 larger sets are enumerated and compacted afresh by each scan.  The comparisons
 themselves (``s >= t`` to win, ``s - l < t`` to break, under either boundary
 convention's thresholds) live in `banzhaf.games`, which every engine shares.
+
+Many tiny single-quota games (the conjecture scan's) are counted together:
+the games of one size are dimensions of one pair of half tables, and each
+player position is tested over every coalition that holds it, in every game
+at once, so the count costs a few numpy calls per position rather than a
+table per game.
 """
 
 from __future__ import annotations
@@ -82,7 +88,8 @@ _SORTED_TABLE_BYTES = 128 << 20
 _BYTES_PER_HALF_ENTRY = 100
 _HALF_BITS_CAP = (_SORTED_TABLE_BYTES // _BYTES_PER_HALF_ENTRY).bit_length() - 1
 SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
-# The bounds of a group of players are built at once, up to this many bytes.
+# The bounds of a group of players, or the coalition sums of a chunk of small
+# games, are built at once, up to this many bytes.
 _GROUP_BYTES = 1 << 20
 _INF = np.array([np.inf])
 
@@ -357,6 +364,56 @@ def _make_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport
         total_swings=total,
         coalitions_per_player=denom,
     )
+
+
+def _classical_reports(games: list[VotingGame]) -> list[IndexReport]:
+    """``exact_indices(game)`` for each of the single-quota ``games``, to the bit.
+
+    A game whose m x 2^m float array of removal sums would fit `_GROUP_BYTES`
+    is counted together with the other games of its size, in chunks whose
+    coalition sums fit it: many tiny games cost a few numpy calls per player
+    position, not a table each.  Larger games get their own table.
+    """
+    reports: list[IndexReport | None] = [None] * len(games)
+    by_size: dict[int, list[int]] = {}
+    for pos, game in enumerate(games):
+        m = game.num_players
+        if m * (8 << m) <= _GROUP_BYTES:
+            by_size.setdefault(m, []).append(pos)
+        else:
+            reports[pos] = exact_indices(game)
+    for m, positions in by_size.items():
+        step = _GROUP_BYTES // (8 << m)
+        for start in range(0, len(positions), step):
+            chunk = positions[start : start + step]
+            counts = _batch_swing_counts([games[p] for p in chunk], m)
+            for p, row in zip(chunk, counts):
+                reports[p] = _make_report(games[p], "classical", row)
+    return reports
+
+
+def _batch_swing_counts(games: list[VotingGame], m: int) -> np.ndarray:
+    """(G, m) classical swing counts of G single-quota games of m players.
+
+    Each game is a dimension of `subset_sums`, split as its table splits, so
+    every coalition sum is the table's ``high + low`` float, at the index of
+    its coalition's bitmask.  Player ``i`` is counted over the coalitions
+    that hold it, those with bit ``i`` set: the upper half of each block of
+    ``2^(i+1)`` indices.  One player at a time keeps the temporaries at
+    half the sums' size."""
+    W = np.stack([g.weight_matrix[:, 0] for g in games])
+    G, b = len(games), (m + 1) // 2
+    high, low = subset_sums(W[:, b:].T), subset_sums(W[:, :b].T)
+    sums = (high[:, :, None] + low[:, None, :]).reshape(G, 1 << m)
+    t = np.array([g.winning_thresholds[0] for g in games])[:, None]
+    win = sums_win((sums,), (t,))
+    counts = np.empty((G, m), dtype=np.int64)
+    for i in range(m):
+        held = sums.reshape(G, -1, 2, 1 << i)[:, :, 1]
+        swings = removal_breaks((held,), (W[:, i, None, None],), (t[:, :, None],))
+        swings &= win.reshape(G, -1, 2, 1 << i)[:, :, 1]
+        counts[:, i] = np.count_nonzero(swings, axis=(1, 2))
+    return counts
 
 
 def _table_for(game: VotingGame, table: CoalitionTable | None) -> CoalitionTable:

@@ -66,14 +66,16 @@ class InvalidGameError(ValueError):
 
 def as_finite(v: object, where: str) -> float:
     """``v`` as a finite float; otherwise an error naming ``where``.  A
-    numeric string or a bool, which float() would read, is not numeric."""
-    if not isinstance(v, numbers.Number) or isinstance(v, bool):
+    numeric string or a bool, which float() would read, is not numeric, nor
+    is a complex number, whose numpy forms float() would cut to the real part."""
+    complex_ = isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real)
+    if not isinstance(v, numbers.Number) or isinstance(v, bool) or complex_:
         raise InvalidGameError(f"{where}: not numeric")
     try:
         f = float(v)
     except OverflowError:  # an int beyond the float range
         f = math.inf
-    except (TypeError, ValueError):  # a complex number, for one
+    except (TypeError, ValueError):  # a Decimal NaN that signals, for one
         raise InvalidGameError(f"{where}: not numeric") from None
     if not math.isfinite(f):
         raise InvalidGameError(f"{where}: not finite")
@@ -114,15 +116,26 @@ class AssociationMatrix:
     ``entries[i][j]`` quantifies player ``i``'s pull on player ``j``.
     Every entry must satisfy ``|a_ij| <= 1`` and the diagonal is fixed at
     ``a_ii = 1`` (full pull on oneself).  Rows may be given as lists,
-    tuples or ``ndarray.tolist()`` rows; they are stored as float tuples.
+    tuples or ``ndarray.tolist()`` rows, or the whole matrix as a 2-D
+    integer or float ndarray, which is checked in numpy; either way they
+    are stored as float tuples, and the same entries give equal matrices.
     """
 
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.entries, (str, dict)) or not isinstance(self.entries, Iterable):
+        entries, a = self.entries, None
+        if isinstance(entries, np.ndarray) and entries.ndim == 2 and entries.dtype.kind in "iuf":
+            a = entries.astype(np.float64)  # a copy, which the caller cannot change
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                i, j = divmod(int(bad[0]), a.shape[1])
+                raise InvalidGameError(f"association row {i}[{j}]: not finite")
+            rows = tuple(map(tuple, a.tolist()))
+        elif isinstance(entries, (str, dict)) or not isinstance(entries, Iterable):
             raise InvalidGameError("association matrix must be a list of rows")
-        rows = tuple(_float_row(r, f"association row {i}") for i, r in enumerate(self.entries))
+        else:
+            rows = tuple(_float_row(r, f"association row {i}") for i, r in enumerate(entries))
         object.__setattr__(self, "entries", rows)
         m = len(rows)
         if m == 0:
@@ -130,7 +143,10 @@ class AssociationMatrix:
         # rows are checked in order, and within a row the length, then the
         # diagonal, then the entries; the first offence is reported
         square = next((i for i, row in enumerate(rows) if len(row) != m), m)
-        a = np.array(rows[:square], dtype=np.float64).reshape(square, m)
+        if a is None:
+            a = np.array(rows[:square], dtype=np.float64).reshape(square, m)
+        else:
+            a = a[:square]
         outside = np.abs(a) > 1.0
         off_diagonal = np.diagonal(a) != 1.0
         bad_rows = np.flatnonzero(off_diagonal | outside.any(axis=1))

@@ -28,6 +28,7 @@ from banzhaf.games import (
     sums_win,
 )
 from banzhaf.data import RandomGameSpec, random_game
+from banzhaf.bounds import ConjectureReport, conjecture_check
 
 
 def naive_swing_counts(game: VotingGame, phi: AssociationMatrix | None = None) -> list[int]:
@@ -315,3 +316,14 @@ def parity_games(count: int, seed: int, max_players: int) -> list[VotingGame]:
             quota = max(1.0, float(round(quota)))
         games.append(single_quota_game(weights.tolist(), quota))
     return games
+
+
+def loop_conjecture_scan(trials: int, seed: int, spec: RandomGameSpec) -> ConjectureReport:
+    """`conjecture_scan` as one `conjecture_check` call per trial, each
+    counting its game with `exact_indices`."""
+    counterexamples, min_slack = [], math.inf
+    for trial in range(trials):
+        found, slack = conjecture_check(random_game(seeded_rng(seed, trial), spec))
+        counterexamples.extend(found)
+        min_slack = min(min_slack, slack)
+    return ConjectureReport(trials, tuple(counterexamples), min_slack, seed)

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,15 +22,22 @@ from banzhaf.bounds import (
     scan_all_critical_coalitions,
     size_window,
 )
-from banzhaf.data import RandomGameSpec
+from banzhaf.data import RandomGameSpec, random_game
 from banzhaf.exact import SINGLE_QUOTA_PLAYER_CAP, exact_indices
-from banzhaf.games import InvalidGameError, VotingGame, coalition_of, single_quota_game
+from banzhaf.games import (
+    InvalidGameError,
+    VotingGame,
+    coalition_of,
+    seeded_rng,
+    single_quota_game,
+)
 
 from oracles import (
     corpus,
     fraction_global_bounds,
     loop_all_critical_check,
     loop_all_critical_scan,
+    loop_conjecture_scan,
     loop_ht_profile,
     loop_size_window,
     parity_games,
@@ -360,6 +369,73 @@ class TestConjecture:
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidGameError, match="positive"):
             conjecture_scan(0, seed=1)
+
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [
+            (True, 0, "trials must be an integer, got True"),
+            (2.5, 0, "trials must be an integer, got 2.5"),
+            ("3", 0, "trials must be an integer, got '3'"),
+            (3, False, "seed must be an integer, got False"),
+            (3, 1.0, "seed must be an integer, got 1.0"),
+            (3, None, "seed must be an integer, got None"),
+        ],
+    )
+    def test_non_integer_trials_or_seed_rejected(self, trials, seed, message):
+        with pytest.raises(InvalidGameError, match=f"^{re.escape(message)}$"):
+            conjecture_scan(trials, seed)
+
+    def test_numpy_integers_accepted(self):
+        assert conjecture_scan(np.int64(3), np.uint8(1)) == conjecture_scan(3, 1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RandomGameSpec(),
+            RandomGameSpec(max_players=16),  # 14 to 16 players are counted alone
+            RandomGameSpec(min_weight=0),
+            RandomGameSpec(quota_fraction=0.37),
+        ],
+        ids=["default", "max-players-16", "min-weight-0", "quota-0.37"],
+    )
+    @pytest.mark.parametrize("windows", [0.5, 2.25])
+    def test_scan_is_a_loop_of_checks(self, monkeypatch, spec, windows):
+        trials, seed = int(windows * bounds._SCAN_WINDOW), 1604
+        checked = []
+        check = bounds.conjecture_check
+
+        def recorded(game, report):
+            checked.append((game, report))
+            return check(game, report)
+
+        monkeypatch.setattr(bounds, "conjecture_check", recorded)
+        report = conjecture_scan(trials, seed, spec)
+        monkeypatch.undo()
+        assert report == loop_conjecture_scan(trials, seed, spec)
+        games = [game for game, _ in checked]
+        assert games == [random_game(seeded_rng(seed, t), spec) for t in range(trials)]
+        assert [r for _, r in checked] == [exact_indices(game) for game in games]
+
+    def test_memory_does_not_grow_with_trials(self):
+        """A scan holds one window of games at a time.  The interpreter keeps
+        freed tuples on free lists, which tracemalloc counts as live, so a
+        first scan fills them, and the collector, which empties them, is off."""
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                conjecture_scan(trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        gc.disable()
+        try:
+            conjecture_scan(3000, seed=2)
+            small, large = peak(300), peak(3000)
+        finally:
+            gc.enable()
+        assert large <= 1.2 * small
 
     @pytest.mark.parametrize(
         "fields, message",

@@ -551,6 +551,36 @@ class TestLargeSingleQuota:
         assert counts[twos:] == (others(twos, ones - 1, {quota - 1}),) * ones
 
 
+class TestClassicalReports:
+    """`exact._classical_reports` counts small games together, to the bits of
+    `exact_indices`."""
+
+    def test_equals_exact_indices(self):
+        # integer, non-integer, zero-heavy and boundary-tolerance games of 1 to
+        # 15 players: those up to 13 are counted together, 14 and 15 alone
+        games = parity_games(400, seed=1601, max_players=15)
+        assert {g.num_players for g in games} == set(range(1, 16))
+        assert exact._classical_reports(games) == [exact_indices(g) for g in games]
+
+    def test_two_decimal_weights(self):
+        rng = np.random.default_rng(1602)
+        games = []
+        for _ in range(300):
+            weights = np.round(rng.uniform(0.0, 9.99, int(rng.integers(1, 14))), 2)
+            quota = max(0.01, round(float(rng.uniform(0.05, 1.0) * weights.sum()), 2))
+            games.append(single_quota_game(weights.tolist(), quota))
+        assert exact._classical_reports(games) == [exact_indices(g) for g in games]
+
+    @pytest.mark.parametrize("budget", [5 * (8 << 5), 8 * (8 << 8)])
+    def test_chunks_of_any_size_agree(self, monkeypatch, budget):
+        # the first budget counts 5 players five games at a time and leaves 6
+        # to 8 to their own tables; the second counts 8 players eight at a time
+        games = parity_games(150, seed=1603, max_players=8)
+        expected = [exact_indices(g) for g in games]
+        monkeypatch.setattr(exact, "_GROUP_BYTES", budget)
+        assert exact._classical_reports(games) == expected
+
+
 def _persuasion_loads_loop(game, phi):
     """The sequential per-entry loop that ``persuasion_loads`` must match bit for bit."""
     k = game.num_dimensions

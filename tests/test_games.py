@@ -124,6 +124,51 @@ class TestAssociationMatrix:
             assert phi == as_tuples
             assert all(type(v) is float for row in phi.entries for v in row)
 
+    def test_array_is_its_rows(self):
+        rows = [[1.0, 0.5, -0.25], [0.0, 1.0, 1.0], [-1.0, 0.3, 1.0]]
+        a = np.array(rows)
+        strided = np.zeros((6, 6))
+        strided[::2, ::2] = a
+        arrays = [a, np.asfortranarray(a), strided[::2, ::2], np.eye(3, dtype=np.int64),
+                  np.eye(3, dtype=np.uint8), a.astype(np.float32)]
+        for array in arrays:
+            phi = AssociationMatrix(array)
+            from_rows = AssociationMatrix(array.tolist())
+            assert phi == from_rows and hash(phi) == hash(from_rows)
+            assert all(type(v) is float for row in phi.entries for v in row)
+            assert not phi.matrix.flags.writeable
+            assert not np.shares_memory(phi.matrix, array)
+        phi = AssociationMatrix(a)
+        a[0, 1] = 0.75  # the matrix keeps the entries it was given
+        assert phi.entries[0][1] == phi.matrix[0, 1] == 0.5
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, 0.0, 1.0]]),
+            np.array([[1.0, -np.inf], [0.0, 1.0]]),
+            np.array([[1.0, 2.0], [np.inf, 1.0]]),  # not finite comes first, as in the rows
+            np.array([[1.0, 0.0], [0.0, 0.5]]),
+            np.array([[1.0, 0.0], [1.5, 1.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+            np.zeros((0, 3)),
+            np.zeros((2, 0)),
+            np.eye(2, dtype=bool),
+            np.eye(2, dtype=complex),
+            np.ones(2),
+            np.ones((1, 1, 1)),
+        ],
+        ids=["nan", "-inf", "inf-after-outside", "diagonal", "outside", "wide", "tall",
+             "empty", "no-columns", "bool", "complex", "1-d", "3-d"],
+    )
+    def test_array_errors_are_the_rows_errors(self, array):
+        with pytest.raises(InvalidGameError) as from_rows:
+            AssociationMatrix(array.tolist())
+        with pytest.raises(InvalidGameError) as from_array:
+            AssociationMatrix(array)
+        assert str(from_array.value) == str(from_rows.value)
+
     @pytest.mark.parametrize(
         "entries, message",
         [
@@ -136,6 +181,7 @@ class TestAssociationMatrix:
             (((1.0, "0.5"), (0.0, 1.0)), r"association row 0\[1\]: not numeric"),
             (((True, 0.0), (0.0, 1.0)), r"association row 0\[0\]: not numeric"),
             (((1.0, 0.0), (0.0, np.True_)), r"association row 1\[1\]: not numeric"),
+            (((1.0, np.complex128(0)), (0.0, 1.0)), r"association row 0\[1\]: not numeric"),
         ],
     )
     def test_malformed_rows_named(self, entries, message):
@@ -180,12 +226,16 @@ class TestAssociationMatrix:
             if rng.random() < 0.2:
                 del rows[int(rng.integers(0, m))][-1]
             expected = first_offence(rows)
-            if expected is None:
-                assert AssociationMatrix(tuple(map(tuple, rows))).matrix.tolist() == rows
-            else:
-                with pytest.raises(InvalidGameError) as exc:
-                    AssociationMatrix(tuple(map(tuple, rows)))
-                assert str(exc.value) == expected
+            given = [tuple(map(tuple, rows))]
+            if all(len(r) == m for r in rows):  # a square matrix is read as an array too
+                given.append(np.array(rows))
+            for entries in given:
+                if expected is None:
+                    assert AssociationMatrix(entries).matrix.tolist() == rows
+                else:
+                    with pytest.raises(InvalidGameError) as exc:
+                        AssociationMatrix(entries)
+                    assert str(exc.value) == expected
 
     def test_extreme_entries_allowed(self):
         phi = AssociationMatrix(((1.0, -1.0), (1.0, 1.0)))
