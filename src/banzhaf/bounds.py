@@ -265,7 +265,7 @@ def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:
     as in `exact_indices`, which are exact for integer weights.
     """
     require_single_quota(game, "scan_all_critical_coalitions")
-    _check_size(game, enumerates=True)
+    _check_size(game, "enumeration")
     checked, violations = 0, []
     # the enumerator's 16-bit blocks: on an even split the scan is slower
     table = CoalitionTable(game, block_bits=exact._DEFAULT_BLOCK_BITS)

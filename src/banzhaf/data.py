@@ -149,11 +149,10 @@ def random_game(rng: np.random.Generator, spec: RandomGameSpec) -> VotingGame:
     quota_fraction of the total weight.
     """
     m = int(rng.integers(spec.min_players, spec.max_players + 1))
-    weights = [0] * m
-    while not any(weights):  # all-zero weights would make the quota 0
-        weights = [int(v) for v in rng.integers(spec.min_weight, spec.max_weight + 1, size=m)]
-    quota = spec.quota_fraction * sum(weights)
-    return single_quota_game(weights, quota)
+    weights = np.zeros(m, dtype=np.int64)
+    while not weights.any():  # all-zero weights would make the quota 0
+        weights = rng.integers(spec.min_weight, spec.max_weight + 1, size=m)
+    return single_quota_game(weights.tolist(), spec.quota_fraction * int(weights.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,25 @@ half of the rest, and holds per-dimension subset sums for each half
 it is the same float however the coalitions are visited.  Swing counts are
 integers.
 
-Single-quota games never visit coalitions one by one.  Both halves are
-sorted once by sum, and every player is counted by one rule.  A player
-``i`` with removal load ``l`` swings a coalition of sum ``s`` when
-``s >= t`` and ``s - l < t``.  For a fixed sum ``a`` of one half both sides
-are monotone in the other half's sum ``c`` (float ``a + c`` never decreases
-as ``c`` grows), so over the other half's sorted sums the winning
+A table chooses its engine once, when it is built (`CoalitionTable.engine`).
+Integer single-quota games whose sum grid fits a budget are counted on it
+("subset-sum", Matsui & Matsui 2000; Uno 2012): the subsets of all the
+players are counted by sum once, ``c[s]`` for ``s = 0..W``, with prefix
+``P``.  Since ``c`` is the other players' counts ``o`` plus ``o`` shifted by
+player ``i``'s weight ``w``, the others' count below a sum ``b`` is
+``P[b] - P[b - w] + P[b - 2w] - ...``, and ``P[b] / 2`` for a zero weight.
+The sums at which coalitions start to win and each removal stops breaking
+the quota are the kernel's verdicts on the float grid ``0..W``, which holds
+every integer sum exactly, so the counts are the enumerator's for any quota
+and any load.  The grid grows as ``m * W``, not ``2^m``, and its counts are
+Python ints from 63 players on, so that none wraps.
+
+Other single-quota games ("sorted-half") never visit coalitions one by one
+either.  Both halves are sorted once by sum, and every player is counted by
+one rule.  A player ``i`` with removal load ``l`` swings a coalition of sum
+``s`` when ``s >= t`` and ``s - l < t``.  For a fixed sum ``a`` of one half
+both sides are monotone in the other half's sum ``c`` (float ``a + c`` never
+decreases as ``c`` grows), so over the other half's sorted sums the winning
 coalitions are a suffix and those the removal breaks a prefix.  Each edge
 is one search per sum of the scanned half for where the removal stops
 breaking the quota, and the winning edge is the same search at load 0
@@ -28,8 +41,8 @@ searches and corrections walk both arrays in order.  Single-quota tables
 split evenly, memory grows as ``2^(m/2)``, and the games are capped where a
 count outgrows a stated budget.
 
-Games with several quotas have no such order, and enumerate the ``2^(m-b)``
-high blocks, every one of the ``2^m`` coalitions once.  Only winning
+Games with several quotas ("enumeration") have no such order, and enumerate
+the ``2^(m-b)`` high blocks, every one of the ``2^m`` coalitions once.  Only winning
 coalitions can be swung, and in games like the EU Council few of them win,
 so the enumeration compacts each block's winners (their sums and membership
 bits) and counts over those alone.  When all of a boundary convention's
@@ -88,20 +101,48 @@ _SORTED_TABLE_BYTES = 128 << 20
 _BYTES_PER_HALF_ENTRY = 100
 _HALF_BITS_CAP = (_SORTED_TABLE_BYTES // _BYTES_PER_HALF_ENTRY).bit_length() - 1
 SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
+# An integer single-quota game is counted on its sum grid, the count of the
+# subsets of each sum s = 0..W, when the m * (W + 1) additions that build it
+# are within _GRID_CELLS and W + 1 is within _GRID_PER_HALF_ENTRY times the
+# larger sorted half, past which the sorted halves count faster (measured at
+# 16 to 32 players: the crossover lies between 16 and 64).  At the budget a
+# count takes about 0.2 s in int64 and 1.5 s in Python ints (63 players), and
+# a grid holds 16 bytes per sum in int64 and up to about 90 in Python ints,
+# at most about 90 MiB.
+_GRID_CELLS = 1 << 26
+_GRID_PER_HALF_ENTRY = 16
 # The bounds of a group of players, or the coalition sums of a chunk of small
 # games, are built at once, up to this many bytes.
 _GROUP_BYTES = 1 << 20
 _INF = np.array([np.inf])
 
 
-def _check_size(game: VotingGame, enumerates: bool = False) -> None:
+def _engine(game: VotingGame) -> str:
+    """The engine that counts ``game``: "subset-sum" for one quota over
+    integer weights whose sum grid fits its budget (see `_GRID_CELLS`),
+    "sorted-half" for any other single quota, and "enumeration" for several
+    quotas."""
+    if game.num_dimensions > 1:
+        return "enumeration"
+    (total,), (integral,) = game._columns
     m = game.num_players
-    if game.num_dimensions == 1 and not enumerates:  # a 2^m scan takes the enumerator's cap
+    if integral and m * (int(total) + 1) <= min(_GRID_CELLS, _GRID_PER_HALF_ENTRY * m << (m + 1) // 2):
+        return "subset-sum"
+    return "sorted-half"
+
+
+def _check_size(game: VotingGame, engine: str) -> None:
+    m = game.num_players
+    if engine == "subset-sum":  # the grid fits its budget by choice
+        return
+    if engine == "sorted-half":
         if m > SINGLE_QUOTA_PLAYER_CAP:
             mib = (_BYTES_PER_HALF_ENTRY << _HALF_BITS_CAP) >> 20
             raise InvalidGameError(
                 f"exact counting of single-quota games is capped at "
-                f"{SINGLE_QUOTA_PLAYER_CAP} players, where each half holds "
+                f"{SINGLE_QUOTA_PLAYER_CAP} players, unless the weights are integers "
+                f"whose sum grid, players x (total weight + 1), holds at most "
+                f"2^{_GRID_CELLS.bit_length() - 1} cells; at the cap each half holds "
                 f"2^{_HALF_BITS_CAP} sums and a count takes about {mib} MiB; got {m}"
             )
         return
@@ -145,40 +186,58 @@ class DeltaReport:
 class CoalitionTable:
     """Split subset-sum table over a game's full coalition space.
 
-    Building the table costs the one-off sum arrays; `swing_counts` can then
-    be called repeatedly with different load matrices (for instance one call
-    per sampled association matrix) without rebuilding them.  Single-quota
-    games count on both halves sorted by sum; games with several quotas enumerate
-    the winning coalitions, and cache a boundary convention's winners when
-    they fit the budget.
+    Building the table chooses its engine once (`engine`, see `_engine`) and
+    builds that engine's arrays; `swing_counts` can then be called repeatedly
+    with different load matrices (for instance one call per sampled
+    association matrix) without rebuilding them.  Integer single-quota games
+    count on their sum grid, other single-quota games on both halves sorted
+    by sum; games with several quotas enumerate the winning coalitions, and
+    cache a boundary convention's winners when they fit the budget.
     """
 
     def __init__(self, game: VotingGame, block_bits: int | None = None):
-        _check_size(game)
+        self.engine = _engine(game)
+        _check_size(game, self.engine)
         self.game = game
         m = game.num_players
         if block_bits is None:
-            block_bits = (m + 1) // 2 if game.num_dimensions == 1 else _DEFAULT_BLOCK_BITS
+            block_bits = _DEFAULT_BLOCK_BITS if self.engine == "enumeration" else (m + 1) // 2
         b = min(m, block_bits)
         if b < 1:
             raise InvalidGameError("block_bits must be at least 1")
         self.low_bits = b
         self.high_bits = m - b
-        W = game.weight_matrix
-        self.low_sums = subset_sums(W[:b])
-        self.high_sums = subset_sums(W[b:])
         # thresholds -> (sums, members) of every winning coalition, for the
         # conventions whose winners fit the budget of `winner_blocks`
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
+        # the engine's arrays are built with the table; a grid table builds
+        # the half sums only if `winner_blocks` asks for them
+        if self.engine == "subset-sum":
+            self._grid
+        else:
+            self.low_sums, self.high_sums
+
+    @cached_property
+    def low_sums(self) -> np.ndarray:
+        """(k, 2^low_bits) sums over the subsets of the first ``low_bits`` players."""
+        return subset_sums(self.game.weight_matrix[: self.low_bits])
+
+    @cached_property
+    def high_sums(self) -> np.ndarray:
+        """(k, 2^high_bits) sums over the subsets of the other players."""
+        return subset_sums(self.game.weight_matrix[self.low_bits :])
 
     def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.
 
-        ``loads`` is the (m, k) matrix of removal loads.
+        ``loads`` is the (m, k) matrix of removal loads.  The counts are
+        int64, or Python ints in an object array from 63 players on.
         """
         loads = _shaped(loads, (self.game.num_players, self.game.num_dimensions), "loads")
         thresholds = self.game.thresholds(strict)
-        if self.game.num_dimensions == 1:
+        if self.engine == "subset-sum":
+            return self._grid_swing_counts(loads[:, 0], thresholds)
+        if self.engine == "sorted-half":
             return self._sorted_swing_counts(loads, thresholds)
         return self._enumerated_swing_counts(loads, thresholds)
 
@@ -194,9 +253,58 @@ class CoalitionTable:
         player = self.game.player_index(player)
         k = (self.game.num_dimensions,)
         base_loads, alt_loads = _shaped(base_loads, k, "base_loads"), _shaped(alt_loads, k, "alt_loads")
-        if self.game.num_dimensions == 1:
+        if self.engine == "subset-sum":
+            return self._grid_gain_loss(player, base_loads[0], alt_loads[0])
+        if self.engine == "sorted-half":
             return self._sorted_gain_loss(player, base_loads, alt_loads)
         return self._enumerated_gain_loss(player, base_loads, alt_loads)
+
+    # -- integer single quota: windows on the sum grid ---------------------
+
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The integer weights; ``prefix[b]``, how many subsets of all the
+        players sum below ``b``, for ``b = 0..W + 1`` (int64 below 63 players,
+        Python ints from 63 on, so that no count wraps); and the sums
+        ``0..W`` as floats between -inf and +inf."""
+        weights = self.game.weight_matrix[:, 0].astype(np.int64)
+        total = int(weights.sum())
+        prefix = np.zeros(total + 2, dtype=np.int64 if weights.size < 63 else object)
+        counts = prefix[1:]  # the count of each sum, then summed in place
+        counts[0] = 1
+        top = 0  # the largest sum so far
+        for w in weights.tolist():
+            counts[w : top + w + 1] += counts[: top + 1]
+            top += w
+        np.cumsum(counts, out=counts)
+        sums = np.arange(-1.0, total + 2.0)
+        sums[0], sums[-1] = -np.inf, np.inf
+        return weights, prefix, sums
+
+    def _grid_edges(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+        """The sum at which each removal load stops breaking the quota, and
+        first, at load 0, the sum at which coalitions start to win: the
+        kernel's verdicts on the exact float grid, so any quota or load
+        (negative ones included) gets the enumerator's verdicts."""
+        loads = np.concatenate(([0.0], loads))
+        return _break_bounds(np.zeros(1), self._grid[2], loads, thresholds)[:, 0]
+
+    def _grid_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+        weights, prefix, _ = self._grid
+        edges = self._grid_edges(loads, thresholds)
+        # player i swings the coalitions of sums [win, break_i) that hold it,
+        # those whose other members sum to [win - w_i, break_i - w_i)
+        m, win, w = weights.size, edges[0], np.tile(weights, 2)
+        bounds = np.concatenate((np.maximum(edges[1:], win), np.full(m, win))) - w
+        below = _others_below(prefix, bounds, w)
+        return below[:m] - below[m:]
+
+    def _grid_gain_loss(self, player: int, base_load: float, alt_load: float):
+        weights, prefix, _ = self._grid
+        win, base, alt = self._grid_edges(np.array([base_load, alt_load]), self.game.winning_thresholds)
+        w = weights[player]
+        base, alt = _others_below(prefix, np.maximum([base, alt], win) - w, np.full(2, w))
+        return int(max(alt - base, 0)), int(max(base - alt, 0))
 
     # -- single quota: windows over the other half's sorted sums ------------
 
@@ -334,6 +442,41 @@ def _break_bounds(
             return p
         p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
         p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
+
+
+def _others_below(prefix: np.ndarray, bounds: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row, how many subsets of the players other than one of weight
+    ``weights[r]`` sum below ``bounds[r]``, from ``prefix``, the counts over
+    all the players (`CoalitionTable._grid`).
+
+    The counts ``c`` over all the players are ``o + shift(o, w)`` for those
+    ``o`` over the others, so the others' count below ``b`` is the
+    alternating strided sum ``P[b] - P[b - w] + P[b - 2w] - ...`` over
+    ``b - jw > 0`` (``P`` is 0 from 0 down), and ``P[b] / 2`` for a zero
+    weight.  Rows are gathered in groups of similar term counts, and a
+    group's (rows x terms) gather is cut to fit `_GROUP_BYTES`."""
+    bounds = np.maximum(bounds, 0)
+    out = np.empty(bounds.size, dtype=prefix.dtype)
+    zero = weights == 0
+    out[zero] = prefix[bounds[zero]] // 2
+    terms = -(-bounds // np.maximum(weights, 1))
+    rows = np.flatnonzero(~zero)
+    rows = rows[np.argsort(terms[rows], kind="stable")]
+    room = _GROUP_BYTES // 16  # an int64 index and a count per term
+    while rows.size:
+        # the most rows whose terms, padded to the last (the most), fit the room
+        n = max(1, int(np.count_nonzero(np.arange(1, rows.size + 1) * terms[rows] <= room)))
+        group, rows = rows[:n], rows[n:]
+        b, w = bounds[group, None], weights[group, None]
+        step = max(2, room // n & ~1)  # even, so that every slice starts on a + term
+        total = np.zeros(n, dtype=prefix.dtype)
+        k = int(terms[group[-1]])
+        for j in range(0, k, step):
+            # an index at or below 0 reads P[0] = 0
+            got = prefix[np.maximum(b - w * np.arange(j, min(j + step, k)), 0)]
+            total += got[:, ::2].sum(axis=1) - got[:, 1::2].sum(axis=1)
+        out[group] = total
+    return out
 
 
 def _member_sums(order: np.ndarray, bits: np.ndarray, widths: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -100,6 +101,34 @@ def _float_row(values: Sequence[float], what: str) -> tuple[float, ...]:
         if all(map(math.isfinite, row)):
             return row
     return tuple(as_finite(v, f"{what}[{pos}]") for pos, v in enumerate(values))
+
+
+def _plain_columns(weights) -> tuple | None:
+    """``(rows, totals, integral)`` for weight rows that are lists or tuples
+    of one length, whose entries are plain ints and floats, finite and
+    non-negative: the rows as float tuples, and each column's total (added in
+    row order) and whether its entries are all integers, each checked over
+    the flattened entries at once.  None for any other rows, which are then
+    read entry by entry, to name the first offender."""
+    lengths = set(map(len, weights)) if set(map(type, weights)) <= {list, tuple} else ()
+    if len(lengths) != 1:
+        return None
+    (n,) = lengths
+    if not n or not set(map(type, chain.from_iterable(weights))) <= _PLAIN_NUMBERS:
+        return None
+    try:
+        rows = tuple(tuple(map(float, r)) for r in weights)
+    except OverflowError:  # an int beyond the float range
+        return None
+    values = list(chain.from_iterable(rows))
+    if not all(map(math.isfinite, values)) or min(values) < 0:
+        return None
+    return (rows, *_column_stats([values[d::n] for d in range(n)]))
+
+
+def _column_stats(columns) -> tuple[tuple[float, ...], tuple[bool, ...]]:
+    """Each column's total, added in order, and whether its entries are all integers."""
+    return tuple(map(sum, columns)), tuple(all(map(float.is_integer, c)) for c in columns)
 
 
 def _require_size(phi: AssociationMatrix, m: int) -> None:
@@ -199,34 +228,38 @@ class VotingGame:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        ids = tuple(str(p) for p in self.player_ids)
+        ids = tuple(map(str, self.player_ids))
         if not ids:
             raise InvalidGameError("game needs at least one player")
         if len(set(ids)) != len(ids):
             raise InvalidGameError("player ids must be unique")
         if len(self.weights) != len(ids):
             raise InvalidGameError(f"{len(ids)} players but {len(self.weights)} weight rows")
-        rows = tuple(_float_row(r, f"weights for player {p}") for p, r in zip(ids, self.weights))
+        plain = _plain_columns(self.weights)
+        if plain is None:
+            rows = tuple(_float_row(r, f"weights for player {p}") for p, r in zip(ids, self.weights))
+        else:
+            rows, totals, integral = plain
         quotas = _float_row(self.quotas, "quotas")
         if not quotas:
             raise InvalidGameError("game needs at least one quota dimension")
         k = len(quotas)
-        for i, row in enumerate(rows):
-            if len(row) != k:
-                raise InvalidGameError(
-                    f"weights for player {ids[i]}: expected {k} entries, got {len(row)}"
-                )
-            for d, w in enumerate(row):
-                if w < 0:
-                    raise InvalidGameError(f"weights for player {ids[i]}[{d}]: negative weight {w!r}")
+        if plain is None or len(totals) != k:
+            for i, row in enumerate(rows):
+                if len(row) != k:
+                    raise InvalidGameError(
+                        f"weights for player {ids[i]}: expected {k} entries, got {len(row)}"
+                    )
+                for d, w in enumerate(row):
+                    if w < 0:
+                        raise InvalidGameError(f"weights for player {ids[i]}[{d}]: negative weight {w!r}")
+            totals, integral = _column_stats(list(zip(*rows)))
         for d, q in enumerate(quotas):
             if q <= 0:
                 raise InvalidGameError(f"quotas[{d}]: must be positive, got {q!r}")
-            column = [row[d] for row in rows]
-            total = sum(column)
-            if total >= EXACT_INTEGER_LIMIT and all(w.is_integer() for w in column):
+            if totals[d] >= EXACT_INTEGER_LIMIT and integral[d]:
                 raise InvalidGameError(
-                    f"weight dimension {d}: integer weights total {total:.0f}, "
+                    f"weight dimension {d}: integer weights total {totals[d]:.0f}, "
                     "at or above 2^53, where float64 sums are no longer exact"
                 )
         if self.association is not None:
@@ -235,6 +268,9 @@ class VotingGame:
         object.__setattr__(self, "weights", rows)
         object.__setattr__(self, "quotas", quotas)
         object.__setattr__(self, "metadata", dict(self.metadata))
+        # each weight column's total and whether it is integer valued, read by
+        # `dimension_totals`, `quota_tolerances` and the exact engine's choice
+        object.__setattr__(self, "_columns", (totals, integral))
         for d, (q, tol) in enumerate(zip(quotas, self.quota_tolerances)):
             if q - tol <= 0:
                 raise InvalidGameError(
@@ -261,9 +297,10 @@ class VotingGame:
         out.flags.writeable = False
         return out
 
-    @cached_property
+    @property
     def dimension_totals(self) -> tuple[float, ...]:
-        return tuple(sum(row[d] for row in self.weights) for d in range(self.num_dimensions))
+        """Each dimension's total weight, added in player order."""
+        return self._columns[0]
 
     @cached_property
     def quota_tolerances(self) -> tuple[float, ...]:
@@ -274,9 +311,8 @@ class VotingGame:
         below `EXACT_INTEGER_LIMIT`), a small relative slack otherwise.
         """
         tols = []
-        for d, q in enumerate(self.quotas):
-            integral = q.is_integer() and all(row[d].is_integer() for row in self.weights)
-            if integral:
+        for d, (q, integral) in enumerate(zip(self.quotas, self._columns[1])):
+            if integral and q.is_integer():
                 tols.append(0.0)
             else:
                 scale = max(1.0, abs(q), abs(self.dimension_totals[d]))

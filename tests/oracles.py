@@ -99,6 +99,31 @@ def naive_gain_loss(winners, base_loads, alt_loads, thresholds) -> list[tuple[in
     return list(zip(gain, loss))
 
 
+def dp_load_swings(game: VotingGame, load_matrices, strict: bool = False) -> list[list[int]]:
+    """Per load matrix, per player of a single-quota game with integer
+    weights, the winning coalitions that removing its load breaks.
+
+    Each player's other players are counted by sum afresh, by a dynamic
+    program over Python ints that adds one player at a time, and every sum
+    ``s`` of a coalition holding the player is tested with the kernel.  It
+    costs about m^2 W additions and shares nothing with the engine's prefix
+    counts; its counts are exact however large."""
+    weights = [int(w) for (w,) in game.weights]
+    thresholds = game.thresholds(strict)
+    load_rows = [np.asarray(loads).tolist() for loads in load_matrices]
+    out = [[] for _ in load_rows]
+    for i, own in enumerate(weights):
+        counts = [1]  # counts[s]: subsets of the others summing to s
+        for j, w in enumerate(weights):
+            if j != i:
+                counts = [a + b for a, b in zip(counts + [0] * w, [0] * w + counts)]
+        sums = [((float(s),), n) for s, n in enumerate(counts, own) if n]
+        winners = [(s, n) for s, n in sums if sums_win(s, thresholds)]
+        for rows, row_counts in zip(load_rows, out):
+            row_counts.append(sum(n for s, n in winners if removal_breaks(s, rows[i], thresholds)))
+    return out
+
+
 # -- earlier step-by-step versions of edges now found by one search ----------
 
 

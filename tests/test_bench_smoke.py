@@ -3,8 +3,10 @@
 One short untraced run per workload on the default seed: every op's output
 must pass the harness's oracles and golden hashes.  ``eu_council`` covers the
 exact engine's shared coalition table under three quotas; ``exact_large``
-covers the single-quota sorted-half count (subset-sum DP oracle at m = 22
-and 24, plus the seed-0 golden hashes); ``approx_mc`` covers the Monte Carlo
+covers the sum-grid count of integer single-quota games, its tables'
+"subset-sum" engine (subset-sum DP oracle at m = 22 and 24, plus the seed-0
+golden hashes), and no workload reaches the sorted halves, which the
+unit tests cover; ``approx_mc`` covers the Monte Carlo
 sampler (Hoeffding check of every estimate plus the seed-0 golden hashes).
 Traced runs of all three check that every layer the tracer wraps still
 records spans: ``eu_council`` and ``exact_large`` the exact engine's names,

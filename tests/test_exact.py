@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -5,11 +6,14 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banzhaf import exact
+from banzhaf.cli import main
 from banzhaf.data import (
     MigrationTable,
     build_migration_association,
+    dump_game,
     eu_game,
     random_association,
 )
@@ -33,6 +37,7 @@ from banzhaf.games import (
 
 from oracles import (
     corpus,
+    dp_load_swings,
     loop_win_bounds,
     naive_gain_loss,
     naive_load_swings,
@@ -148,13 +153,27 @@ class TestTable:
         assert all(r.swing_counts == reports[0].swing_counts for r in reports)
 
     def test_winner_blocks_leave_the_sorted_half_unbuilt(self):
-        game = single_quota_game(list(range(1, 13)), 39)
+        # half-integer weights, so that the table counts on the sorted halves
+        game = single_quota_game([w + 0.5 for w in range(1, 13)], 39)
         table = CoalitionTable(game, block_bits=6)
+        assert table.engine == "sorted-half"
         winners = sum(s.shape[1] for s, _ in table.winner_blocks(game.winning_thresholds))
         assert winners == len(winning_coalitions(game))
         assert "_sides" not in vars(table)
         table.swing_counts(np.zeros((12, 1)))
         assert "_sides" in vars(table)
+
+    def test_winner_blocks_on_a_grid_table(self):
+        """An integer single-quota table counts on its sum grid, and builds
+        the half sums only when `winner_blocks` asks for them."""
+        game = single_quota_game(list(range(1, 13)), 39)
+        table = CoalitionTable(game, block_bits=6)
+        assert table.engine == "subset-sum"
+        assert "low_sums" not in vars(table) and "high_sums" not in vars(table)
+        assert table.swing_counts(game.weight_matrix).tolist() == naive_swing_counts(game)
+        winners = sum(s.shape[1] for s, _ in table.winner_blocks(game.winning_thresholds))
+        assert winners == len(winning_coalitions(game))
+        assert table.high_sums.shape == (1, 1 << 6) and "_sides" not in vars(table)
 
     def test_loads_of_another_dimension_count_rejected(self):
         game = eu_game()
@@ -215,10 +234,18 @@ class TestTable:
             CoalitionTable(g)
 
     def test_single_quota_cap_states_its_memory(self):
-        g = single_quota_game([1] * (SINGLE_QUOTA_PLAYER_CAP + 1), 5)
+        # non-integer weights, which only the sorted halves count
+        g = single_quota_game([1.5] * (SINGLE_QUOTA_PLAYER_CAP + 1), 5)
         message = f"capped at {SINGLE_QUOTA_PLAYER_CAP} players, .* MiB; got {g.num_players}"
         with pytest.raises(InvalidGameError, match=message):
             exact_indices(g)
+        budget = r"sum grid, players x \(total weight \+ 1\), holds at most 2\^26 cells"
+        with pytest.raises(InvalidGameError, match=budget):
+            exact_indices(g)
+
+    def test_integer_games_past_the_cap_are_counted(self):
+        g = single_quota_game([1] * (SINGLE_QUOTA_PLAYER_CAP + 1), 5)
+        assert exact_indices(g).swing_counts == (math.comb(SINGLE_QUOTA_PLAYER_CAP, 4),) * g.num_players
 
     def test_single_quota_games_skip_the_enumerator_limits(self):
         with warnings.catch_warnings():
@@ -408,22 +435,24 @@ class TestCompactedWinners:
 
 
 def _against_enumerator(table, loads_list, gain_loss=True):
-    """Every count of the sorted-half path on ``table`` equals the
-    enumerator's over the same sums: swings under both conventions for every
-    load matrix, and each player's gain/loss from the first matrix to the
-    others."""
+    """Every count of the sorted-half path on ``table``, and of the engine the
+    table chose, equals the enumerator's over the same sums: swings under both
+    conventions for every load matrix, and each player's gain/loss from the
+    first matrix to the others."""
     game = table.game
     for loads in loads_list:
         for strict in (False, True):
-            counts = table.swing_counts(loads, strict=strict)
-            expected = table._enumerated_swing_counts(loads, game.thresholds(strict))
-            assert np.array_equal(counts, expected)
+            thresholds = game.thresholds(strict)
+            expected = table._enumerated_swing_counts(loads, thresholds)
+            assert np.array_equal(table.swing_counts(loads, strict=strict), expected)
+            assert np.array_equal(table._sorted_swing_counts(loads, thresholds), expected)
     if gain_loss:
         base = loads_list[0]
         for alt in loads_list[1:]:
             for i in range(game.num_players):
                 expected = table._enumerated_gain_loss(i, base[i], alt[i])
                 assert table.criticality_gain_loss(i, base[i], alt[i]) == expected
+                assert table._sorted_gain_loss(i, base[i], alt[i]) == expected
 
 
 def _block_bits(m):
@@ -439,8 +468,9 @@ def _pulling_against(m):
 
 
 class TestSortedHalf:
-    """Single-quota games count on the sorted low half.  Its counts must be
-    the enumerator's to the bit over the same table (any split, either
+    """Single-quota games with non-integer weights count on the sorted halves,
+    and the tests call that path directly on integer games too.  Its counts
+    must be the enumerator's to the bit over the same table (any split, either
     convention, any loads) and the brute-force oracle's."""
 
     def test_oracle_corpus_with_negative_loads(self):
@@ -523,8 +553,10 @@ class TestLargeSingleQuota:
     def test_memory_within_the_stated_bytes_per_half_entry(self):
         """The per-entry figure behind the single-quota cap bounds a real
         count: at 34 players each half holds 2^17 sums."""
-        weights = np.random.default_rng(925).integers(1, 100, 34).tolist()
+        # half-integer weights, so that the count takes the sorted halves
+        weights = (np.random.default_rng(925).integers(1, 100, 34) + 0.5).tolist()
         game = single_quota_game(weights, sum(weights) // 2)
+        assert CoalitionTable(game).engine == "sorted-half"
         tracemalloc.start()
         try:
             exact_indices(game)
@@ -549,6 +581,117 @@ class TestLargeSingleQuota:
 
         assert counts[:twos] == (others(twos - 1, ones, {quota - 2, quota - 1}),) * twos
         assert counts[twos:] == (others(twos, ones - 1, {quota - 1}),) * ones
+
+
+@st.composite
+def grid_games(draw):
+    """An integer single-quota game of 1 to 12 players, with many zero
+    weights and an integral, half-integral or +0.01 quota, and a seed for a
+    random association."""
+    weights = draw(st.lists(st.integers(0, 7), min_size=1, max_size=12).filter(any))
+    quota = draw(st.integers(1, sum(weights) + 1)) + draw(st.sampled_from([0.0, -0.5, 0.01]))
+    return single_quota_game(weights, quota), draw(st.integers(0, 2**16))
+
+
+class TestSumGrid:
+    """Integer single-quota games count on their sum grid.  Its counts must
+    be the sorted halves' and the brute-force oracle's under either
+    convention and any loads, negative ones included, and stay exact past
+    int64."""
+
+    def test_engine_is_chosen_once_per_table(self):
+        assert CoalitionTable(single_quota_game([3, 2, 1], 4)).engine == "subset-sum"
+        assert CoalitionTable(single_quota_game([3, 2, 1], 3.5)).engine == "subset-sum"
+        assert CoalitionTable(single_quota_game([3, 2, 1.5], 4)).engine == "sorted-half"
+        assert CoalitionTable(eu_game()).engine == "enumeration"
+
+    def test_engine_budget_edges(self):
+        # at 3 players the grid may be 16 times the larger half, 4 entries
+        assert exact._engine(single_quota_game([1, 2, 60], 30)) == "subset-sum"
+        assert exact._engine(single_quota_game([1, 2, 61], 30)) == "sorted-half"
+        # at 34 players the cell budget binds first: 2^26 // 34 sums
+        sums = exact._GRID_CELLS // 34
+        for extra, engine in ((0, "subset-sum"), (1, "sorted-half")):
+            game = single_quota_game([1] * 33 + [sums - 34 + extra], sums // 2)
+            assert exact._engine(game) == engine
+
+    @given(grid_games())
+    @settings(max_examples=200, deadline=None)
+    def test_parity_with_the_sorted_halves_and_the_oracle(self, case):
+        game, seed = case
+        m = game.num_players
+        table = CoalitionTable(game)
+        assert table.engine == "subset-sum"
+        against = np.array(persuasion_loads(game, _pulling_against(m)))
+        loads = [game.weight_matrix, np.array(persuasion_loads(game, random_association(m, seed))), against]
+        for strict in (False, True):
+            thresholds = game.thresholds(strict)
+            for rows in loads:
+                counts = table.swing_counts(rows, strict=strict)
+                assert np.array_equal(counts, table._sorted_swing_counts(rows, thresholds))
+                if m <= 8:
+                    assert counts.tolist() == naive_load_swings(game, rows, strict)
+        base = loads[0]
+        for alt in loads[1:]:
+            got = [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)]
+            assert got == [table._sorted_gain_loss(i, base[i], alt[i]) for i in range(m)]
+            if m <= 8:
+                assert got == naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
+
+    @pytest.mark.parametrize("budget", [16 * 3, 16 * 40])
+    def test_gathers_cut_to_any_budget_agree(self, monkeypatch, budget):
+        """The first budget gathers one row and two terms at a time, the
+        second a few rows at a time and the heavy rows' terms in pieces."""
+        games = [g for g in parity_games(150, seed=1701, max_players=12) if exact._engine(g) == "subset-sum"]
+        games.append(single_quota_game([1, 1, 2, 0, 0, 3, 5, 400, 9], 201.5))
+        def counts(game, loads):
+            table, w = CoalitionTable(game), game.weight_matrix
+            gain_loss = [table.criticality_gain_loss(i, w[i], loads[i]) for i in range(game.num_players)]
+            return table.swing_counts(loads).tolist(), gain_loss
+
+        cases = []
+        for game in games:
+            loads = np.array(persuasion_loads(game, random_association(game.num_players, 1702)))
+            cases.append((game, loads, counts(game, loads)))
+        monkeypatch.setattr(exact, "_GROUP_BYTES", budget)
+        for game, loads, expected in cases:
+            assert counts(game, loads) == expected
+
+    @pytest.mark.parametrize("m", [70, 100])
+    def test_counts_past_int64_against_the_dp_oracle(self, m, capsys, tmp_path):
+        rng = np.random.default_rng(1700 + m)
+        weights = rng.integers(1, 101, m).tolist()
+        game = single_quota_game(weights, sum(weights) / 2)
+        phi = random_association(m, 1700 + m)
+        expected = dp_load_swings(game, [game.weight_matrix, np.array(persuasion_loads(game, phi))])
+        classical, assoc = exact_indices(game), exact_indices(game, phi)
+        assert [list(classical.swing_counts), list(assoc.swing_counts)] == expected
+        assert max(classical.swing_counts) >= 2**63
+        assert {type(c) for c in classical.swing_counts + assoc.swing_counts} == {int}
+        path = tmp_path / "game.json"
+        path.write_text(dump_game(game), encoding="utf-8")
+        assert main(["exact", "--game", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [p["swings"] for p in doc["players"]] == expected[0]
+
+    def test_memory_within_16_bytes_per_sum(self):
+        """An int64 grid holds 16 bytes per sum, its prefix counts and its
+        float sums, and its build peaks there too; a count adds at most one
+        gather.  Pinned at 40 players, where the cell budget allows 2^26 / 40
+        sums (about 27 MB)."""
+        m = 40
+        sums = exact._GRID_CELLS // m
+        weights = [sums // m] * (m - 1) + [sums - 1 - (m - 1) * (sums // m)]
+        game = single_quota_game(weights, (sums - 1) / 2)
+        assert exact._engine(game) == "subset-sum"
+        game.weight_matrix  # cached before measuring
+        tracemalloc.start()
+        try:
+            exact_indices(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * sums + exact._GROUP_BYTES
 
 
 class TestClassicalReports:

@@ -58,6 +58,54 @@ class TestConstruction:
             VotingGame(("a", "b"), ((1.0, 1e13), (1.0, 0.5)), (1.0, 0.25))
         assert single_quota_game([1e13, 0.5], 20.0).winning_thresholds[0] > 0
 
+    def test_plain_rows_read_as_entry_by_entry(self):
+        """Rows of plain ints and floats are checked all at once; rows of
+        another type (here a tuple subclass) are read entry by entry.  Both
+        give the same game, totals and tolerances, and the same first error."""
+
+        class Row(tuple):
+            pass
+
+        def both(rows, quotas):
+            ids = tuple(f"p{i}" for i in range(len(rows)))
+            out = []
+            for kind in (tuple, Row):
+                try:
+                    game = VotingGame(ids, [kind(r) for r in rows], quotas)
+                    out.append((game, game.dimension_totals, game.quota_tolerances))
+                except InvalidGameError as e:
+                    out.append(str(e))
+            return out
+
+        for rows, quotas in [
+            ([(3,), (2,), (1,)], (4,)),
+            ([(0.5, 2), (1, 0), (0, 3)], (1, 2.5)),
+            ([[2**52], [2**52 - 5], [2], [1], [1]], (2**52 + 3,)),
+            ([(1e13,), (0.5,), (0.1,), (0.2,)], (20.0,)),
+            ([(0.1, 1)] * 10, (0.5, 3)),
+            ([(1, 2), (2, 2.5), (3, 1)], (3, 3)),
+        ]:
+            plain, entries = both(rows, quotas)
+            assert plain == entries
+            game, totals, tolerances = plain
+            columns = list(zip(*game.weights))
+            assert [float.hex(t) for t in totals] == [float.hex(sum(c)) for c in columns]
+            assert [float.hex(t) for t in totals] == [float.hex(t) for t in entries[1]]
+            exact = [q.is_integer() and all(w.is_integer() for w in c) for q, c in zip(game.quotas, columns)]
+            assert [t == 0.0 for t in tolerances] == exact
+        for rows, quotas, message in [
+            ([(3,), (-1,)], (2,), "weights for player p1[0]: negative weight -1.0"),
+            ([(1, 2), (1,)], (1, 1), "weights for player p1: expected 2 entries, got 1"),
+            ([(1,), (2,)], (1, 1), "weights for player p0: expected 2 entries, got 1"),
+            ([(2**52, 1), (2**52, 2)], (1, 1), "weight dimension 0: integer weights total 9007199254740992"),
+            ([(1,), (float("nan"),)], (1,), "weights for player p1[0]: not finite"),
+            ([(1,), (10**400,)], (1,), "weights for player p1[0]: not finite"),
+            ([(1,), (True,)], (1,), "weights for player p1[0]: not numeric"),
+            ([(1,), (2,)], (0,), "quotas[0]: must be positive, got 0.0"),
+        ]:
+            plain, entries = both(rows, quotas)
+            assert plain == entries and plain.startswith(message)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidGameError, match="expected 2 entries"):
             VotingGame(player_ids=("a", "b"), weights=((1.0, 2.0), (1.0,)), quotas=(1.0, 1.0))
