@@ -335,8 +335,8 @@ def conjecture_scan(
 
     Each trial derives its own stream from (seed, trial index), so the
     report is identical for identical arguments regardless of evaluation
-    order.  The games of each window are counted together, those of one
-    size in a few numpy calls, to the same reports as `exact_indices`.
+    order.  The games of each window are counted together on stacked sum
+    grids, to the same reports as `exact_indices`.
     Never asserts the cap; it reports the evidence.
     """
     for name, value in (("trials", trials), ("seed", seed)):
@@ -344,9 +344,12 @@ def conjecture_scan(
             raise InvalidGameError(f"{name} must be an integer, got {value!r}")
     if trials <= 0:
         raise InvalidGameError(f"trials must be positive, got {trials}")
-    if spec.max_players > SINGLE_QUOTA_PLAYER_CAP:
+    # past the sorted halves' cap only the sum grid counts; the heaviest game's is the largest
+    m, w = int(spec.max_players), int(spec.max_weight)
+    if m > SINGLE_QUOTA_PLAYER_CAP and not exact._grid_fits(m, m * w):
         raise InvalidGameError(
-            f"max_players must be at most {SINGLE_QUOTA_PLAYER_CAP}, got {spec.max_players}"
+            f"max_players above {SINGLE_QUOTA_PLAYER_CAP} needs every sum grid to fit its budget, "
+            f"but {m} players of weight {w} make {m * (m * w + 1)} cells"
         )
     counterexamples: list[tuple[str, str, float, float]] = []
     min_slack = math.inf

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -131,6 +132,10 @@ class RandomGameSpec:
     quota_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("min_players", "max_players", "min_weight", "max_weight"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidGameError(f"{name} must be an integer, got {value!r}")
         for low, high, floor in (("min_players", "max_players", 1), ("min_weight", "max_weight", 0)):
             lo, hi = getattr(self, low), getattr(self, high)
             if lo < floor:
@@ -139,6 +144,9 @@ class RandomGameSpec:
                 raise InvalidGameError(f"{high} must be at least {low} ({lo}), got {hi}")
         if self.max_weight < 1:  # random_game redraws all-zero weights until one is positive
             raise InvalidGameError(f"max_weight must be at least 1, got {self.max_weight}")
+        top = int(self.max_players) * int(self.max_weight)  # kept an exact float
+        if top >= 2**53:
+            raise InvalidGameError(f"max_players x max_weight, the largest total, must be below 2^53, got {top}")
 
 
 def random_game(rng: np.random.Generator, spec: RandomGameSpec) -> VotingGame:

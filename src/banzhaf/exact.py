@@ -18,7 +18,9 @@ The sums at which coalitions start to win and each removal stops breaking
 the quota are the kernel's verdicts on the float grid ``0..W``, which holds
 every integer sum exactly, so the counts are the enumerator's for any quota
 and any load.  The grid grows as ``m * W``, not ``2^m``, and its counts are
-Python ints from 63 players on, so that none wraps.
+Python ints from 63 players on, so that none wraps.  A table's grid is a
+stack of one; many games (the conjecture scan's) are rows of one stack,
+padded to its largest total, and count with one search and one gather.
 
 Other single-quota games ("sorted-half") never visit coalitions one by one
 either.  Both halves are sorted once by sum, and every player is counted by
@@ -51,12 +53,6 @@ scan caches them and later scans, one per load matrix, read only the cache;
 larger sets are enumerated and compacted afresh by each scan.  The comparisons
 themselves (``s >= t`` to win, ``s - l < t`` to break, under either boundary
 convention's thresholds) live in `banzhaf.games`, which every engine shares.
-
-Many tiny single-quota games (the conjecture scan's) are counted together:
-the games of one size are dimensions of one pair of half tables, and each
-player position is tested over every coalition that holds it, in every game
-at once, so the count costs a few numpy calls per position rather than a
-table per game.
 """
 
 from __future__ import annotations
@@ -111,8 +107,8 @@ SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
 # at most about 90 MiB.
 _GRID_CELLS = 1 << 26
 _GRID_PER_HALF_ENTRY = 16
-# The bounds of a group of players, or the coalition sums of a chunk of small
-# games, are built at once, up to this many bytes.
+# The bounds of a group of players, or a stack of small games' sum grids, are
+# built at once, up to this many bytes.
 _GROUP_BYTES = 1 << 20
 _INF = np.array([np.inf])
 
@@ -125,10 +121,13 @@ def _engine(game: VotingGame) -> str:
     if game.num_dimensions > 1:
         return "enumeration"
     (total,), (integral,) = game._columns
-    m = game.num_players
-    if integral and m * (int(total) + 1) <= min(_GRID_CELLS, _GRID_PER_HALF_ENTRY * m << (m + 1) // 2):
-        return "subset-sum"
-    return "sorted-half"
+    return "subset-sum" if integral and _grid_fits(game.num_players, int(total)) else "sorted-half"
+
+
+def _grid_fits(m: int, total: int) -> bool:
+    """Whether the sum grid of ``m`` integer weights adding to ``total`` fits
+    its budget (see `_GRID_CELLS`)."""
+    return m * (total + 1) <= min(_GRID_CELLS, _GRID_PER_HALF_ENTRY * m << (m + 1) // 2)
 
 
 def _check_size(game: VotingGame, engine: str) -> None:
@@ -236,7 +235,7 @@ class CoalitionTable:
         loads = _shaped(loads, (self.game.num_players, self.game.num_dimensions), "loads")
         thresholds = self.game.thresholds(strict)
         if self.engine == "subset-sum":
-            return self._grid_swing_counts(loads[:, 0], thresholds)
+            return self._grid_counts(np.arange(self.game.num_players), loads[:, 0], thresholds)
         if self.engine == "sorted-half":
             return self._sorted_swing_counts(loads, thresholds)
         return self._enumerated_swing_counts(loads, thresholds)
@@ -254,7 +253,10 @@ class CoalitionTable:
         k = (self.game.num_dimensions,)
         base_loads, alt_loads = _shaped(base_loads, k, "base_loads"), _shaped(alt_loads, k, "alt_loads")
         if self.engine == "subset-sum":
-            return self._grid_gain_loss(player, base_loads[0], alt_loads[0])
+            # both windows start at the winning edge, so one holds the other
+            loads, thresholds = np.array([base_loads[0], alt_loads[0]]), self.game.winning_thresholds
+            base, alt = self._grid_counts(np.full(2, player), loads, thresholds)
+            return int(max(alt - base, 0)), int(max(base - alt, 0))
         if self.engine == "sorted-half":
             return self._sorted_gain_loss(player, base_loads, alt_loads)
         return self._enumerated_gain_loss(player, base_loads, alt_loads)
@@ -263,48 +265,13 @@ class CoalitionTable:
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The integer weights; ``prefix[b]``, how many subsets of all the
-        players sum below ``b``, for ``b = 0..W + 1`` (int64 below 63 players,
-        Python ints from 63 on, so that no count wraps); and the sums
-        ``0..W`` as floats between -inf and +inf."""
+        """The integer weights, and the game's grid as a stack of one."""
         weights = self.game.weight_matrix[:, 0].astype(np.int64)
-        total = int(weights.sum())
-        prefix = np.zeros(total + 2, dtype=np.int64 if weights.size < 63 else object)
-        counts = prefix[1:]  # the count of each sum, then summed in place
-        counts[0] = 1
-        top = 0  # the largest sum so far
-        for w in weights.tolist():
-            counts[w : top + w + 1] += counts[: top + 1]
-            top += w
-        np.cumsum(counts, out=counts)
-        sums = np.arange(-1.0, total + 2.0)
-        sums[0], sums[-1] = -np.inf, np.inf
-        return weights, prefix, sums
+        return (weights, *_grid_stack([weights]))
 
-    def _grid_edges(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-        """The sum at which each removal load stops breaking the quota, and
-        first, at load 0, the sum at which coalitions start to win: the
-        kernel's verdicts on the exact float grid, so any quota or load
-        (negative ones included) gets the enumerator's verdicts."""
-        loads = np.concatenate(([0.0], loads))
-        return _break_bounds(np.zeros(1), self._grid[2], loads, thresholds)[:, 0]
-
-    def _grid_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-        weights, prefix, _ = self._grid
-        edges = self._grid_edges(loads, thresholds)
-        # player i swings the coalitions of sums [win, break_i) that hold it,
-        # those whose other members sum to [win - w_i, break_i - w_i)
-        m, win, w = weights.size, edges[0], np.tile(weights, 2)
-        bounds = np.concatenate((np.maximum(edges[1:], win), np.full(m, win))) - w
-        below = _others_below(prefix, bounds, w)
-        return below[:m] - below[m:]
-
-    def _grid_gain_loss(self, player: int, base_load: float, alt_load: float):
-        weights, prefix, _ = self._grid
-        win, base, alt = self._grid_edges(np.array([base_load, alt_load]), self.game.winning_thresholds)
-        w = weights[player]
-        base, alt = _others_below(prefix, np.maximum([base, alt], win) - w, np.full(2, w))
-        return int(max(alt - base, 0)), int(max(base - alt, 0))
+    def _grid_counts(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]):
+        weights, prefix, sums = self._grid
+        return _grid_swing_counts(prefix, sums, np.array(thresholds), np.zeros_like(players), weights[players], loads)
 
     # -- single quota: windows over the other half's sorted sums ------------
 
@@ -444,37 +411,83 @@ def _break_bounds(
         p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
 
 
-def _others_below(prefix: np.ndarray, bounds: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per row, how many subsets of the players other than one of weight
-    ``weights[r]`` sum below ``bounds[r]``, from ``prefix``, the counts over
-    all the players (`CoalitionTable._grid`).
+def _grid_stack(weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The sum grids of a stack of games, one per array of integer
+    ``weights``: ``prefix[g, b]``, how many subsets of game g's players sum
+    below ``b``, for ``b = 0..W + 1`` with ``W`` the stack's largest total
+    (int64 below 63 players, Python ints from 63 on, so that no count
+    wraps), and the sums ``0..W`` as floats between -inf and +inf."""
+    width = max(int(w.sum()) for w in weights) + 2
+    prefix = np.zeros((len(weights), width), dtype=np.int64 if max(w.size for w in weights) < 63 else object)
+    prefix[:, 1] = 1  # the empty coalition
+    for w, counts in zip(weights, prefix[:, 1:]):  # the count of each sum, summed in place below
+        top = 0  # the largest sum so far
+        for x in w.tolist():
+            counts[x : top + x + 1] += counts[: top + 1]
+            top += x
+    np.cumsum(prefix, axis=1, out=prefix)
+    sums = np.arange(-1.0, width)
+    sums[0], sums[-1] = -np.inf, np.inf
+    return prefix, sums
+
+
+def _grid_swing_counts(
+    prefix: np.ndarray, sums: np.ndarray, thresholds: np.ndarray, rows: np.ndarray, weights: np.ndarray, loads: np.ndarray
+) -> np.ndarray:
+    """Per entry, how many coalitions of the stack's game ``rows[e]``
+    (`_grid_stack`) its player, of integer weight ``weights[e]``, swings with
+    removal load ``loads[e]``: those of sums [win, break) that hold it, whose
+    other members sum to [win - w, break - w).  The edges, where the game
+    starts to win (its break edge at load 0) and the removal stops breaking,
+    are the kernel's verdicts on the exact float grid ``sums``, so any quota
+    or load (negative ones included) gets the enumerator's verdicts."""
+    g, n = thresholds.size, rows.size
+    t = np.concatenate((thresholds, thresholds[rows]))[:, None]
+    edges = _break_bounds(np.zeros(1), sums, np.concatenate((np.zeros(g), loads)), (t,))[:, 0]
+    win, w = edges[rows], np.tile(weights, 2)
+    bounds = np.concatenate((np.maximum(edges[g:], win), win)) - w
+    below = _others_below(prefix, np.tile(rows, 2), bounds, w)
+    return below[:n] - below[n:]
+
+
+def _others_below(prefix: np.ndarray, rows: np.ndarray, bounds: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per entry, how many subsets of the players of game ``rows[e]`` other
+    than one of weight ``weights[e]`` sum below ``bounds[e]``, from that
+    game's ``prefix`` row, the counts over all its players (`_grid_stack`).
 
     The counts ``c`` over all the players are ``o + shift(o, w)`` for those
     ``o`` over the others, so the others' count below ``b`` is the
     alternating strided sum ``P[b] - P[b - w] + P[b - 2w] - ...`` over
     ``b - jw > 0`` (``P`` is 0 from 0 down), and ``P[b] / 2`` for a zero
-    weight.  Rows are gathered in groups of similar term counts, and a
-    group's (rows x terms) gather is cut to fit `_GROUP_BYTES`."""
+    weight.  Entries are gathered in groups of similar term counts, and a
+    group's (entries x terms) gather is cut to fit `_GROUP_BYTES`."""
+    # an entry reads its game's row of the flat prefix, from the row's start
+    flat, starts = prefix.ravel(), rows * prefix.shape[1]
     bounds = np.maximum(bounds, 0)
     out = np.empty(bounds.size, dtype=prefix.dtype)
     zero = weights == 0
-    out[zero] = prefix[bounds[zero]] // 2
+    out[zero] = flat[starts[zero] + bounds[zero]] // 2
     terms = -(-bounds // np.maximum(weights, 1))
-    rows = np.flatnonzero(~zero)
-    rows = rows[np.argsort(terms[rows], kind="stable")]
+    todo = np.flatnonzero(~zero)
+    todo = todo[np.argsort(terms[todo], kind="stable")]
     room = _GROUP_BYTES // 16  # an int64 index and a count per term
-    while rows.size:
-        # the most rows whose terms, padded to the last (the most), fit the room
-        n = max(1, int(np.count_nonzero(np.arange(1, rows.size + 1) * terms[rows] <= room)))
-        group, rows = rows[:n], rows[n:]
-        b, w = bounds[group, None], weights[group, None]
+    while todo.size:
+        # the most entries whose terms, padded to the last (the most), fit the room
+        n = max(1, int(np.count_nonzero(np.arange(1, todo.size + 1) * terms[todo] <= room)))
+        group, todo = todo[:n], todo[n:]
+        first, w = starts[group, None], weights[group, None]
+        b = first + bounds[group, None]
         step = max(2, room // n & ~1)  # even, so that every slice starts on a + term
         total = np.zeros(n, dtype=prefix.dtype)
         k = int(terms[group[-1]])
         for j in range(0, k, step):
-            # an index at or below 0 reads P[0] = 0
-            got = prefix[np.maximum(b - w * np.arange(j, min(j + step, k)), 0)]
+            # an index at or below the row's start reads P[0] = 0; built in
+            # place, so that a slice holds only its indices and its counts
+            at = w * -np.arange(j, min(j + step, k))
+            at += b
+            got = flat[np.maximum(at, first, out=at)]
             total += got[:, ::2].sum(axis=1) - got[:, 1::2].sum(axis=1)
+            del at, got
         out[group] = total
     return out
 
@@ -512,51 +525,26 @@ def _make_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport
 def _classical_reports(games: list[VotingGame]) -> list[IndexReport]:
     """``exact_indices(game)`` for each of the single-quota ``games``, to the bit.
 
-    A game whose m x 2^m float array of removal sums would fit `_GROUP_BYTES`
-    is counted together with the other games of its size, in chunks whose
-    coalition sums fit it: many tiny games cost a few numpy calls per player
-    position, not a table each.  Larger games get their own table.
+    The games that `_engine` counts on the sum grid are rows of stacks
+    (`_grid_stack`), as many in order as fit `_GROUP_BYTES` at 8 bytes per
+    padded count (at least one), and a stack costs one edge search and one
+    `_others_below` call, not a table per game.  Other games get a table.
     """
-    reports: list[IndexReport | None] = [None] * len(games)
-    by_size: dict[int, list[int]] = {}
-    for pos, game in enumerate(games):
-        m = game.num_players
-        if m * (8 << m) <= _GROUP_BYTES:
-            by_size.setdefault(m, []).append(pos)
-        else:
-            reports[pos] = exact_indices(game)
-    for m, positions in by_size.items():
-        step = _GROUP_BYTES // (8 << m)
-        for start in range(0, len(positions), step):
-            chunk = positions[start : start + step]
-            counts = _batch_swing_counts([games[p] for p in chunk], m)
-            for p, row in zip(chunk, counts):
-                reports[p] = _make_report(games[p], "classical", row)
+    reports = [None if _engine(g) == "subset-sum" else exact_indices(g) for g in games]
+    grid = [p for p, report in enumerate(reports) if report is None]
+    widths = np.array([int(games[p].dimension_totals[0]) + 2 for p in grid])
+    while grid:
+        padded = 8 * np.arange(1, len(grid) + 1) * np.maximum.accumulate(widths)
+        n = max(1, int(np.count_nonzero(padded <= _GROUP_BYTES)))
+        stack, grid, widths = grid[:n], grid[n:], widths[n:]
+        loads = [games[p].weight_matrix[:, 0] for p in stack]
+        weights = [w.astype(np.int64) for w in loads]
+        rows = np.repeat(np.arange(n), [w.size for w in weights])
+        thresholds = np.array([games[p].winning_thresholds[0] for p in stack])
+        counts = _grid_swing_counts(*_grid_stack(weights), thresholds, rows, np.concatenate(weights), np.concatenate(loads))
+        for p, row in zip(stack, np.split(counts, np.cumsum([w.size for w in weights])[:-1])):
+            reports[p] = _make_report(games[p], "classical", row)
     return reports
-
-
-def _batch_swing_counts(games: list[VotingGame], m: int) -> np.ndarray:
-    """(G, m) classical swing counts of G single-quota games of m players.
-
-    Each game is a dimension of `subset_sums`, split as its table splits, so
-    every coalition sum is the table's ``high + low`` float, at the index of
-    its coalition's bitmask.  Player ``i`` is counted over the coalitions
-    that hold it, those with bit ``i`` set: the upper half of each block of
-    ``2^(i+1)`` indices.  One player at a time keeps the temporaries at
-    half the sums' size."""
-    W = np.stack([g.weight_matrix[:, 0] for g in games])
-    G, b = len(games), (m + 1) // 2
-    high, low = subset_sums(W[:, b:].T), subset_sums(W[:, :b].T)
-    sums = (high[:, :, None] + low[:, None, :]).reshape(G, 1 << m)
-    t = np.array([g.winning_thresholds[0] for g in games])[:, None]
-    win = sums_win((sums,), (t,))
-    counts = np.empty((G, m), dtype=np.int64)
-    for i in range(m):
-        held = sums.reshape(G, -1, 2, 1 << i)[:, :, 1]
-        swings = removal_breaks((held,), (W[:, i, None, None],), (t[:, :, None],))
-        swings &= win.reshape(G, -1, 2, 1 << i)[:, :, 1]
-        counts[:, i] = np.count_nonzero(swings, axis=(1, 2))
-    return counts
 
 
 def _table_for(game: VotingGame, table: CoalitionTable | None) -> CoalitionTable:

@@ -392,11 +392,12 @@ class TestConjecture:
         "spec",
         [
             RandomGameSpec(),
-            RandomGameSpec(max_players=16),  # 14 to 16 players are counted alone
+            RandomGameSpec(max_players=16),  # stacked, like the smaller games
             RandomGameSpec(min_weight=0),
             RandomGameSpec(quota_fraction=0.37),
+            RandomGameSpec(min_players=41, max_players=48),  # past the sorted halves' cap
         ],
-        ids=["default", "max-players-16", "min-weight-0", "quota-0.37"],
+        ids=["default", "max-players-16", "min-weight-0", "quota-0.37", "players-41-to-48"],
     )
     @pytest.mark.parametrize("windows", [0.5, 2.25])
     def test_scan_is_a_loop_of_checks(self, monkeypatch, spec, windows):
@@ -444,19 +445,46 @@ class TestConjecture:
             ({"max_players": 2}, "max_players must be at least min_players (3), got 2"),
             ({"min_weight": -1}, "min_weight must be at least 0, got -1"),
             ({"max_weight": 0}, "max_weight must be at least min_weight (1), got 0"),
+            ({"max_players": 12.5}, "max_players must be an integer, got 12.5"),
+            ({"min_players": np.float64(3)}, f"min_players must be an integer, got {np.float64(3)!r}"),
+            ({"max_weight": True}, "max_weight must be an integer, got True"),
+            ({"min_weight": "1"}, "min_weight must be an integer, got '1'"),
+            ({"max_weight": 2**62}, f"max_weight, the largest total, must be below 2^53, got {12 * 2**62}"),
+            ({"max_weight": 10**18}, f"max_weight, the largest total, must be below 2^53, got {12 * 10**18}"),
+            ({"max_players": 2**50, "max_weight": 8}, f"the largest total, must be below 2^53, got {2**53}"),
         ],
     )
     def test_spec_fields_checked(self, fields, message):
         with pytest.raises(InvalidGameError, match=re.escape(message)):
             conjecture_scan(5, seed=1, spec=RandomGameSpec(**fields))
 
-    def test_player_cap_checked_before_the_first_trial(self):
+    def test_player_cap_checked_before_the_first_trial(self, monkeypatch):
+        """Past the sorted halves' cap a spec's heaviest game must fit the sum
+        grid: 48 players of weight 29,127 make 2^26 - 208 cells, of 29,128 more."""
+
+        class Drawn(Exception):
+            pass
+
+        def drawn(rng, spec):
+            raise Drawn
+
         cap = SINGLE_QUOTA_PLAYER_CAP
-        spec = RandomGameSpec(min_players=cap + 1, max_players=cap + 8)
-        with pytest.raises(
-            InvalidGameError, match=f"^max_players must be at most {cap}, got {cap + 8}$"
-        ):
+        assert exact._GRID_CELLS == 2**26 and 48 * (48 * 29127 + 1) == 2**26 - 208
+        monkeypatch.setattr(bounds, "random_game", drawn)
+        spec = RandomGameSpec(min_players=cap + 1, max_players=48, max_weight=29128)
+        message = (
+            f"max_players above {cap} needs every sum grid to fit its budget, "
+            f"but 48 players of weight 29128 make {48 * (48 * 29128 + 1)} cells"
+        )
+        with pytest.raises(InvalidGameError, match=f"^{re.escape(message)}$"):
             conjecture_scan(5, seed=1, spec=spec)
+        with pytest.raises(Drawn):
+            conjecture_scan(5, seed=1, spec=dataclasses.replace(spec, max_weight=29127))
+        # up to the cap the sorted halves count any weights
+        for players, raised in ((cap, Drawn), (cap + 1, InvalidGameError)):
+            spec = RandomGameSpec(min_players=players, max_players=players, max_weight=10**9)
+            with pytest.raises(raised):
+                conjecture_scan(5, seed=1, spec=spec)
 
     def test_zero_weight_spec_finishes(self):
         spec = RandomGameSpec(min_players=1, max_players=2, min_weight=0, max_weight=1)

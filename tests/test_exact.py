@@ -12,10 +12,12 @@ from banzhaf import exact
 from banzhaf.cli import main
 from banzhaf.data import (
     MigrationTable,
+    RandomGameSpec,
     build_migration_association,
     dump_game,
     eu_game,
     random_association,
+    random_game,
 )
 from banzhaf.exact import (
     HARD_PLAYER_CAP,
@@ -31,6 +33,7 @@ from banzhaf.games import (
     VotingGame,
     persuasion_load,
     persuasion_loads,
+    seeded_rng,
     single_quota_game,
     sums_win,
 )
@@ -695,15 +698,26 @@ class TestSumGrid:
 
 
 class TestClassicalReports:
-    """`exact._classical_reports` counts small games together, to the bits of
-    `exact_indices`."""
+    """`exact._classical_reports` counts the games of the sum grid together,
+    in stacks, to the bits of `exact_indices`."""
 
     def test_equals_exact_indices(self):
         # integer, non-integer, zero-heavy and boundary-tolerance games of 1 to
-        # 15 players: those up to 13 are counted together, 14 and 15 alone
+        # 15 players: the integer ones are stacked, the others counted alone
         games = parity_games(400, seed=1601, max_players=15)
         assert {g.num_players for g in games} == set(range(1, 16))
         assert exact._classical_reports(games) == [exact_indices(g) for g in games]
+
+    def test_stacks_mix_with_tables_and_python_ints(self):
+        # heavy 3- and 4-player games, some of them sorted-half, between
+        # stacked games of 63 to 70 players whose counts pass int64
+        heavy, wide = RandomGameSpec(max_players=4, max_weight=40), RandomGameSpec(63, 70, 0, 1)
+        games = [random_game(seeded_rng(1604, t), (heavy, wide)[t % 3 == 2]) for t in range(150)]
+        assert {exact._engine(g) for g in games} == {"subset-sum", "sorted-half"}
+        reports = exact._classical_reports(games)
+        assert reports == [exact_indices(g) for g in games]
+        assert max(max(r.swing_counts) for r in reports) >= 2**63
+        assert {type(c) for r in reports for c in r.swing_counts} == {int}
 
     def test_two_decimal_weights(self):
         rng = np.random.default_rng(1602)
@@ -714,14 +728,34 @@ class TestClassicalReports:
             games.append(single_quota_game(weights.tolist(), quota))
         assert exact._classical_reports(games) == [exact_indices(g) for g in games]
 
-    @pytest.mark.parametrize("budget", [5 * (8 << 5), 8 * (8 << 8)])
+    @pytest.mark.parametrize("budget", [8, 5 * (8 << 5), 8 * (8 << 8)])
     def test_chunks_of_any_size_agree(self, monkeypatch, budget):
-        # the first budget counts 5 players five games at a time and leaves 6
-        # to 8 to their own tables; the second counts 8 players eight at a time
+        # a stack holds the games whose rows, padded to its widest, fit the
+        # budget at 8 bytes per count: the first budget fits no row, so each
+        # stack holds one game; the second fits 160 counts, a few light games
+        # or one heavier game, and the third 2,048 counts
         games = parity_games(150, seed=1603, max_players=8)
         expected = [exact_indices(g) for g in games]
         monkeypatch.setattr(exact, "_GROUP_BYTES", budget)
         assert exact._classical_reports(games) == expected
+
+    def test_memory_within_one_stack(self):
+        """A stack's prefix fits `_GROUP_BYTES`, and its count adds at most
+        one gather of that size, however many games there are: 400 games of
+        12 players weighing up to 100 (up to 1,202 counts a row) take three
+        stacks.  The reports, which outlive the count, are not counted."""
+        spec = RandomGameSpec(min_players=12, max_weight=100)
+        games = [random_game(seeded_rng(1605, t), spec) for t in range(400)]
+        for game in games:  # cached before measuring
+            game.weight_matrix, game.winning_thresholds
+        tracemalloc.start()
+        try:
+            reports = exact._classical_reports(games)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 400
+        assert peak - kept <= 2 * exact._GROUP_BYTES + (1 << 19)
 
 
 def _persuasion_loads_loop(game, phi):
