@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,6 +148,9 @@ class RandomGameSpec:
         top = int(self.max_players) * int(self.max_weight)  # kept an exact float
         if top >= 2**53:
             raise InvalidGameError(f"max_players x max_weight, the largest total, must be below 2^53, got {top}")
+        q = self.quota_fraction
+        if not isinstance(q, numbers.Real) or isinstance(q, bool) or not 0 < q < math.inf:
+            raise InvalidGameError(f"quota_fraction must be a positive finite number, got {q!r}")
 
 
 def random_game(rng: np.random.Generator, spec: RandomGameSpec) -> VotingGame:

@@ -23,15 +23,17 @@ tables, stay within `_CHUNK_BYTES`, so sampler memory does not grow with the
 sample count or the player count; full-range uint64 draws consume the stream
 in order, so the chunk size does not change which coalitions are drawn.
 
-Only the Student interval and its sample sizing use scipy, which they import
-on first use.
+The Student interval's t quantile is computed here (`_t_quantile`), and its
+sample sizing's normal quantile by `statistics.NormalDist`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable
 
 import numpy as np
@@ -221,12 +223,53 @@ def student_t_quantile(tail: float, df: int) -> float:
     """Upper-tail Student t quantile: the ``t`` with ``P(T > t) = tail``."""
     if not 0.0 < tail < 1.0:
         raise ValueError(f"tail probability must be in (0, 1), got {tail}")
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    # imported on first use, not with the package: scipy is most of its import time
-    from scipy import special
+    if not isinstance(df, numbers.Integral) or isinstance(df, bool) or df < 1:
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df!r}")
+    return _t_quantile(float(tail), int(df))
 
-    return -float(special.stdtrit(df, tail))
+
+def _t_log_tail(t: float, df: int) -> tuple[float, float]:
+    """``log P(T > t)`` for ``t > 0`` and integer ``df >= 2``, and its derivative in ``log t``."""
+    r = math.hypot(t, math.sqrt(df))  # sqrt(df + t^2), finite for any finite t
+    x = df / r / r
+    log_f = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - math.log(df * math.pi) / 2
+             - (df + 1) * math.log(r / math.sqrt(df)))  # the density at t
+    if t * t > 16.0:  # f(t) t / df * sum_k x^k prod_{j<k} (df+1+2j) / (df+2+2j): positive terms
+        total, term, k = 1.0, 1.0, df + 1
+        while term > 1e-17 * total:
+            term *= x * k / (k + 1)
+            total, k = total + term, k + 2
+        return log_f + math.log(t * total / df), -df / total
+    # A&S 26.7.3 (odd df) and 26.7.4 (even df), at most df/2 terms
+    total, term = 0.0, math.sqrt(x) if df % 2 else 1.0
+    for k in range(1 + df % 2, df, 2):
+        total, term = total + term, term * x * k / (k + 1)
+    q = 0.5 - (math.atan2(t, math.sqrt(df)) + t / r * total) / math.pi if df % 2 else 0.5 - t / r * total / 2
+    return math.log(q), -math.exp(log_f) * t / q
+
+
+@functools.lru_cache(maxsize=64)
+def _t_quantile(tail: float, df: int) -> float:
+    """`student_t_quantile` past its checks, cached, as each player's interval asks for it: the
+    Cornish-Fisher expansion (A&S 26.7.5), refined at small df by Newton steps on `_t_log_tail`."""
+    if tail >= 0.5:
+        return 0.0 if tail == 0.5 else -_t_quantile(1.0 - tail, df)
+    if df == 1:
+        return 1.0 / math.tan(math.pi * tail)
+    z = -NormalDist().inv_cdf(tail)
+    z2 = z * z
+    g = (z * (z2 + 1) / 4, z * ((5 * z2 + 16) * z2 + 3) / 96, z * (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384,
+         z * ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) / 92160)
+    t = z + (g[0] + (g[1] + (g[2] + g[3] / df) / df) / df) / df  # Cornish-Fisher to 1/df^4
+    if df >= 50 * (z2 + 4):  # its error falls as (z^2 / df)^5, to within 1e-12 from here on
+        return t
+    for _ in range(64):  # Newton in log t, 2-4 steps: the error after a step is about its square
+        log_q, slope = _t_log_tail(t, df)
+        step = (math.log(tail) - log_q) / slope
+        t *= math.exp(step)
+        if abs(step) <= 1e-9:
+            break
+    return t
 
 
 def index_cap(game: VotingGame | None, players: Iterable[int]) -> float:
@@ -282,8 +325,8 @@ def confidence_interval(
         hw = 0.5 * (c + math.sqrt(c * c + 8.0 * u * c))
         used_b = 2.0 * u + hw
     else:
-        if B <= 0:
-            raise ValueError(f"B must be positive, got {B}")
+        if not 0 < B < math.inf:
+            raise ValueError(f"B must be {'positive' if B <= 0 else 'finite'}, got {B}")
         used_b = float(B)
         hw = math.sqrt(used_b * math.log(2.0 / delta) / n)
     return ConfidenceInterval(
@@ -322,16 +365,14 @@ def required_samples(
     if method == "student":
         if s2 is None:
             raise ValueError("student sizing needs a variance estimate s2")
-        if s2 < 0:
-            raise ValueError(f"s2 must be non-negative, got {s2}")
-        from scipy import special
-
-        z = float(special.ndtri(1.0 - delta / 2.0))
+        if not 0 <= s2 < math.inf:
+            raise ValueError(f"s2 must be {'non-negative' if s2 < 0 else 'finite'}, got {s2}")
+        z = NormalDist().inv_cdf(1.0 - delta / 2.0)
         return max(2, math.ceil(s2 * z * z / (epsilon * epsilon)))
     if method == "selfbounding":
         if B is None:
             raise ValueError("selfbounding sizing needs the scale cap B")
-        if B <= 0:
-            raise ValueError(f"B must be positive, got {B}")
+        if not 0 < B < math.inf:
+            raise ValueError(f"B must be {'positive' if B <= 0 else 'finite'}, got {B}")
         return math.ceil(B * math.log(2.0 / delta) / (epsilon * epsilon))
     raise ValueError(f"unknown method {method!r}, expected one of {CI_METHODS}")

@@ -452,6 +452,12 @@ class TestConjecture:
             ({"max_weight": 2**62}, f"max_weight, the largest total, must be below 2^53, got {12 * 2**62}"),
             ({"max_weight": 10**18}, f"max_weight, the largest total, must be below 2^53, got {12 * 10**18}"),
             ({"max_players": 2**50, "max_weight": 8}, f"the largest total, must be below 2^53, got {2**53}"),
+            ({"quota_fraction": True}, "quota_fraction must be a positive finite number, got True"),
+            ({"quota_fraction": -1.0}, "quota_fraction must be a positive finite number, got -1.0"),
+            ({"quota_fraction": 0.0}, "quota_fraction must be a positive finite number, got 0.0"),
+            ({"quota_fraction": math.nan}, "quota_fraction must be a positive finite number, got nan"),
+            ({"quota_fraction": math.inf}, "quota_fraction must be a positive finite number, got inf"),
+            ({"quota_fraction": "0.5"}, "quota_fraction must be a positive finite number, got '0.5'"),
         ],
     )
     def test_spec_fields_checked(self, fields, message):

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from banzhaf import sampling
 from banzhaf.data import eu_game, random_association
@@ -222,12 +224,38 @@ class TestUnpack:
 
 
 class TestStudentQuantile:
-    @pytest.mark.parametrize("df", [1, 2, 5, 30, 199, 737, 5000])
-    @pytest.mark.parametrize("tail", [0.25, 0.05, 0.025, 0.005])
+    @pytest.mark.parametrize(
+        "df", [1, 2, 3, 5, 10, 30, 199, 737, 999, 1000, 1001, 4611, 5000, 18628, 10**6]
+    )
+    @pytest.mark.parametrize("tail", [0.4, 0.25, 0.05, 0.025, 0.005, 1e-4, 1e-6])
     def test_matches_scipy(self, df, tail):
-        assert student_t_quantile(tail, df) == pytest.approx(
-            stats.t.ppf(1 - tail, df), abs=1e-6
-        )
+        assert student_t_quantile(tail, df) == pytest.approx(-special.stdtrit(df, tail), rel=1e-10)
+
+    @pytest.mark.parametrize("tail", [0.4, 0.025, 1e-6, 1e-12, 1e-50])
+    def test_matches_scipy_across_the_expansion_cutoff(self, tail):
+        """Newton steps end, and the Cornish-Fisher expansion alone is used,
+        from df = 50 (z^2 + 4) on, z the normal quantile of the tail."""
+        z = special.ndtri(tail)
+        cutoff = math.ceil(50 * (z * z + 4))
+        for df in (2, 3, 10, 100, 1000, cutoff - 1, cutoff, cutoff + 1, 2 * cutoff):
+            assert student_t_quantile(tail, df) == pytest.approx(-special.stdtrit(df, tail), rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 2**19 - 1), j=st.integers(1, 2**19 - 1), df=st.integers(1, 10**6))
+    def test_odd_and_monotone(self, k, j, df):
+        """Tails on a 2^-20 grid, so that 1 - p is exact and neighbours differ
+        by far more than the quantile's rounding."""
+        p, p2 = sorted((k / 2**20, j / 2**20))
+        q = student_t_quantile(p, df)
+        assert student_t_quantile(1.0 - p, df) == -q
+        assert q > 0
+        assert p == p2 or student_t_quantile(p2, df) < q
+        assert student_t_quantile(p, df + 1) <= q
+
+    @given(p=st.floats(1e-300, 0.499))
+    @settings(max_examples=200, deadline=None)
+    def test_two_degrees_of_freedom_closed_form(self, p):
+        assert student_t_quantile(p, 2) == pytest.approx((1 - 2 * p) / math.sqrt(2 * p * (1 - p)), rel=1e-11)
 
     def test_symmetry_and_median(self):
         assert student_t_quantile(0.5, 10) == 0.0
@@ -238,6 +266,9 @@ class TestStudentQuantile:
             student_t_quantile(0.0, 5)
         with pytest.raises(ValueError):
             student_t_quantile(0.1, 0)
+        for df in (True, 10.0, 2.5, "10"):
+            with pytest.raises(ValueError, match="degrees of freedom must be an integer"):
+                student_t_quantile(0.1, df)
 
 
 class TestConfidenceIntervals:
@@ -315,6 +346,9 @@ class TestConfidenceIntervals:
             confidence_interval(r, 0, 0.1, "bogus")
         with pytest.raises(ValueError, match="positive"):
             confidence_interval(r, 0, 0.1, "selfbounding", B=-1.0)
+        for B in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^B must be finite, got {B}$"):
+                confidence_interval(r, 0, 0.05, "selfbounding", B=B)
         tiny = estimate_indices(game_321(), samples=1, seed=1)
         with pytest.raises(ValueError, match="2 samples"):
             confidence_interval(tiny, 0, 0.1, "student")
@@ -387,6 +421,11 @@ class TestRequiredSamples:
         for B in (0.0, -1.0):
             with pytest.raises(ValueError, match=f"^B must be positive, got {B}$"):
                 required_samples(0.1, 0.1, "selfbounding", B=B)
+        for v in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^B must be finite, got {v}$"):
+                required_samples(0.1, 0.1, "selfbounding", B=v)
+            with pytest.raises(ValueError, match=f"^s2 must be finite, got {v}$"):
+                required_samples(0.1, 0.1, "student", s2=v)
 
 
 class TestCoverage:
@@ -526,19 +565,25 @@ class TestMatmulParity:
         assert got == tuple(matmul_swing_count(game, i, loads[i], n, 23) for i in range(m))
 
 
-def test_scipy_is_imported_on_first_student_use():
+def test_scipy_is_never_imported():
+    """The Student interval and its sizing compute their quantiles without
+    scipy, which is a test-only dependency."""
+    game = Path(__file__).resolve().parents[1] / "docs" / "sample-game.json"
     script = textwrap.dedent(
-        """
-        import math, sys
-        import banzhaf, banzhaf.cli
-        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
-        from banzhaf.sampling import required_samples, student_t_quantile
-        q = student_t_quantile(0.025, 10)
-        assert "scipy.special" in sys.modules
-        import scipy.special
-        assert q == -scipy.special.stdtrit(10, 0.025), q
-        z = float(scipy.special.ndtri(1 - 0.05 / 2))
+        f"""
+        import contextlib, io, math, statistics, sys
+        import banzhaf.cli
+        from banzhaf.sampling import confidence_interval, estimate_indices, required_samples
+        argv = ["approx", "--game", {str(game)!r}, "--method", "student",
+                "--epsilon", "0.05", "--delta", "0.05", "--seed", "7"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert banzhaf.cli.main(argv) == 0
+        z = statistics.NormalDist().inv_cdf(1 - 0.05 / 2)
         assert required_samples(0.02, 0.05, "student", s2=0.2) == math.ceil(0.2 * z * z / 0.02**2)
+        report = estimate_indices(banzhaf.single_quota_game([3, 2, 1], 4), samples=50, seed=1)
+        assert confidence_interval(report, 0, 0.05, "student").halfwidth > 0
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
         """
     )
     src = str(Path(sampling.__file__).resolve().parents[1])
