@@ -31,7 +31,7 @@ from .games import (
     sums_win,
 )
 from . import exact
-from .exact import SINGLE_QUOTA_PLAYER_CAP, CoalitionTable, IndexReport, _check_size, exact_indices
+from .exact import SINGLE_QUOTA_PLAYER_CAP, CoalitionTable, IndexReport, exact_indices
 from .data import RandomGameSpec, random_game
 
 __all__ = [
@@ -262,14 +262,11 @@ def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:
     `CoalitionTable.winner_blocks`, so it costs 2^m and is capped at 32
     players.  Up to 16 players the table's high half is empty, so its sums
     are `coalition_weight`'s to the bit; above, they are high plus low sums,
-    as in `exact_indices`, which are exact for integer weights.
+    as in the multi-quota enumeration, which are exact for integer weights.
     """
     require_single_quota(game, "scan_all_critical_coalitions")
-    _check_size(game, "enumeration")
     checked, violations = 0, []
-    # the enumerator's 16-bit blocks: on an even split the scan is slower
-    table = CoalitionTable(game, block_bits=exact._DEFAULT_BLOCK_BITS)
-    for sums, members in table.winner_blocks(game.winning_thresholds):
+    for sums, members in CoalitionTable(game).winner_blocks(game.winning_thresholds):
         applies, violated = _all_critical(game, sums, members)
         checked += int(np.count_nonzero(applies))
         violations += ((1 << np.arange(game.num_players)) @ members[:, violated]).tolist()
@@ -339,9 +336,8 @@ def conjecture_scan(
     grids, to the same reports as `exact_indices`.
     Never asserts the cap; it reports the evidence.
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise InvalidGameError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
+        raise InvalidGameError(f"trials must be an integer, got {trials!r}")
     if trials <= 0:
         raise InvalidGameError(f"trials must be positive, got {trials}")
     # past the sorted halves' cap only the sum grid counts; the heaviest game's is the largest

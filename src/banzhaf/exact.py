@@ -1,13 +1,12 @@
-"""Exact swing counting over the split subset-sum table of a game.
+"""Exact swing counting over the subset sums of a game's coalitions.
 
-The table splits the players into a low half of ``b`` players and a high
-half of the rest, and holds per-dimension subset sums for each half
-(``2^b`` and ``2^(m-b)`` floats per dimension).  Every coalition sum is
-``high + low`` for one sum from each half, and float addition commutes, so
-it is the same float however the coalitions are visited.  Swing counts are
-integers.
+A table chooses its engine once, when it is built (`CoalitionTable.engine`),
+and each engine has one count, of the swings per (player, load row) entry.
+The sorted halves and the enumerator hold per-dimension subset sums of a low
+and a high half of the players, so every coalition sum is ``high + low`` for
+one sum from each half; float addition commutes, so under one split it is
+the same float however the coalitions are visited.  Swing counts are integers.
 
-A table chooses its engine once, when it is built (`CoalitionTable.engine`).
 Integer single-quota games whose sum grid fits a budget are counted on it
 ("subset-sum", Matsui & Matsui 2000; Uno 2012): the subsets of all the
 players are counted by sum once, ``c[s]`` for ``s = 0..W``, with prefix
@@ -37,14 +36,17 @@ sums, so the counts are the enumerator's to the bit (the Horowitz-Sahni
 split applied to power indices; Klinz & Woeginger 2005, Matsui & Matsui
 2000).  Player ``i`` then adds, over the sums of its own half whose
 coalitions hold it, the width of the window between the winning edge and
-its break edge; its gain and loss between two loads are the differences of
-two such windows.  The scanned sums are taken in sorted order too, so the
-searches and corrections walk both arrays in order.  Single-quota tables
-split evenly, memory grows as ``2^(m/2)``, and the games are capped where a
-count outgrows a stated budget.
+its break edge.  The scanned sums are taken in sorted order too, so the
+searches and corrections walk both arrays in order.  The halves split the
+players evenly and the table keeps only their sorted sums, so memory grows
+as ``2^(m/2)``, and the games are capped where a count outgrows a stated
+budget.  On either single-quota engine two loads' windows both start at the
+winning edge, so a gain or loss is the difference of two counts.
 
 Games with several quotas ("enumeration") have no such order, and enumerate
-the ``2^(m-b)`` high blocks, every one of the ``2^m`` coalitions once.  Only winning
+the ``2^(m-b)`` high blocks of a low half of ``b = min(m, 16)`` players,
+every one of the ``2^m`` coalitions once (a single-quota table builds them
+only when `CoalitionTable.winner_blocks` asks, past the same cap).  Only winning
 coalitions can be swung, and in games like the EU Council few of them win,
 so the enumeration compacts each block's winners (their sums and membership
 bits) and counts over those alone.  When all of a boundary convention's
@@ -88,13 +90,13 @@ __all__ = [
 HARD_PLAYER_CAP = 32
 SOFT_PLAYER_WARNING = 26
 _DEFAULT_BLOCK_BITS = 16
-# A single-quota table keeps about 40 bytes per entry of its larger half (each
-# half's sums, their sorted copy and uint32 order), and a count adds up to
-# about 50 more for one group's bounds and the winning edge (90 in all,
+# A sorted-half table keeps 24 bytes per entry of its larger half (each
+# half's sorted sums and uint32 order), its build peaks at 40, and a count
+# adds up to about 50 for one group's bounds and the winning edge (74 in all,
 # measured at 32, 34 and 38 players).  The cap keeps that within
 # _SORTED_TABLE_BYTES.
 _SORTED_TABLE_BYTES = 128 << 20
-_BYTES_PER_HALF_ENTRY = 100
+_BYTES_PER_HALF_ENTRY = 80
 _HALF_BITS_CAP = (_SORTED_TABLE_BYTES // _BYTES_PER_HALF_ENTRY).bit_length() - 1
 SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
 # An integer single-quota game is counted on its sum grid, the count of the
@@ -111,6 +113,9 @@ _GRID_PER_HALF_ENTRY = 16
 # built at once, up to this many bytes.
 _GROUP_BYTES = 1 << 20
 _INF = np.array([np.inf])
+# per engine, the `CoalitionTable` arrays built with the table, and its count
+_ENGINES = {"subset-sum": ("_grid", "_grid_swings"), "sorted-half": ("_sides", "_sorted_swings"),
+            "enumeration": ("_blocks", "_enumerated_swings")}
 
 
 def _engine(game: VotingGame) -> str:
@@ -130,7 +135,8 @@ def _grid_fits(m: int, total: int) -> bool:
     return m * (total + 1) <= min(_GRID_CELLS, _GRID_PER_HALF_ENTRY * m << (m + 1) // 2)
 
 
-def _check_size(game: VotingGame, engine: str) -> None:
+def _check_size(game: VotingGame, engine: str, stacklevel: int = 3) -> None:
+    """Reject a game past ``engine``'s cap; warn of a long enumeration ``stacklevel`` frames up."""
     m = game.num_players
     if engine == "subset-sum":  # the grid fits its budget by choice
         return
@@ -153,7 +159,7 @@ def _check_size(game: VotingGame, engine: str) -> None:
         warnings.warn(
             f"enumerating 2^{m} coalitions; expect a long run",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -183,7 +189,7 @@ class DeltaReport:
 
 
 class CoalitionTable:
-    """Split subset-sum table over a game's full coalition space.
+    """Subset-sum table over a game's full coalition space.
 
     Building the table chooses its engine once (`engine`, see `_engine`) and
     builds that engine's arrays; `swing_counts` can then be called repeatedly
@@ -194,37 +200,16 @@ class CoalitionTable:
     cache a boundary convention's winners when they fit the budget.
     """
 
-    def __init__(self, game: VotingGame, block_bits: int | None = None):
+    def __init__(self, game: VotingGame):
         self.engine = _engine(game)
         _check_size(game, self.engine)
         self.game = game
-        m = game.num_players
-        if block_bits is None:
-            block_bits = _DEFAULT_BLOCK_BITS if self.engine == "enumeration" else (m + 1) // 2
-        b = min(m, block_bits)
-        if b < 1:
-            raise InvalidGameError("block_bits must be at least 1")
-        self.low_bits = b
-        self.high_bits = m - b
         # thresholds -> (sums, members) of every winning coalition, for the
         # conventions whose winners fit the budget of `winner_blocks`
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
-        # the engine's arrays are built with the table; a grid table builds
-        # the half sums only if `winner_blocks` asks for them
-        if self.engine == "subset-sum":
-            self._grid
-        else:
-            self.low_sums, self.high_sums
-
-    @cached_property
-    def low_sums(self) -> np.ndarray:
-        """(k, 2^low_bits) sums over the subsets of the first ``low_bits`` players."""
-        return subset_sums(self.game.weight_matrix[: self.low_bits])
-
-    @cached_property
-    def high_sums(self) -> np.ndarray:
-        """(k, 2^high_bits) sums over the subsets of the other players."""
-        return subset_sums(self.game.weight_matrix[self.low_bits :])
+        # the engine's arrays are built with the table; a single-quota table
+        # builds the enumerator's blocks only if `winner_blocks` asks for them
+        getattr(self, _ENGINES[self.engine][0])
 
     def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.
@@ -232,13 +217,9 @@ class CoalitionTable:
         ``loads`` is the (m, k) matrix of removal loads.  The counts are
         int64, or Python ints in an object array from 63 players on.
         """
-        loads = _shaped(loads, (self.game.num_players, self.game.num_dimensions), "loads")
-        thresholds = self.game.thresholds(strict)
-        if self.engine == "subset-sum":
-            return self._grid_counts(np.arange(self.game.num_players), loads[:, 0], thresholds)
-        if self.engine == "sorted-half":
-            return self._sorted_swing_counts(loads, thresholds)
-        return self._enumerated_swing_counts(loads, thresholds)
+        m = self.game.num_players
+        loads = _shaped(loads, (m, self.game.num_dimensions), "loads")
+        return self._swings(np.arange(m), loads, self.game.thresholds(strict))
 
     def criticality_gain_loss(
         self,
@@ -252,14 +233,18 @@ class CoalitionTable:
         player = self.game.player_index(player)
         k = (self.game.num_dimensions,)
         base_loads, alt_loads = _shaped(base_loads, k, "base_loads"), _shaped(alt_loads, k, "alt_loads")
-        if self.engine == "subset-sum":
-            # both windows start at the winning edge, so one holds the other
-            loads, thresholds = np.array([base_loads[0], alt_loads[0]]), self.game.winning_thresholds
-            base, alt = self._grid_counts(np.full(2, player), loads, thresholds)
-            return int(max(alt - base, 0)), int(max(base - alt, 0))
-        if self.engine == "sorted-half":
-            return self._sorted_gain_loss(player, base_loads, alt_loads)
-        return self._enumerated_gain_loss(player, base_loads, alt_loads)
+        if k[0] > 1:
+            return self._enumerated_gain_loss(player, base_loads, alt_loads)
+        # both removal windows start at the winning edge, so one holds the other
+        loads = np.array([base_loads, alt_loads])
+        base, alt = self._swings(np.full(2, player), loads, self.game.winning_thresholds)
+        return int(max(alt - base, 0)), int(max(base - alt, 0))
+
+    def _swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+        """Per entry, how many coalitions player ``players[e]`` swings with
+        the removal loads ``loads[e]`` under ``thresholds``, by the table's
+        engine.  Each engine's count takes these arguments."""
+        return getattr(self, _ENGINES[self.engine][1])(players, loads, thresholds)
 
     # -- integer single quota: windows on the sum grid ---------------------
 
@@ -269,58 +254,62 @@ class CoalitionTable:
         weights = self.game.weight_matrix[:, 0].astype(np.int64)
         return (weights, *_grid_stack([weights]))
 
-    def _grid_counts(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]):
+    def _grid_swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
         weights, prefix, sums = self._grid
-        return _grid_swing_counts(prefix, sums, np.array(thresholds), np.zeros_like(players), weights[players], loads)
+        return _grid_swing_counts(prefix, sums, np.array(thresholds), np.zeros_like(players), weights[players], loads[:, 0])
 
     # -- single quota: windows over the other half's sorted sums ------------
 
     @cached_property
     def _sides(self) -> tuple[tuple, tuple]:
-        """Per half, low then high: its players ``first`` to ``end``, its
-        coalition masks in ascending order of their sums and those sums, and
-        the other half's sums in order between -inf and +inf.  Built on the
-        first single-quota count (`winner_blocks` never reads them)."""
-        halves = []
-        for sums in (self.low_sums[0], self.high_sums[0]):
+        """Per half of an even split, low then high: its players ``first`` to
+        ``end``, its coalition masks in ascending order of their sums and
+        those sums, and the other half's sums in order between -inf and +inf."""
+        weights, m = self.game.weight_matrix, self.game.num_players
+        b, halves = (m + 1) // 2, []
+        for rows in (weights[:b], weights[b:]):
+            sums = subset_sums(rows)[0]
             order = np.argsort(sums).astype(np.uint32)
             halves.append((order, np.concatenate((-_INF, sums[order], _INF))))
         (low, low_padded), (high, high_padded) = halves
-        b, m = self.low_bits, self.game.num_players
         return (0, b, low, low_padded[1:-1], high_padded), (b, m, high, high_padded[1:-1], low_padded)
 
-    def _sorted_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-        counts = np.zeros(self.game.num_players, dtype=np.int64)
+    def _sorted_swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+        counts = np.zeros(players.size, dtype=np.int64)
         for first, end, order, own, other in self._sides:
+            entries = np.flatnonzero((players >= first) & (players < end))
+            if not entries.size:  # no entry here: skip the half, its winning edge too
+                continue
             # a row of bounds costs about 64 bytes per scanned sum; the first
             # row is load 0, whose bounds are the winning edge
             step = max(1, _GROUP_BYTES // (64 * own.size))
-            rows = np.concatenate(([0.0], loads[first:end, 0]))
-            i = first
+            rows = np.concatenate(([0.0], loads[entries, 0]))
+            bits = (players[entries] - first).astype(np.uint32)[:, None]
+            done = 0
             for start in range(0, rows.size, step):
                 bounds = _break_bounds(own, other, rows[start : start + step], thresholds)
                 if not start:
                     win, bounds = bounds[0], bounds[1:]
-                bits = np.arange(i - first, i - first + len(bounds), dtype=np.uint32)
-                counts[i : i + len(bounds)] = _member_sums(order, bits[:, None], np.maximum(bounds, win) - win)
-                i += len(bounds)
+                group = slice(done, done + len(bounds))
+                counts[entries[group]] = _member_sums(order, bits[group], np.maximum(bounds, win) - win)
+                done += len(bounds)
                 del bounds  # before the next group's bounds are built
         return counts
 
-    def _sorted_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):
-        first, _, order, own, other = self._sides[player >= self.low_bits]
-        loads = np.array([0.0, base_loads[0], alt_loads[0]])
-        win, base, alt = _break_bounds(own, other, loads, self.game.winning_thresholds)
-        # the removal breaks at [win, base) and at [win, alt)
-        base, alt = np.maximum(base, win), np.maximum(alt, win)
-        gain, loss = _member_sums(order, np.uint32(player - first), np.maximum([alt - base, base - alt], 0))
-        return int(gain), int(loss)
-
     # -- several quotas: enumeration ----------------------------------------
 
-    def _compact(self, h: int, sums: np.ndarray, win: np.ndarray, n: int):
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The enumerator's (k, 2^b) sums over the subsets of the first
+        ``b = min(m, _DEFAULT_BLOCK_BITS)`` players, and its (k, 2^(m - b))
+        sums over the subsets of the others."""
+        weights = self.game.weight_matrix
+        b = min(len(weights), _DEFAULT_BLOCK_BITS)
+        return subset_sums(weights[:b]), subset_sums(weights[b:])
+
+    def _compact(self, h: int, b: int, sums: np.ndarray, win: np.ndarray, n: int):
         """Sums and membership rows of block ``h``'s ``n`` winning coalitions."""
-        b, m = self.low_bits, self.game.num_players
+        m = self.game.num_players
         low = np.flatnonzero(win).astype(np.uint32)
         members = np.empty((m, n), dtype=bool)
         for i in range(b):
@@ -336,25 +325,30 @@ class CoalitionTable:
         Yields the cached set when there is one.  Otherwise it compacts the
         high blocks in order and holds them back while they fit the budget;
         at the first block past it, it yields what it holds and streams the
-        rest, and a set that fits is cached and yielded whole.
+        rest, and a set that fits is cached and yielded whole.  On a
+        single-quota table it checks the enumeration's player cap first.
         """
+        if self.engine != "enumeration":
+            _check_size(self.game, "enumeration", stacklevel=4)
         cached = self._winning_sets.get(thresholds)
         if cached is not None:
             yield cached
             return
         m, k = self.game.num_players, self.game.num_dimensions
+        low, high = self._blocks
+        b = low.shape[1].bit_length() - 1
         # A compacted winner costs 8k bytes of sums and m of membership.  The
         # budget is one block's sum arrays, which the scan holds anyway.
-        room = ((1 << self.low_bits) * k * 8) // (k * 8 + m)
+        room = low.nbytes // (k * 8 + m)
         # an empty part first, so that a convention nothing wins caches an empty set
         held = [(np.empty((k, 0)), np.empty((m, 0), dtype=bool))]
-        for h in range(1 << self.high_bits):
-            sums = self.high_sums[:, h : h + 1] + self.low_sums
+        for h in range(high.shape[1]):
+            sums = high[:, h : h + 1] + low
             win = sums_win(sums, thresholds)
             n = int(np.count_nonzero(win))
             if not n:
                 continue
-            part = self._compact(h, sums, win, n)
+            part = self._compact(h, b, sums, win, n)
             room -= n
             if room >= 0:
                 held.append(part)
@@ -367,12 +361,12 @@ class CoalitionTable:
             self._winning_sets[thresholds] = winners
             yield winners
 
-    def _enumerated_swing_counts(self, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-        counts = np.zeros(self.game.num_players, dtype=np.int64)
+    def _enumerated_swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+        counts = np.zeros(players.size, dtype=np.int64)
         for sums, members in self.winner_blocks(thresholds):
-            for i, member in enumerate(members):
-                breaks = removal_breaks(sums, loads[i], thresholds)
-                counts[i] += int(np.count_nonzero(member & breaks))
+            for e, (i, load) in enumerate(zip(players.tolist(), loads)):
+                breaks = removal_breaks(sums, load, thresholds)
+                counts[e] += int(np.count_nonzero(members[i] & breaks))
         return counts
 
     def _enumerated_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):

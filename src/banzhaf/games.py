@@ -366,6 +366,8 @@ def require_same_players(game: VotingGame, report) -> None:
 def seeded_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox stream keyed by ``seed`` and the spawn ``key``: the same
     arguments give the same stream, and different keys independent ones."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        raise InvalidGameError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise InvalidGameError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)

@@ -18,10 +18,11 @@ In each dimension a sample's sum is the table entries of its bytes added to
 In a dimension of integer weights every partial sum is an integer below the
 column total, which `VotingGame` keeps below 2^53, so the sums are exact in
 any order; in a non-integer dimension they follow this one order on every
-machine.  Samples are drawn and evaluated in chunks whose buffers, with the
-tables, stay within `_CHUNK_BYTES`, so sampler memory does not grow with the
-sample count or the player count; full-range uint64 draws consume the stream
-in order, so the chunk size does not change which coalitions are drawn.
+machine.  Samples are drawn and evaluated in chunks whose buffers stay
+within `_CHUNK_BYTES`, beside the tables' ``m * k * 256`` bytes, so sampler
+memory does not grow with the sample count, nor with the player count past
+the tables; full-range uint64 draws consume the stream in order, so the
+chunk size does not change which coalitions are drawn.
 
 The Student interval's t quantile is computed here (`_t_quantile`), and its
 sample sizing's normal quantile by `statistics.NormalDist`.
@@ -64,8 +65,7 @@ __all__ = [
 
 CI_METHODS = ("hoeffding", "student", "selfbounding")
 
-# Bytes of the sampler's working set: the byte tables plus one chunk of
-# samples' buffers and temporaries.
+# Bytes of one chunk of samples' buffers and temporaries.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -149,7 +149,7 @@ def _swing_count_for_player(
     words = (game.num_players + 63) // 64
     # per sample: the raw words, k sums, one looked-up row and its intp byte
     # indices, and the kernel's temporaries (a float row and a few bool rows)
-    rows = max(1, min(n, (_CHUNK_BYTES - tables.nbytes) // (8 * (words + k + 4))))
+    rows = max(1, min(n, _CHUNK_BYTES // (8 * (words + k + 4))))
     # buffers per call, reused by every chunk: fresh ones per chunk would be
     # mmapped and page-faulted each time under glibc malloc
     sums = np.empty((k, rows))
@@ -228,8 +228,11 @@ def student_t_quantile(tail: float, df: int) -> float:
     return _t_quantile(float(tail), int(df))
 
 
-def _t_log_tail(t: float, df: int) -> tuple[float, float]:
-    """``log P(T > t)`` for ``t > 0`` and integer ``df >= 2``, and its derivative in ``log t``."""
+def _t_step(t: float, tail: float, df: int) -> float:
+    """The Newton step in ``log t`` toward ``P(T > t) = tail``, for ``t > 0``
+    and integer ``df >= 2``: on ``log P(T > t)`` in the far tail, and nearer
+    0 on the central probability ``P(0 < T < t) = 0.5 - tail``, which the
+    finite series gives without subtracting from 0.5."""
     r = math.hypot(t, math.sqrt(df))  # sqrt(df + t^2), finite for any finite t
     x = df / r / r
     log_f = (math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - math.log(df * math.pi) / 2
@@ -239,23 +242,23 @@ def _t_log_tail(t: float, df: int) -> tuple[float, float]:
         while term > 1e-17 * total:
             term *= x * k / (k + 1)
             total, k = total + term, k + 2
-        return log_f + math.log(t * total / df), -df / total
+        return (math.log(tail) - log_f - math.log(t * total / df)) * total / -df
     # A&S 26.7.3 (odd df) and 26.7.4 (even df), at most df/2 terms
     total, term = 0.0, math.sqrt(x) if df % 2 else 1.0
     for k in range(1 + df % 2, df, 2):
         total, term = total + term, term * x * k / (k + 1)
-    q = 0.5 - (math.atan2(t, math.sqrt(df)) + t / r * total) / math.pi if df % 2 else 0.5 - t / r * total / 2
-    return math.log(q), -math.exp(log_f) * t / q
+    central = (math.atan2(t, math.sqrt(df)) + t / r * total) / math.pi if df % 2 else t / r * total / 2
+    return (0.5 - tail - central) / math.exp(log_f) / t
 
 
 @functools.lru_cache(maxsize=64)
 def _t_quantile(tail: float, df: int) -> float:
     """`student_t_quantile` past its checks, cached, as each player's interval asks for it: the
-    Cornish-Fisher expansion (A&S 26.7.5), refined at small df by Newton steps on `_t_log_tail`."""
+    Cornish-Fisher expansion (A&S 26.7.5), refined at small df by Newton steps (`_t_step`)."""
     if tail >= 0.5:
         return 0.0 if tail == 0.5 else -_t_quantile(1.0 - tail, df)
-    if df == 1:
-        return 1.0 / math.tan(math.pi * tail)
+    if df == 1:  # near 0.5, from the central probability, which 0.5 - tail gives exactly
+        return 1.0 / math.tan(math.pi * tail) if tail < 0.25 else math.tan(math.pi * (0.5 - tail))
     z = -NormalDist().inv_cdf(tail)
     z2 = z * z
     g = (z * (z2 + 1) / 4, z * ((5 * z2 + 16) * z2 + 3) / 96, z * (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384,
@@ -264,8 +267,7 @@ def _t_quantile(tail: float, df: int) -> float:
     if df >= 50 * (z2 + 4):  # its error falls as (z^2 / df)^5, to within 1e-12 from here on
         return t
     for _ in range(64):  # Newton in log t, 2-4 steps: the error after a step is about its square
-        log_q, slope = _t_log_tail(t, df)
-        step = (math.log(tail) - log_q) / slope
+        step = _t_step(t, tail, df)
         t *= math.exp(step)
         if abs(step) <= 1e-9:
             break

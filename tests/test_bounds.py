@@ -315,11 +315,12 @@ class TestAllCriticalWeight:
         assert applies.tolist() == [True, True, False, False]
         assert violated.tolist() == [True, False, False, False]
 
-    def test_scan_capped_before_any_table(self, monkeypatch):
+    def test_scan_capped_before_any_block(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("built a table for a game past the cap")
+            raise AssertionError("built the enumerator's blocks for a game past the cap")
 
-        monkeypatch.setattr(bounds, "CoalitionTable", fail)
+        # an integer game, whose table holds only its sum grid
+        monkeypatch.setattr(exact, "subset_sums", fail)
         with pytest.raises(InvalidGameError, match="capped at 32 players, got 33"):
             scan_all_critical_coalitions(single_quota_game([1] * 33, 17))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,11 @@ class TestRandomAssociation:
     def test_m_validation(self):
         with pytest.raises(InvalidGameError):
             random_association(0, seed=1)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidGameError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            random_association(4, seed)
 
     def test_entries_are_the_uniform_draws(self):
         for m, seed in [(1, 0), (5, 3), (18, 0), (18, 77)]:

@@ -143,40 +143,37 @@ class TestExactIntegerLimit:
 
 
 class TestTable:
-    def test_block_bits_must_be_positive(self):
-        with pytest.raises(InvalidGameError, match="^block_bits must be at least 1$"):
-            CoalitionTable(single_quota_game([3, 2, 1], 4), block_bits=0)
-
     def test_block_width_invariance_on_integer_weights(self):
         game, phi = corpus(1, seed=904, max_players=10, with_phi=True)[0]
-        reports = [
-            exact_indices(game, phi, table=CoalitionTable(game, block_bits=b))
-            for b in (2, 5, game.num_players)
-        ]
-        assert all(r.swing_counts == reports[0].swing_counts for r in reports)
+        m, loads = game.num_players, np.array(persuasion_loads(game, phi))
+        expected = exact_indices(game, phi).swing_counts
+        for bits in (2, 5, m):
+            table = _table(game, bits)
+            assert tuple(table._enumerated_swings(np.arange(m), loads, game.thresholds())) == expected
 
-    def test_winner_blocks_leave_the_sorted_half_unbuilt(self):
+    def test_winner_blocks_on_a_sorted_half_table(self):
+        """A sorted-half table holds only its sorted halves, and builds the
+        enumerator's blocks only when `winner_blocks` asks for them."""
         # half-integer weights, so that the table counts on the sorted halves
         game = single_quota_game([w + 0.5 for w in range(1, 13)], 39)
-        table = CoalitionTable(game, block_bits=6)
+        table = CoalitionTable(game)
         assert table.engine == "sorted-half"
+        assert set(vars(table)) == {"engine", "game", "_winning_sets", "_sides"}
         winners = sum(s.shape[1] for s, _ in table.winner_blocks(game.winning_thresholds))
         assert winners == len(winning_coalitions(game))
-        assert "_sides" not in vars(table)
-        table.swing_counts(np.zeros((12, 1)))
-        assert "_sides" in vars(table)
+        assert "_blocks" in vars(table)
 
     def test_winner_blocks_on_a_grid_table(self):
         """An integer single-quota table counts on its sum grid, and builds
-        the half sums only when `winner_blocks` asks for them."""
+        the enumerator's blocks only when `winner_blocks` asks for them."""
         game = single_quota_game(list(range(1, 13)), 39)
-        table = CoalitionTable(game, block_bits=6)
+        table = CoalitionTable(game)
         assert table.engine == "subset-sum"
-        assert "low_sums" not in vars(table) and "high_sums" not in vars(table)
+        assert "_blocks" not in vars(table) and "_sides" not in vars(table)
         assert table.swing_counts(game.weight_matrix).tolist() == naive_swing_counts(game)
         winners = sum(s.shape[1] for s, _ in table.winner_blocks(game.winning_thresholds))
         assert winners == len(winning_coalitions(game))
-        assert table.high_sums.shape == (1, 1 << 6) and "_sides" not in vars(table)
+        assert table._blocks[1].shape == (1, 1) and "_sides" not in vars(table)
 
     def test_loads_of_another_dimension_count_rejected(self):
         game = eu_game()
@@ -254,8 +251,8 @@ class TestTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = CoalitionTable(single_quota_game([1] * 36, 18))
-        assert (table.low_bits, table.high_bits) == (18, 18)
-        assert CoalitionTable(single_quota_game([1] * 32, 16)).low_bits == 16
+        assert [own.size for _, _, _, own, _ in table._sides] == [1 << 18] * 2
+        assert CoalitionTable(single_quota_game([1] * 32, 16))._sides[0][1] == 16
 
     def test_no_warning_below_threshold(self):
         with warnings.catch_warnings():
@@ -271,8 +268,20 @@ def _two_quota_game(m):
     )
 
 
+def _table(game, bits=None):
+    """``CoalitionTable(game)`` with its enumerator's blocks built, and with
+    ``bits`` players in their low half if given (else the default)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if bits is not None:
+            patch.setattr(exact, "_DEFAULT_BLOCK_BITS", bits)
+        table = CoalitionTable(game)
+        table._blocks
+    return table
+
+
 def _budget(table):
-    return (1 << table.low_bits) * table.game.num_dimensions * 8
+    """One block's sum arrays."""
+    return table._blocks[0].nbytes
 
 
 def _room(table):
@@ -355,7 +364,7 @@ class TestCompactedWinners:
         blocks, whose budget holds only a few winners."""
         game = eu_game()
         table = CoalitionTable(game)
-        over = [CoalitionTable(game, block_bits=bits) for bits in (12, 4)]
+        over = [_table(game, bits) for bits in (12, 4)]
         for strict in (False, True):
             for n, loads in enumerate(_eu_load_matrices()):
                 counts = table.swing_counts(loads, strict=strict)
@@ -378,7 +387,7 @@ class TestCompactedWinners:
     def test_random_three_quota_games(self):
         cached = over = 0
         for game, noise in _random_three_quota_games(12, seed=912):
-            tables = [CoalitionTable(game), CoalitionTable(game, block_bits=4)]
+            tables = [CoalitionTable(game), _table(game, 4)]
             self._check(game, [game.weight_matrix, game.weight_matrix + noise], tables)
             cached += len(tables[0]._winning_sets)
             over += 2 - len(tables[1]._winning_sets)
@@ -391,7 +400,7 @@ class TestCompactedWinners:
         sparse = _random_two_quota_game(12, (0.7, 0.68), seed=931)
         rng = np.random.default_rng(932)
         for game, bits in ((dense, None), (dense, 6), (sparse, 6)):
-            table = CoalitionTable(game, block_bits=bits)
+            table = _table(game, bits)
             assert len(winning_coalitions(game)) > _room(table)
             loads = game.weight_matrix * rng.uniform(0.5, 1.5, size=(12, 2))
             self._check(game, [game.weight_matrix, loads], [table])
@@ -408,7 +417,7 @@ class TestCompactedWinners:
                 weights=tuple((float(1 << i), 1.0) for i in range(m)),
                 quotas=(float((1 << m) - room - extra), 1.0),
             )
-            table = CoalitionTable(game, block_bits=4)
+            table = _table(game, 4)
             assert (_room(table), len(winning_coalitions(game))) == (room, room + extra)
             self._check(game, [game.weight_matrix, game.weight_matrix * 0.5], [table])
             assert len(table._winning_sets) == 2 - extra
@@ -420,8 +429,7 @@ class TestCompactedWinners:
         for game, phi in corpus(8, seed=913, max_players=12, with_phi=True):
             base = game.weight_matrix
             alt = np.array(persuasion_loads(game, phi))
-            compact = CoalitionTable(game, block_bits=exact._DEFAULT_BLOCK_BITS)
-            stream = CoalitionTable(game, block_bits=2)
+            compact, stream = _table(game), _table(game, 2)
             for i in range(game.num_players):
                 expected = compact._enumerated_gain_loss(i, base[i], alt[i])
                 assert stream._enumerated_gain_loss(i, base[i], alt[i]) == expected
@@ -432,34 +440,38 @@ class TestCompactedWinners:
     def test_large_winning_set_is_not_cached(self):
         game = single_quota_game([1] * 20, 10)
         table = CoalitionTable(game)
-        counts = table._enumerated_swing_counts(game.weight_matrix, game.thresholds())
+        counts = table._enumerated_swings(np.arange(20), game.weight_matrix, game.thresholds())
         assert table._winning_sets == {}
         assert list(counts) == [math.comb(19, 9)] * 20
 
 
-def _against_enumerator(table, loads_list, gain_loss=True):
-    """Every count of the sorted-half path on ``table``, and of the engine the
-    table chose, equals the enumerator's over the same sums: swings under both
+def _two_counts(count, player, base, alt, thresholds):
+    """Gain and loss as the difference of ``count``'s swings of ``player``
+    with the ``base`` and the ``alt`` load row."""
+    base, alt = count(np.full(2, player), np.array([base, alt]), thresholds)
+    return int(max(alt - base, 0)), int(max(base - alt, 0))
+
+
+def _against_enumerator(game, loads_list):
+    """Every count of the sorted-half path on a table of ``game``, and of the
+    engine the table chose, equals the enumerator's over the same sums (its
+    blocks split evenly, as the sorted halves do): swings under both
     conventions for every load matrix, and each player's gain/loss from the
     first matrix to the others."""
-    game = table.game
+    m = game.num_players
+    table, players = _table(game, (m + 1) // 2), np.arange(m)
     for loads in loads_list:
         for strict in (False, True):
             thresholds = game.thresholds(strict)
-            expected = table._enumerated_swing_counts(loads, thresholds)
+            expected = table._enumerated_swings(players, loads, thresholds)
             assert np.array_equal(table.swing_counts(loads, strict=strict), expected)
-            assert np.array_equal(table._sorted_swing_counts(loads, thresholds), expected)
-    if gain_loss:
-        base = loads_list[0]
-        for alt in loads_list[1:]:
-            for i in range(game.num_players):
-                expected = table._enumerated_gain_loss(i, base[i], alt[i])
-                assert table.criticality_gain_loss(i, base[i], alt[i]) == expected
-                assert table._sorted_gain_loss(i, base[i], alt[i]) == expected
-
-
-def _block_bits(m):
-    return sorted({1, 2, max(1, m // 2), m})
+            assert np.array_equal(table._sorted_swings(players, loads, thresholds), expected)
+    base, thresholds = loads_list[0], game.winning_thresholds
+    for alt in loads_list[1:]:
+        for i in range(m):
+            expected = table._enumerated_gain_loss(i, base[i], alt[i])
+            assert table.criticality_gain_loss(i, base[i], alt[i]) == expected
+            assert _two_counts(table._sorted_swings, i, base[i], alt[i], thresholds) == expected
 
 
 def _pulling_against(m):
@@ -473,8 +485,8 @@ def _pulling_against(m):
 class TestSortedHalf:
     """Single-quota games with non-integer weights count on the sorted halves,
     and the tests call that path directly on integer games too.  Its counts
-    must be the enumerator's to the bit over the same table (any split, either
-    convention, any loads) and the brute-force oracle's."""
+    must be the enumerator's to the bit over the same sums (either convention,
+    any loads) and the brute-force oracle's."""
 
     def test_oracle_corpus_with_negative_loads(self):
         for game, phi in corpus(20, seed=921, max_players=8, with_phi=True):
@@ -482,9 +494,7 @@ class TestSortedHalf:
             loads = [np.array(persuasion_loads(game, p)) for p in (phi, against)]
             assert (loads[1] < 0).any()
             assert exact_indices(game, against).swing_counts == tuple(naive_swing_counts(game, against))
-            for bits in _block_bits(game.num_players):
-                table = CoalitionTable(game, block_bits=bits)
-                _against_enumerator(table, [game.weight_matrix, *loads, -game.weight_matrix])
+            _against_enumerator(game, [game.weight_matrix, *loads, -game.weight_matrix])
 
     def test_non_integer_corpus(self):
         rng = np.random.default_rng(922)
@@ -496,8 +506,7 @@ class TestSortedHalf:
             np.fill_diagonal(a, 1.0)
             loads = np.array(persuasion_loads(game, AssociationMatrix(tuple(map(tuple, a.tolist())))))
             assert exact_indices(game).swing_counts == tuple(naive_swing_counts(game))
-            for bits in _block_bits(m):
-                _against_enumerator(CoalitionTable(game, block_bits=bits), [game.weight_matrix, loads])
+            _against_enumerator(game, [game.weight_matrix, loads])
 
     def test_thresholds_and_loads_on_coalition_sums(self):
         """Thresholds set to a coalition sum as the table forms it, and one
@@ -508,41 +517,37 @@ class TestSortedHalf:
             m = int(rng.integers(3, 10))
             weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 2.5], size=m)
             game = single_quota_game(weights.tolist(), float(weights.sum() / 2))
-            for bits in (1, m // 2, m):
-                table = CoalitionTable(game, block_bits=bits)
-                sums = (table.high_sums[0][:, None] + table.low_sums[0][None, :]).ravel()
-                for s in rng.choice(sums, size=3):
-                    for t in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)):
-                        thresholds = (float(t),)
-                        shift = float(rng.choice(sums)) - float(t)
-                        for loads in (game.weight_matrix, game.weight_matrix * 0 + shift):
-                            counts = table._sorted_swing_counts(loads, thresholds)
-                            expected = table._enumerated_swing_counts(loads, thresholds)
-                            assert np.array_equal(counts, expected)
+            # the enumerator's blocks split evenly, as the sorted halves do
+            table, players = _table(game, (m + 1) // 2), np.arange(m)
+            low, high = table._blocks
+            sums = (high[0][:, None] + low[0][None, :]).ravel()
+            for s in rng.choice(sums, size=3):
+                for t in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)):
+                    thresholds = (float(t),)
+                    shift = float(rng.choice(sums)) - float(t)
+                    for loads in (game.weight_matrix, game.weight_matrix * 0 + shift):
+                        counts = table._sorted_swings(players, loads, thresholds)
+                        expected = table._enumerated_swings(players, loads, thresholds)
+                        assert np.array_equal(counts, expected)
 
     def test_win_edge_is_the_break_edge_at_load_zero(self):
         """Where the coalitions of each scanned sum start to win, among the
         other half's sorted sums, is the break edge at load 0.  It must equal
         the search with `sums_win` it replaced, and the count of losers per
-        scanned sum, for both halves of every split and either convention."""
+        scanned sum, for both halves and either convention."""
         for game in parity_games(150, seed=924, max_players=10):
-            for bits in range(1, game.num_players + 1):
-                table = CoalitionTable(game, block_bits=bits)
-                for _, _, _, own, other in table._sides:
-                    sums = own[:, None] + other[None, 1:-1]
-                    for strict in (False, True):
-                        thresholds = game.thresholds(strict)
-                        edge = _break_bounds(own, other, np.zeros(1), thresholds)[0]
-                        assert np.array_equal(edge, loop_win_bounds(own, other, thresholds))
-                        assert np.array_equal(edge, np.count_nonzero(~sums_win((sums,), thresholds), axis=1))
+            for _, _, _, own, other in CoalitionTable(game)._sides:
+                sums = own[:, None] + other[None, 1:-1]
+                for strict in (False, True):
+                    thresholds = game.thresholds(strict)
+                    edge = _break_bounds(own, other, np.zeros(1), thresholds)[0]
+                    assert np.array_equal(edge, loop_win_bounds(own, other, thresholds))
+                    assert np.array_equal(edge, np.count_nonzero(~sums_win((sums,), thresholds), axis=1))
 
     @given(small_games())
     @settings(max_examples=150, deadline=None)
     def test_small_games(self, game):
-        m = game.num_players
-        loads = [game.weight_matrix, game.weight_matrix[::-1] - 1.0]
-        for bits in _block_bits(m):
-            _against_enumerator(CoalitionTable(game, block_bits=bits), loads)
+        _against_enumerator(game, [game.weight_matrix, game.weight_matrix[::-1] - 1.0])
 
 
 class TestLargeSingleQuota:
@@ -631,13 +636,14 @@ class TestSumGrid:
             thresholds = game.thresholds(strict)
             for rows in loads:
                 counts = table.swing_counts(rows, strict=strict)
-                assert np.array_equal(counts, table._sorted_swing_counts(rows, thresholds))
+                assert np.array_equal(counts, table._sorted_swings(np.arange(m), rows, thresholds))
                 if m <= 8:
                     assert counts.tolist() == naive_load_swings(game, rows, strict)
         base = loads[0]
         for alt in loads[1:]:
             got = [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)]
-            assert got == [table._sorted_gain_loss(i, base[i], alt[i]) for i in range(m)]
+            thresholds = game.winning_thresholds
+            assert got == [_two_counts(table._sorted_swings, i, base[i], alt[i], thresholds) for i in range(m)]
             if m <= 8:
                 assert got == naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from banzhaf.games import (
     persuasion_load,
     persuasion_loads,
     removal_breaks,
+    seeded_rng,
     single_quota_game,
     sums_win,
     validate_coalition,
@@ -288,6 +290,16 @@ class TestAssociationMatrix:
     def test_extreme_entries_allowed(self):
         phi = AssociationMatrix(((1.0, -1.0), (1.0, 1.0)))
         assert phi.entries[0][1] == -1.0
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [True, 1.5, 2.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidGameError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            seeded_rng(seed, 0)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert seeded_rng(np.uint8(7), 2).integers(2**62) == seeded_rng(7, 2).integers(2**62)
 
 
 class TestCoalitions:
@@ -579,9 +591,8 @@ class TestKernel:
                     if not strict and s >= q - tol and s_out < q - tol:
                         literal[i] += 1
             assert list(exact_indices(g, strict=strict).swing_counts) == literal
-            for bits in (1, 2, 3):  # every split, counted sorted and enumerated
-                table = CoalitionTable(g, block_bits=bits)
-                loads, thresholds = g.weight_matrix, g.thresholds(strict)
-                assert list(table.swing_counts(loads, strict=strict)) == literal
-                assert list(table._enumerated_swing_counts(loads, thresholds)) == literal
+            # counted on the sorted halves and enumerated
+            table, loads = CoalitionTable(g), g.weight_matrix
+            assert list(table.swing_counts(loads, strict=strict)) == literal
+            assert list(table._enumerated_swings(np.arange(3), loads, g.thresholds(strict))) == literal
         assert seen_wins == [False, not strict, True]

@@ -185,9 +185,9 @@ class TestUnpack:
         m, k = game.num_players, game.num_dimensions
         phi = random_association(m, seed=3)
         default = [estimate_indices(game, p, samples=120, seed=9) for p in (None, phi)]
-        # the byte tables plus ``rows`` samples of 8 * (words + k + 4) bytes each
+        # ``rows`` samples of 8 * (words + k + 4) bytes each
         words = (m + 63) // 64
-        budget = _byte_tables(game.weight_matrix).nbytes + rows * 8 * (words + k + 4)
+        budget = rows * 8 * (words + k + 4)
         monkeypatch.setattr(sampling, "_CHUNK_BYTES", budget)
         drawn = []
 
@@ -222,14 +222,52 @@ class TestUnpack:
             tracemalloc.stop()
         assert peak < 2 * sampling._CHUNK_BYTES
 
+    def test_chunks_beside_tables_past_the_budget(self, monkeypatch):
+        """A budget below the byte tables' size still buys chunks of many
+        samples, since the tables are not a chunk's buffers."""
+        game = _integer_game(64, seed=7)
+        tables = _byte_tables(game.weight_matrix)
+        expected = _swing_count_for_player(game, 5, game.weight_matrix[5], 500, 3, tables)
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", tables.nbytes // 2)
+        chunks = []
+
+        def spy(tables, octets, *buffers):
+            chunks.append(len(octets))
+            sampling_lookup(tables, octets, *buffers)
+
+        sampling_lookup = sampling._lookup_sums
+        monkeypatch.setattr(sampling, "_lookup_sums", spy)
+        assert _swing_count_for_player(game, 5, game.weight_matrix[5], 500, 3, tables) == expected
+        assert sum(chunks) == 500 and min(chunks[:-1]) > 1
+
 
 class TestStudentQuantile:
     @pytest.mark.parametrize(
         "df", [1, 2, 3, 5, 10, 30, 199, 737, 999, 1000, 1001, 4611, 5000, 18628, 10**6]
     )
-    @pytest.mark.parametrize("tail", [0.4, 0.25, 0.05, 0.025, 0.005, 1e-4, 1e-6])
+    @pytest.mark.parametrize("tail", [0.5 - 1e-6, 0.4, 0.25, 0.05, 0.025, 0.005, 1e-4, 1e-6])
     def test_matches_scipy(self, df, tail):
-        assert student_t_quantile(tail, df) == pytest.approx(-special.stdtrit(df, tail), rel=1e-10)
+        expected = -special.stdtrit(df, tail)
+        assert student_t_quantile(tail, df) == pytest.approx(expected, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize(
+        "df", [1, 2, 3, 5, 10, 30, 199, 737, 999, 1000, 1001, 4611, 5000, 18628, 10**6]
+    )
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10, 1e-13])
+    def test_near_the_centre(self, df, gap):
+        """Within ``gap`` of tail 0.5 the quantile is ``u (1 + (df + 1) u^2 /
+        (6 df))``, ``u = (0.5 - tail) / f(0)``, to far below 1e-10 (the next
+        term is of order u^5), and far below approx's default absolute
+        tolerance.  scipy's `stdtrit` is no reference here: at df = 3 it is
+        5.8e-7 relative off this series at 0.5 - 1e-13."""
+        tail = 0.5 - gap
+        if df < 1000:
+            ratio = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2))
+        else:  # Gamma(x + 1/2) / Gamma(x) at x = df / 2, without lgamma's cancellation
+            ratio = math.sqrt(df / 2) * (1 - 1 / (4 * df) + 1 / (32 * df * df))
+        u = (0.5 - tail) / (ratio / math.sqrt(df * math.pi))
+        expected = u * (1 + (df + 1) * u * u / (6 * df))
+        assert student_t_quantile(tail, df) == pytest.approx(expected, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("tail", [0.4, 0.025, 1e-6, 1e-12, 1e-50])
     def test_matches_scipy_across_the_expansion_cutoff(self, tail):
@@ -405,6 +443,11 @@ class TestRequiredSamples:
         with pytest.raises(InvalidGameError, match="^seed must be non-negative, got -1$"):
             estimate_indices(game_321(), samples=10, seed=-1)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidGameError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            estimate_indices(game_321(), samples=10, seed=seed)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             required_samples(0.0, 0.1)
@@ -531,18 +574,19 @@ class TestByteTables:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < sampling._CHUNK_BYTES
+        # the chunks' buffers, beside the tables
+        assert peak - tables.nbytes < sampling._CHUNK_BYTES
 
     @pytest.mark.parametrize("budget", [40_000, 70_000])
     @pytest.mark.parametrize("case", ["int-m65", "two-quota-m70", "eu"])
     def test_ragged_chunks_match(self, monkeypatch, case, budget):
-        # these budgets leave 49 to 920 samples per chunk after the tables,
-        # so 1,000 samples end in a partial chunk
+        # these budgets buy 625 to 1,250 samples per chunk, so 1,500 samples
+        # end in a partial chunk
         game = UNPACK_CASES[case]
         phi = random_association(game.num_players, seed=6)
-        default = [estimate_indices(game, p, samples=1000, seed=4) for p in (None, phi)]
+        default = [estimate_indices(game, p, samples=1500, seed=4) for p in (None, phi)]
         monkeypatch.setattr(sampling, "_CHUNK_BYTES", budget)
-        assert [estimate_indices(game, p, samples=1000, seed=4) for p in (None, phi)] == default
+        assert [estimate_indices(game, p, samples=1500, seed=4) for p in (None, phi)] == default
 
 
 MATMUL_CASES = {**UNPACK_CASES, "int-m9": _integer_game(9, seed=9), "int-m1000": _integer_game(1000, seed=2)}
