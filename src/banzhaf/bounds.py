@@ -265,6 +265,8 @@ def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:
     as in the multi-quota enumeration, which are exact for integer weights.
     """
     require_single_quota(game, "scan_all_critical_coalitions")
+    if game.num_players > exact.HARD_PLAYER_CAP:  # rejected before the table builds its engine's arrays
+        exact._check_size(game, "enumeration")
     checked, violations = 0, []
     for sums, members in CoalitionTable(game).winner_blocks(game.winning_thresholds):
         applies, violated = _all_critical(game, sums, members)

@@ -40,8 +40,7 @@ its break edge.  The scanned sums are taken in sorted order too, so the
 searches and corrections walk both arrays in order.  The halves split the
 players evenly and the table keeps only their sorted sums, so memory grows
 as ``2^(m/2)``, and the games are capped where a count outgrows a stated
-budget.  On either single-quota engine two loads' windows both start at the
-winning edge, so a gain or loss is the difference of two counts.
+budget.
 
 Games with several quotas ("enumeration") have no such order, and enumerate
 the ``2^(m-b)`` high blocks of a low half of ``b = min(m, 16)`` players,
@@ -55,6 +54,12 @@ scan caches them and later scans, one per load matrix, read only the cache;
 larger sets are enumerated and compacted afresh by each scan.  The comparisons
 themselves (``s >= t`` to win, ``s - l < t`` to break, under either boundary
 convention's thresholds) live in `banzhaf.games`, which every engine shares.
+
+Gain and loss between two load rows are three counts on any engine and for
+any number of quotas: per dimension ``s - l < t`` is monotone in ``l``, since
+float subtraction rounds monotonically, so breaking a quota under either row
+is breaking one under their per-dimension maximum ``u``, and the gain is
+swings(``u``) - swings(base), the loss swings(``u``) - swings(alt).
 """
 
 from __future__ import annotations
@@ -228,17 +233,16 @@ class CoalitionTable:
         alt_loads: np.ndarray,
     ) -> tuple[int, int]:
         """Coalitions where ``alt`` loads make the player critical but
-        ``base`` loads do not (gain), and vice versa (loss).  Each load row
-        holds one load per dimension."""
+        ``base`` loads do not (gain), and vice versa (loss), for any number
+        of quotas on any engine: three counts, of the swings under ``base``,
+        ``alt`` and their per-dimension maximum.  Each load row holds one
+        finite load per dimension."""
         player = self.game.player_index(player)
         k = (self.game.num_dimensions,)
         base_loads, alt_loads = _shaped(base_loads, k, "base_loads"), _shaped(alt_loads, k, "alt_loads")
-        if k[0] > 1:
-            return self._enumerated_gain_loss(player, base_loads, alt_loads)
-        # both removal windows start at the winning edge, so one holds the other
-        loads = np.array([base_loads, alt_loads])
-        base, alt = self._swings(np.full(2, player), loads, self.game.winning_thresholds)
-        return int(max(alt - base, 0)), int(max(base - alt, 0))
+        loads = np.array([base_loads, alt_loads, np.maximum(base_loads, alt_loads)])
+        base, alt, either = self._swings(np.full(3, player), loads, self.game.winning_thresholds)
+        return int(either - base), int(either - alt)
 
     def _swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
         """Per entry, how many coalitions player ``players[e]`` swings with
@@ -369,17 +373,6 @@ class CoalitionTable:
                 counts[e] += int(np.count_nonzero(members[i] & breaks))
         return counts
 
-    def _enumerated_gain_loss(self, player: int, base_loads: np.ndarray, alt_loads: np.ndarray):
-        thresholds = self.game.winning_thresholds
-        gain = loss = 0
-        for sums, members in self.winner_blocks(thresholds):
-            member = members[player]
-            base = member & removal_breaks(sums, base_loads, thresholds)
-            alt = member & removal_breaks(sums, alt_loads, thresholds)
-            gain += int(np.count_nonzero(alt & ~base))
-            loss += int(np.count_nonzero(base & ~alt))
-        return gain, loss
-
 
 def _break_bounds(
     scanned: np.ndarray, padded: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]
@@ -493,9 +486,12 @@ def _member_sums(order: np.ndarray, bits: np.ndarray, widths: np.ndarray) -> np.
 
 
 def _shaped(loads, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``loads`` as an array of ``shape``, every load finite (no edge search ends on NaN or inf)."""
     loads = np.asarray(loads)
     if loads.shape != shape:
         raise InvalidGameError(f"{what} must be shaped {shape}, got {loads.shape}")
+    if not np.isfinite(loads.astype(float)).all():  # of any numeric dtype, object included
+        raise InvalidGameError(f"{what}: not finite")
     return loads
 
 

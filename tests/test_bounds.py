@@ -317,12 +317,15 @@ class TestAllCriticalWeight:
 
     def test_scan_capped_before_any_block(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("built the enumerator's blocks for a game past the cap")
+            raise AssertionError("built a table's arrays for a game past the cap")
 
-        # an integer game, whose table holds only its sum grid
+        # neither the enumerator's blocks nor the table's engine arrays: an
+        # integer game's sum grid, or a half-integer game's sorted halves
         monkeypatch.setattr(exact, "subset_sums", fail)
-        with pytest.raises(InvalidGameError, match="capped at 32 players, got 33"):
-            scan_all_critical_coalitions(single_quota_game([1] * 33, 17))
+        monkeypatch.setattr(exact, "_grid_stack", fail)
+        for weights in ([1] * 33, [w + 0.5 for w in range(40)]):
+            with pytest.raises(InvalidGameError, match=f"capped at 32 players, got {len(weights)}"):
+                scan_all_critical_coalitions(single_quota_game(weights, sum(weights) / 2))
 
     def test_scan_warns_like_the_enumerator(self, monkeypatch):
         monkeypatch.setattr(exact, "SOFT_PLAYER_WARNING", 3)

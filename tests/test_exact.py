@@ -197,6 +197,25 @@ class TestTable:
         with pytest.raises(InvalidGameError, match=r"^base_loads must be shaped \(3,\), got \(1,\)$"):
             CoalitionTable(eu_game()).criticality_gain_loss(0, np.ones(1), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loads_rejected_on_every_engine(self, bad):
+        """The sorted halves' and the grid's edge searches would never end on
+        such a load, and the enumerator would count it.  Finite loads in an
+        object array are still counted."""
+        games = [single_quota_game([3, 2, 1], 4), single_quota_game([3, 2, 1.5], 4), eu_game()]
+        for game in games:
+            table, w = CoalitionTable(game), game.weight_matrix
+            assert np.array_equal(table.swing_counts(w.astype(object)), table.swing_counts(w))
+            loads = w.copy()
+            loads[-1, -1] = bad
+            with pytest.raises(InvalidGameError, match="^loads: not finite$"):
+                table.swing_counts(loads)
+            with pytest.raises(InvalidGameError, match="^base_loads: not finite$"):
+                table.criticality_gain_loss(0, loads[-1], w[0])
+            with pytest.raises(InvalidGameError, match="^alt_loads: not finite$"):
+                table.criticality_gain_loss(0, w[0], loads[-1])
+        assert [CoalitionTable(g).engine for g in games] == ["subset-sum", "sorted-half", "enumeration"]
+
     def test_negative_player_on_several_quotas_rejected(self):
         game = eu_game()
         with pytest.raises(InvalidGameError, match="^player index -1 out of range$"):
@@ -423,19 +442,41 @@ class TestCompactedWinners:
             assert len(table._winning_sets) == 2 - extra
 
     def test_gain_loss_matches_streaming(self):
-        """Single-quota games, enumerated through the private scan that
-        several quotas use, against the sorted-half count."""
+        """Single-quota games' gain/loss on the engine each table chose, and
+        enumerated as several quotas are, from a cached and from a streamed
+        winner set, against the oracle."""
         compacted = 0
         for game, phi in corpus(8, seed=913, max_players=12, with_phi=True):
             base = game.weight_matrix
             alt = np.array(persuasion_loads(game, phi))
+            expected = naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
             compact, stream = _table(game), _table(game, 2)
-            for i in range(game.num_players):
-                expected = compact._enumerated_gain_loss(i, base[i], alt[i])
-                assert stream._enumerated_gain_loss(i, base[i], alt[i]) == expected
-                assert compact.criticality_gain_loss(i, base[i], alt[i]) == expected
+            for table in (compact, stream):
+                for engine in (table.engine, "enumeration"):
+                    table.engine = engine
+                    got = [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(game.num_players)]
+                    assert got == expected
+            assert stream._winning_sets == {}
             compacted += len(compact._winning_sets)
         assert compacted > 0
+
+    def test_gain_loss_where_either_load_breaks_a_different_quota(self):
+        """Base loads break only the first quota and alt loads only the
+        second, so their maximum is neither row and swings more than both:
+        the single-quota rule, the difference of two counts, is wrong here.
+        Against the oracle from a cached and from a streamed winner set."""
+        game = _random_two_quota_game(10, (0.55, 0.5), seed=933)
+        w, zero = game.weight_matrix, np.zeros(10)
+        base, alt = np.column_stack((w[:, 0], zero)), np.column_stack((zero, w[:, 1]))
+        expected = naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
+        cached, streamed = CoalitionTable(game), _table(game, 4)
+        for table in (cached, streamed):
+            assert [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(10)] == expected
+        assert len(cached._winning_sets) == 1 and streamed._winning_sets == {}
+        swings = [cached.swing_counts(rows) for rows in (base, alt, w)]
+        assert (swings[2] > np.maximum(swings[0], swings[1])).any()
+        single_quota_rule = [(max(a - b, 0), max(b - a, 0)) for b, a in zip(swings[0].tolist(), swings[1].tolist())]
+        assert single_quota_rule != expected
 
     def test_large_winning_set_is_not_cached(self):
         game = single_quota_game([1] * 20, 10)
@@ -445,19 +486,13 @@ class TestCompactedWinners:
         assert list(counts) == [math.comb(19, 9)] * 20
 
 
-def _two_counts(count, player, base, alt, thresholds):
-    """Gain and loss as the difference of ``count``'s swings of ``player``
-    with the ``base`` and the ``alt`` load row."""
-    base, alt = count(np.full(2, player), np.array([base, alt]), thresholds)
-    return int(max(alt - base, 0)), int(max(base - alt, 0))
-
-
 def _against_enumerator(game, loads_list):
     """Every count of the sorted-half path on a table of ``game``, and of the
     engine the table chose, equals the enumerator's over the same sums (its
     blocks split evenly, as the sorted halves do): swings under both
-    conventions for every load matrix, and each player's gain/loss from the
-    first matrix to the others."""
+    conventions for every load matrix.  Each player's gain/loss from the
+    first matrix to the others is the oracle's on the chosen engine, the
+    sorted halves and the enumerator."""
     m = game.num_players
     table, players = _table(game, (m + 1) // 2), np.arange(m)
     for loads in loads_list:
@@ -466,12 +501,12 @@ def _against_enumerator(game, loads_list):
             expected = table._enumerated_swings(players, loads, thresholds)
             assert np.array_equal(table.swing_counts(loads, strict=strict), expected)
             assert np.array_equal(table._sorted_swings(players, loads, thresholds), expected)
-    base, thresholds = loads_list[0], game.winning_thresholds
+    base, winners, engines = loads_list[0], winning_coalitions(game), (table.engine, "sorted-half", "enumeration")
     for alt in loads_list[1:]:
-        for i in range(m):
-            expected = table._enumerated_gain_loss(i, base[i], alt[i])
-            assert table.criticality_gain_loss(i, base[i], alt[i]) == expected
-            assert _two_counts(table._sorted_swings, i, base[i], alt[i], thresholds) == expected
+        expected = naive_gain_loss(winners, base, alt, game.winning_thresholds)
+        for engine in engines:
+            table.engine = engine
+            assert [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)] == expected
 
 
 def _pulling_against(m):
@@ -642,10 +677,11 @@ class TestSumGrid:
         base = loads[0]
         for alt in loads[1:]:
             got = [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)]
-            thresholds = game.winning_thresholds
-            assert got == [_two_counts(table._sorted_swings, i, base[i], alt[i], thresholds) for i in range(m)]
             if m <= 8:
                 assert got == naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
+            table.engine = "sorted-half"
+            assert [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)] == got
+            table.engine = "subset-sum"
 
     @pytest.mark.parametrize("budget", [16 * 3, 16 * 40])
     def test_gathers_cut_to_any_budget_agree(self, monkeypatch, budget):
