@@ -18,8 +18,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .games import AssociationMatrix, InvalidGameError, VotingGame, require_single_quota
-from .exact import CoalitionTable, exact_indices
+from .games import AssociationMatrix, InvalidGameError, VotingGame, removal_loads, require_single_quota, seeded_rng
+from .exact import CoalitionTable, exact_indices, index_report
 from .sampling import CI_METHODS, confidence_interval, estimate_indices, index_cap, required_samples
 from .bounds import bounds_report, conjecture_scan, size_window
 from .data import (
@@ -32,6 +32,8 @@ from .data import (
 )
 
 FORMATS = ("table", "json", "csv")
+# `eu --random-association` counts its load matrices in stacks of at most this many bytes
+_STACK_BYTES = 1 << 20
 
 
 def _load_game_arg(value: str) -> VotingGame:
@@ -304,6 +306,19 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     _emit(fmt, precision, out, header, payload, footer=footer)
 
 
+def _random_association_counts(game: VotingGame, table: CoalitionTable, seed: int, runs: int):
+    """Yield the swing counts under ``random_association(m, seed + r)`` for
+    each run ``r`` in order, counted by ``table`` in stacks of load matrices
+    that fit `_STACK_BYTES`."""
+    m, k = game.num_players, game.num_dimensions
+    step = max(1, _STACK_BYTES // (8 * m * k))
+    for start in range(0, runs, step):
+        stack = np.empty((min(step, runs - start), m, k))
+        for j, loads in enumerate(stack):
+            loads[:] = removal_loads(game, random_association(m, seed + start + j))[1]
+        yield from table.swing_counts(stack)
+
+
 @cli.command("eu")
 @click.option("--migration", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Migration CSV; adds association-aware indices.")
@@ -317,17 +332,16 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
     """The 18-country EU Council study."""
     if migration and random_assoc:
         raise click.UsageError("--migration and --random-association are mutually exclusive")
+    if random_assoc and runs <= 0:
+        raise click.UsageError("--runs must be positive")
     game = eu_game()
+    if random_assoc:
+        seeded_rng(seed)  # rejects a bad seed before the table is built
     table = CoalitionTable(game)
     classical = exact_indices(game, table=table)
     if random_assoc:
-        if runs <= 0:
-            raise click.UsageError("--runs must be positive")
-        per_run = []
-        for r in range(runs):
-            phi = random_association(game.num_players, seed + r)
-            rep = exact_indices(game, phi, table=table)
-            per_run.append(rep.normalized)
+        per_run = [index_report(game, "association", counts).normalized
+                   for counts in _random_association_counts(game, table, seed, runs)]
         mean = np.mean(np.array(per_run), axis=0)
         header = ["run", *game.player_ids]
         rows = [[str(r), *vals] for r, vals in enumerate(per_run)]

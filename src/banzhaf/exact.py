@@ -48,12 +48,22 @@ every one of the ``2^m`` coalitions once (a single-quota table builds them
 only when `CoalitionTable.winner_blocks` asks, past the same cap).  Only winning
 coalitions can be swung, and in games like the EU Council few of them win,
 so the enumeration compacts each block's winners (their sums and membership
-bits) and counts over those alone.  When all of a boundary convention's
+bits) and counts over those alone; it tests a block one dimension at a time
+and then sums only the winners, so it never holds all of a block's sums.
+When all of a boundary convention's
 winners fit in one block's sum arrays (``2^b * k * 8`` bytes), the first
 scan caches them and later scans, one per load matrix, read only the cache;
 larger sets are enumerated and compacted afresh by each scan.  The comparisons
 themselves (``s >= t`` to win, ``s - l < t`` to break, under either boundary
 convention's thresholds) live in `banzhaf.games`, which every engine shares.
+A count finds each entry's break edge per dimension once (`removal_edges`):
+the least float ``v`` with ``v - l >= t``.  Float subtraction of a fixed
+``l`` is monotone, so ``s - l < t`` exactly when ``s < v``, and a winner
+breaks an entry iff it does not win against the entry's edges, one
+comparison per dimension.  Per block, all of one player's entries are
+compared in one broadcast, in chunks that fit `_GROUP_BYTES`, so the r load
+matrices of a stack (`CoalitionTable.swing_counts` takes one or r) share
+one pass over the winners.
 
 Gain and loss between two load rows are three counts on any engine and for
 any number of quotas: per dimension ``s - l < t`` is monotone in ``l``, since
@@ -75,6 +85,7 @@ from .games import (
     InvalidGameError,
     VotingGame,
     removal_breaks,
+    removal_edges,
     removal_loads,
     require_single_quota,
     subset_sums,
@@ -114,8 +125,9 @@ SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
 # at most about 90 MiB.
 _GRID_CELLS = 1 << 26
 _GRID_PER_HALF_ENTRY = 16
-# The bounds of a group of players, or a stack of small games' sum grids, are
-# built at once, up to this many bytes.
+# The bounds of a group of players, a stack of small games' sum grids, or the
+# enumerator's comparisons of one player's entries with a block of winners
+# are built at once, up to this many bytes.
 _GROUP_BYTES = 1 << 20
 _INF = np.array([np.inf])
 # per engine, the `CoalitionTable` arrays built with the table, and its count
@@ -219,12 +231,16 @@ class CoalitionTable:
     def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.
 
-        ``loads`` is the (m, k) matrix of removal loads.  The counts are
-        int64, or Python ints in an object array from 63 players on.
+        ``loads`` is the (m, k) matrix of removal loads, or an (r, m, k)
+        stack of r such matrices, counted at once, which gives (r, m) counts.
+        The counts are int64, or Python ints in an object array from 63
+        players on.
         """
-        m = self.game.num_players
-        loads = _shaped(loads, (m, self.game.num_dimensions), "loads")
-        return self._swings(np.arange(m), loads, self.game.thresholds(strict))
+        m, k = self.game.num_players, self.game.num_dimensions
+        loads = np.asarray(loads)
+        loads = _shaped(loads, (len(loads), m, k) if loads.ndim == 3 else (m, k), "loads")
+        players = np.tile(np.arange(m), loads.size // (m * k))
+        return self._swings(players, loads.reshape(-1, k), self.game.thresholds(strict)).reshape(loads.shape[:-1])
 
     def criticality_gain_loss(
         self,
@@ -311,15 +327,16 @@ class CoalitionTable:
         b = min(len(weights), _DEFAULT_BLOCK_BITS)
         return subset_sums(weights[:b]), subset_sums(weights[b:])
 
-    def _compact(self, h: int, b: int, sums: np.ndarray, win: np.ndarray, n: int):
-        """Sums and membership rows of block ``h``'s ``n`` winning coalitions."""
-        m = self.game.num_players
-        low = np.flatnonzero(win).astype(np.uint32)
+    def _compact(self, h: int, b: int, win: np.ndarray, n: int):
+        """Sums and membership rows of block ``h``'s ``n`` winning coalitions,
+        whose low halves are where ``win`` holds."""
+        m, (low, high) = self.game.num_players, self._blocks
+        rows = np.flatnonzero(win).astype(np.uint32)
         members = np.empty((m, n), dtype=bool)
         for i in range(b):
-            np.not_equal(low & np.uint32(1 << i), 0, out=members[i])
+            np.not_equal(rows & np.uint32(1 << i), 0, out=members[i])
         members[b:] = ((h >> np.arange(m - b)) & 1)[:, None]
-        return np.compress(win, sums, axis=1), members
+        return high[:, h : h + 1] + low.take(rows, axis=1), members  # take keeps the sums' rows contiguous
 
     def winner_blocks(self, thresholds: tuple[float, ...]):
         """Yield ``(sums, members)``, in ascending bitmask order, for every
@@ -342,17 +359,19 @@ class CoalitionTable:
         low, high = self._blocks
         b = low.shape[1].bit_length() - 1
         # A compacted winner costs 8k bytes of sums and m of membership.  The
-        # budget is one block's sum arrays, which the scan holds anyway.
+        # budget is the size of the low half's sums, which the table holds anyway.
         room = low.nbytes // (k * 8 + m)
         # an empty part first, so that a convention nothing wins caches an empty set
         held = [(np.empty((k, 0)), np.empty((m, 0), dtype=bool))]
         for h in range(high.shape[1]):
-            sums = high[:, h : h + 1] + low
-            win = sums_win(sums, thresholds)
+            # one dimension's sums at a time, so the block's (k, 2^b) sums are never all held
+            win = sums_win((high[0, h] + low[0],), thresholds[:1])
+            for d in range(1, k):
+                win &= sums_win((high[d, h] + low[d],), thresholds[d : d + 1])
             n = int(np.count_nonzero(win))
             if not n:
                 continue
-            part = self._compact(h, b, sums, win, n)
+            part = self._compact(h, b, win, n)
             room -= n
             if room >= 0:
                 held.append(part)
@@ -367,10 +386,25 @@ class CoalitionTable:
 
     def _enumerated_swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
         counts = np.zeros(players.size, dtype=np.int64)
+        # a winner of sums s breaks entry e iff s < edges[:, e] in some
+        # dimension, that is iff it does not win against the entry's edges
+        edges = removal_edges(loads.T, thresholds)[:, :, None]
+        # grouped without a sort: numpy's first sort in a process maps about
+        # 1.5 MB of its code, which the EU study's peak memory would show
+        groups = [(i, np.flatnonzero(players == i)) for i in set(players.tolist())]
         for sums, members in self.winner_blocks(thresholds):
-            for e, (i, load) in enumerate(zip(players.tolist(), loads)):
-                breaks = removal_breaks(sums, load, thresholds)
-                counts[e] += int(np.count_nonzero(members[i] & breaks))
+            # a chunk's two (rows, n) bool arrays take at most a quarter of
+            # _GROUP_BYTES, which keeps a count's peak memory below the scan's
+            rows = max(1, _GROUP_BYTES // max(1, 8 * sums.shape[1]))
+            sums = sums[:, None]
+            for i, entries in groups:
+                own = members[i]
+                own_total = int(np.count_nonzero(own))
+                for start in range(0, entries.size, rows):
+                    chunk = entries[start : start + rows]
+                    keeps = sums_win(sums, edges[:, chunk])
+                    keeps &= own
+                    counts[chunk] += [own_total - np.count_nonzero(row) for row in keeps]
         return counts
 
 
@@ -495,7 +529,8 @@ def _shaped(loads, shape: tuple[int, ...], what: str) -> np.ndarray:
     return loads
 
 
-def _make_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport:
+def index_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport:
+    """The report of the swing ``counts`` of ``game``'s players in ``mode``, as `exact_indices` gives it."""
     m = game.num_players
     denom = 1 << (m - 1)
     swings = counts.tolist()
@@ -533,7 +568,7 @@ def _classical_reports(games: list[VotingGame]) -> list[IndexReport]:
         thresholds = np.array([games[p].winning_thresholds[0] for p in stack])
         counts = _grid_swing_counts(*_grid_stack(weights), thresholds, rows, np.concatenate(weights), np.concatenate(loads))
         for p, row in zip(stack, np.split(counts, np.cumsum([w.size for w in weights])[:-1])):
-            reports[p] = _make_report(games[p], "classical", row)
+            reports[p] = index_report(games[p], "classical", row)
     return reports
 
 
@@ -562,7 +597,7 @@ def exact_indices(
     """
     mode, loads = removal_loads(game, phi)
     counts = _table_for(game, table).swing_counts(loads, strict=strict)
-    return _make_report(game, mode, counts)
+    return index_report(game, mode, counts)
 
 
 def association_delta(

@@ -16,7 +16,9 @@ gives per-dimension thresholds ``t`` under either boundary convention, and
 `sums_win` (``s >= t`` in every dimension) and `removal_breaks` (``s - l < t``
 in some dimension) apply them to sums indexed by dimension first: a tuple of
 floats for one coalition, or rows of a numpy array for many.  The scalar
-predicates below, the exact enumerator and the sampler all call these two.
+predicates below, the exact engines and the sampler all call these two;
+`removal_edges` turns each load into the sum below which its removal breaks
+a quota, checked by `removal_breaks` itself.
 """
 
 from __future__ import annotations
@@ -476,6 +478,57 @@ def removal_breaks(sums, loads: Sequence[float], thresholds: Sequence[float]):
     for s, l, t in zip(sums[1:], loads[1:], thresholds[1:]):
         out |= s - l < t
     return out
+
+
+_MAGNITUDE = np.int64(2**63 - 1)
+
+
+def _ordered(x: np.ndarray) -> np.ndarray:
+    """The float64 ``x`` as int64 keys in the floats' order: the magnitude
+    bits of negative numbers flipped, a map that is its own inverse on the
+    bits (``_ordered(keys.view(np.float64)).view(np.float64)`` undoes it)."""
+    bits = x.view(np.int64)
+    return bits ^ ((bits >> 63) & _MAGNITUDE)
+
+
+def removal_edges(loads, thresholds: Sequence[float]) -> np.ndarray:
+    """Per load ``l`` and its dimension's threshold ``t``, the least float
+    ``v`` with ``v - l >= t`` (+inf when no finite float has it), with
+    ``loads`` a finite (k, ...) array indexed by dimension first.
+
+    Float subtraction of a fixed ``l`` never decreases as the sum grows, so
+    ``s - l < t`` exactly when ``s < v``, for every float ``s``: a removal
+    breaks a quota of a coalition of sums ``s`` iff ``sums_win(s, v)`` does
+    not hold.  `removal_breaks` decides every edge: each is checked against
+    the float one ulp below it.  The search starts from ``t + l`` and one ulp
+    either way; the edges not found there are bisected on the floats'
+    ordered int64 keys between -inf (which breaks) and +inf (which does not),
+    at most 64 halvings, which also ends where ``t + l`` cancels to near 0
+    and the edge lies many ulps away."""
+    l = np.asarray(loads, dtype=np.float64)
+    t = np.broadcast_to(np.reshape(np.asarray(thresholds, dtype=np.float64), (-1,) + (1,) * (l.ndim - 1)), l.shape)
+    shape, l, t = l.shape, l.ravel(), t.ravel()
+
+    def holds(v, at=slice(None)):
+        return ~removal_breaks((v,), (l[at],), (t[at],))
+
+    # the edge is the first of ``t + l`` and one ulp either way that holds,
+    # if the float before that one breaks
+    start = t + l
+    below = np.nextafter(start, -np.inf)
+    steps = np.array([np.nextafter(below, -np.inf), below, start, np.nextafter(start, np.inf)])
+    held = holds(steps)
+    edges = np.where(held[1], below, np.where(held[2], start, steps[3]))
+    lost = np.flatnonzero(held[0] | ~held[3])
+    if lost.size:
+        lo = np.full(lost.size, _ordered(np.array(-np.inf)))
+        hi = np.full(lost.size, _ordered(np.array(np.inf)))
+        while (lo + 1 < hi).any():  # lo breaks, hi holds; the range is below 2^64 at first
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo + hi) / 2), without overflow
+            up = holds(_ordered(mid.view(np.float64)).view(np.float64), lost)
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+        edges[lost] = _ordered(hi.view(np.float64)).view(np.float64)
+    return edges.reshape(shape)
 
 
 def is_winning(game: VotingGame, coalition: int, strict: bool = False) -> bool:

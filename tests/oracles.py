@@ -75,12 +75,19 @@ def winning_coalitions(game: VotingGame, strict: bool = False) -> list[tuple[int
 def naive_load_swings(game: VotingGame, loads, strict: bool = False) -> list[int]:
     """Per player, the winning coalitions that removing its row of ``loads``
     breaks, under either convention."""
-    thresholds = game.thresholds(strict)
-    loads = np.asarray(loads).tolist()
-    counts = [0] * game.num_players
-    for c, sums in winning_coalitions(game, strict):
+    return naive_stack_swings(winning_coalitions(game, strict), [loads], game.thresholds(strict))[0]
+
+
+def naive_stack_swings(winners, load_matrices, thresholds) -> list[list[int]]:
+    """Per load matrix, per player, the ``winners`` (from
+    `winning_coalitions` under ``thresholds``) that removing its row of the
+    matrix breaks."""
+    rows = [np.asarray(loads).tolist() for loads in load_matrices]
+    counts = [[0] * len(loads) for loads in rows]
+    for c, sums in winners:
         for i in coalition_members(c):
-            counts[i] += bool(removal_breaks(sums, loads[i], thresholds))
+            for loads, row_counts in zip(rows, counts):
+                row_counts[i] += bool(removal_breaks(sums, loads[i], thresholds))
     return counts
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from banzhaf import cli
 from banzhaf.cli import main
-from banzhaf.data import dump_game, eu_game
+from banzhaf.data import dump_game, eu_game, random_association
 from banzhaf.exact import exact_indices
 from banzhaf.games import single_quota_game
 
@@ -306,6 +307,34 @@ class TestEu:
         code, out, err = run(capsys, ["eu", "--random-association", "--runs", "0"])
         assert (code, out) == (1, "")
         assert "--runs must be positive" in err
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--runs", "0"], (1, "", "usage error: --runs must be positive\n")),
+            (["--runs", "2", "--seed", "-1"], (2, "", "error: seed must be non-negative, got -1\n")),
+        ],
+        ids=["runs", "seed"],
+    )
+    def test_random_association_usage_checked_before_the_table(self, capsys, monkeypatch, argv, expected):
+        def no_table(game):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "CoalitionTable", no_table)
+        assert run(capsys, ["eu", "--random-association", *argv]) == expected
+
+    def test_random_association_stacks_match_the_per_matrix_loop(self, capsys, monkeypatch):
+        """Stacks of two load matrices, so that five runs cross two stack
+        boundaries: the same bytes as one stack, and each run's indices
+        those of its own `exact_indices` call, as before stacking."""
+        argv = ["eu", "--random-association", "--runs", "5", "--seed", "2", "--format", "json", "--precision", "17"]
+        one_stack = run(capsys, argv)
+        monkeypatch.setattr(cli, "_STACK_BYTES", 2 * 18 * 3 * 8)
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == one_stack[:2] and code == 0
+        game = eu_game()
+        expected = [exact_indices(game, random_association(18, 2 + r)).normalized for r in range(5)]
+        assert json.loads(out)["runs"] == [{p: round(v, 17) for p, v in zip(game.player_ids, row)} for row in expected]
 
     def test_migration_and_random_exclusive(self, capsys, tmp_path):
         path = tmp_path / "mig.csv"

@@ -44,6 +44,7 @@ from oracles import (
     loop_win_bounds,
     naive_gain_loss,
     naive_load_swings,
+    naive_stack_swings,
     naive_swing_counts,
     parity_games,
     winning_coalitions,
@@ -484,6 +485,71 @@ class TestCompactedWinners:
         counts = table._enumerated_swings(np.arange(20), game.weight_matrix, game.thresholds())
         assert table._winning_sets == {}
         assert list(counts) == [math.comb(19, 9)] * 20
+
+
+class TestLoadStacks:
+    """An (r, m, k) stack of load matrices counts as r single-matrix calls
+    on every engine, and as the oracle."""
+
+    def _stack(self, game, seed):
+        """The loads of `_pulling_against`, which are mostly negative,
+        own-weight loads and two `random_association` PPMs' loads."""
+        m = game.num_players
+        phis = (_pulling_against(m), random_association(m, seed), random_association(m, seed + 1))
+        return np.array([persuasion_loads(game, phis[0]), game.weight_matrix, *(persuasion_loads(game, phi) for phi in phis[1:])])
+
+    def _check(self, table, stack, oracle=True):
+        """Under both conventions: (r, m) counts, each row the single
+        matrix's count, and the oracle's when ``oracle``."""
+        game = table.game
+        for strict in (False, True):
+            counts = table.swing_counts(stack, strict=strict)
+            assert counts.shape == stack.shape[:2]
+            assert counts.tolist() == [table.swing_counts(loads, strict=strict).tolist() for loads in stack]
+            if oracle:
+                winners = winning_coalitions(game, strict)
+                assert counts.tolist() == naive_stack_swings(winners, stack, game.thresholds(strict))
+
+    def test_eu_game_with_cached_winners(self, monkeypatch):
+        """Each country's four rows in one chunk, against the oracle, then
+        in chunks of three rows and of one."""
+        game = eu_game()
+        table, stack = CoalitionTable(game), self._stack(game, 5)
+        self._check(table, stack)
+        assert len(table._winning_sets) == 2
+        counts = [table.swing_counts(stack, strict=strict) for strict in (False, True)]
+        for rows in (3, 1):
+            monkeypatch.setattr(exact, "_GROUP_BYTES", rows * 2 * 9948)
+            assert [table.swing_counts(stack, strict=strict).tolist() for strict in (False, True)] == [
+                c.tolist() for c in counts
+            ]
+
+    def test_streamed_two_and_three_quota_games(self):
+        games = [_random_two_quota_game(12, fractions, seed=941) for fractions in ((0.4, 0.35), (0.7, 0.68))]
+        games += [game for game, _ in _random_three_quota_games(3, seed=943)]
+        for n, game in enumerate(games):
+            table = _table(game, 4)
+            assert len(winning_coalitions(game)) > _room(table)
+            self._check(table, self._stack(game, 950 + n))
+            assert table._winning_sets == {}
+
+    def test_single_quota_engines(self):
+        """The sum grid, in int64 and in Python ints, and the sorted halves."""
+        games = [single_quota_game([3, 5, 2, 7, 1, 4], 11), single_quota_game([0.5, 1.25, 2.0, 0.75, 3.5], 4.1),
+                 single_quota_game([1 + i % 5 for i in range(70)], 105)]
+        for game, engine in zip(games, ("subset-sum", "sorted-half", "subset-sum")):
+            table = CoalitionTable(game)
+            assert table.engine == engine
+            self._check(table, self._stack(game, 960), oracle=game.num_players <= 6)
+
+    def test_stacks_of_one_and_none(self):
+        for game in (eu_game(), single_quota_game([3, 5, 2], 6), single_quota_game([0.5, 1.25, 2.0], 2.1)):
+            table, w = CoalitionTable(game), game.weight_matrix
+            m, k = w.shape
+            assert table.swing_counts(w[None]).tolist() == [table.swing_counts(w).tolist()]
+            assert table.swing_counts(np.empty((0, m, k))).shape == (0, m)
+            with pytest.raises(InvalidGameError, match=rf"^loads must be shaped \(2, {m}, {k}\), got \(2, {m + 1}, {k}\)$"):
+                table.swing_counts(np.ones((2, m + 1, k)))
 
 
 def _against_enumerator(game, loads_list):

@@ -22,6 +22,7 @@ from banzhaf.games import (
     persuasion_load,
     persuasion_loads,
     removal_breaks,
+    removal_edges,
     seeded_rng,
     single_quota_game,
     sums_win,
@@ -596,3 +597,72 @@ class TestKernel:
             assert list(table.swing_counts(loads, strict=strict)) == literal
             assert list(table._enumerated_swings(np.arange(3), loads, g.thresholds(strict))) == literal
         assert seen_wins == [False, not strict, True]
+
+
+def _edge_games():
+    """An integer game, whose thresholds are its quotas, and a game of
+    decimals, whose thresholds sit a tolerance off them."""
+    return [
+        VotingGame(("a", "b", "c"), ((3.0, 1.0), (2.0, 1.0), (1.0, 1.0)), (4.0, 2.0)),
+        VotingGame(("a", "b", "c"), ((0.1, 7.25), (0.2, 1e-3), (0.3, 2.5)), (0.3, 3.1)),
+    ]
+
+
+def _edge_loads(t):
+    """Loads against threshold ``t``: those that cancel it to 0 and to one
+    ulp either way, +-1e300, negative, zero and positive loads."""
+    return [-t, -math.nextafter(t, 0.0), -math.nextafter(t, math.inf), 1e300, -1e300,
+            -0.5 * t, -3.75, -1e-300, 0.0, -0.0, 0.25 * t, 2.0 * t + 1.0, 1.7e308, -1.7e308]
+
+
+class TestRemovalEdges:
+    """``s < v`` for the edge ``v`` is the kernel's verdict ``s - l < t`` for
+    every float sum, checked at the edge and one ulp on either side."""
+
+    def _check(self, loads, thresholds):
+        """Edges of (k, n) ``loads``, checked against the kernel per dimension."""
+        edges = removal_edges(loads, thresholds)
+        assert edges.shape == loads.shape
+        for l, t, v in zip(loads, thresholds, edges):
+            for s in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)):
+                assert np.array_equal(s < v, removal_breaks((s,), (l,), (t,)))
+        return edges
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("game", _edge_games(), ids=["integer", "decimal"])
+    def test_edges_under_both_conventions(self, game, strict):
+        thresholds = game.thresholds(strict)
+        loads = np.array([_edge_loads(t) for t in thresholds])
+        edges = self._check(loads, thresholds)
+        # a load that cancels the threshold to 0 puts its edge about half an
+        # ulp of t below 0, far more ulps from t + l than one step either way
+        for v, t in zip(edges[:, 0], thresholds):
+            assert -math.ulp(t) <= v < 0.0 and abs(v) > 1e6 * math.ulp(0.0)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_subnormal_thresholds(self, strict):
+        """A threshold and its strict neighbour, as `VotingGame.thresholds`
+        gives them for an integer quota, in the subnormal range, where
+        ``t + l`` cancels to a subnormal or to 0."""
+        t = 3e-310
+        if strict:
+            t = math.nextafter(t, math.inf)
+        tiny = math.ulp(0.0)
+        loads = [-t + tiny, -t + 7 * tiny, -t, -t - tiny, *_edge_loads(t)]
+        self._check(np.array([loads]), (t,))
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_random_sums_and_loads(self, strict):
+        """Every game dimension at once, against `removal_breaks` on random
+        sums, for loads of every scale and sign."""
+        rng = np.random.default_rng(71)
+        for game in _edge_games():
+            thresholds = game.thresholds(strict)
+            k = len(thresholds)
+            loads = rng.normal(size=(k, 400)) * 10.0 ** rng.integers(-8, 8, size=(k, 400))
+            edges = self._check(loads, thresholds)
+            for l in loads.T[:40]:
+                sums = np.array(thresholds)[:, None] + l[:, None] + rng.normal(size=(k, 200)) * 1e-12
+                v = removal_edges(l, thresholds)
+                assert np.array_equal(~sums_win(sums, v), removal_breaks(sums, l, thresholds))
+            assert np.array_equal(removal_edges(loads.T[:5].T, thresholds), edges[:, :5])
