@@ -30,9 +30,9 @@ from .games import (
     seeded_rng,
     sums_win,
 )
-from . import exact
+from . import exact, games
 from .exact import SINGLE_QUOTA_PLAYER_CAP, CoalitionTable, IndexReport, exact_indices
-from .data import RandomGameSpec, random_game
+from .data import RandomGameSpec, random_weights
 
 __all__ = [
     "BoundsReport",
@@ -289,18 +289,30 @@ class ConjectureReport:
     seed: int
 
 
+def _cap_check(weights: list[np.ndarray], totals: list, quotas: list, ids, normalized: np.ndarray):
+    """`conjecture_check` on a batch of games at once: game g weighs ``weights[g]``, ``totals[g]``
+    in all, against ``quotas[g]``; its players are ``ids``, and ``normalized`` holds all indices."""
+    sizes = [len(w) for w in weights]
+    firsts, rows = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+    flat = np.concatenate(weights).astype(float)
+    caps = 2.0 * np.maximum.reduceat(flat, firsts) / np.array(totals, dtype=float)
+    over = np.flatnonzero(normalized > caps[rows])
+    found = [(f"weights={flat[firsts[g] : firsts[g] + sizes[g]].tolist()} q={quotas[g]}", ids[e - firsts[g]],
+              float(normalized[e]), float(caps[g])) for e, g in zip(over.tolist(), rows[over].tolist())]
+    return found, float((caps[rows] - normalized).min())
+
+
 def conjecture_check(
     game: VotingGame, report: IndexReport | None = None
 ) -> tuple[list[tuple[str, str, float, float]], float]:
     """Test every player's normalized index against the 2 w_max / w_total
-    cap on one game.
+    cap on one game, by the scan's rule.
 
     Returns the counterexamples, each as (game description, player id,
     normalized index, cap), and the min slack cap - index over players.
     """
     require_single_quota(game, "conjecture_check")
-    w = _weights(game)
-    total = sum(w)
+    total = game.dimension_totals[0]
     if total == 0:
         raise InvalidGameError(
             "conjecture_check: total weight is 0, so the 2 w_max / w_total cap is undefined"
@@ -308,20 +320,28 @@ def conjecture_check(
     if report is None:
         report = exact_indices(game)
     require_same_players(game, report)
-    cap = 2.0 * max(w) / total
-    counterexamples = []
-    min_slack = math.inf
-    for i, norm in enumerate(report.normalized):
-        min_slack = min(min_slack, cap - norm)
-        if norm > cap:
-            desc = f"weights={w} q={game.quotas[0]}"
-            counterexamples.append((desc, game.player_ids[i], norm, cap))
-    return counterexamples, min_slack
+    return _cap_check([game.weight_matrix[:, 0]], [total], game.quotas, game.player_ids, np.array(report.normalized))
 
 
 # Trials are drawn and counted this many games at a time, so a scan's memory
 # does not grow with its trial count.
 _SCAN_WINDOW = 128
+
+
+def _window_counts(seed: int, trials: range, spec: RandomGameSpec):
+    """The trials' weights, totals and quotas, as `random_game` draws them,
+    and their players' swing counts, in stacks where a game's grid fits and
+    its threshold is positive, else on its own game, which raises its errors."""
+    rows = [random_weights(seeded_rng(seed, t), spec) for t in trials]
+    totals = [int(w.sum()) for w in rows]
+    quotas = [games.as_finite(spec.quota_fraction * t, "quotas[0]") for t in totals]  # `VotingGame`'s check
+    thresholds = np.array([q - games.quota_tolerance(q, t, True) for q, t in zip(quotas, totals)])
+    grid = np.array([exact._grid_fits(w.size, t) for w, t in zip(rows, totals)]) & (thresholds > 0)
+    stacked, counts = np.repeat(grid, [w.size for w in rows]), np.empty(sum(w.size for w in rows), dtype=object)
+    counts[stacked] = exact._stacked_swings([w for w, on in zip(rows, grid) if on], thresholds[grid])
+    alone = [games.single_quota_game(w.tolist(), spec.quota_fraction * t) for w, t, on in zip(rows, totals, grid) if not on]
+    counts[~stacked] = [c for game in alone for c in exact_indices(game).swing_counts]
+    return rows, totals, quotas, counts
 
 
 def conjecture_scan(
@@ -334,9 +354,9 @@ def conjecture_scan(
 
     Each trial derives its own stream from (seed, trial index), so the
     report is identical for identical arguments regardless of evaluation
-    order.  The games of each window are counted together on stacked sum
-    grids, to the same reports as `exact_indices`.
-    Never asserts the cap; it reports the evidence.
+    order.  A window's trials are counted together, with a game object only
+    for a trial that cannot be stacked (`_window_counts`), to the reports of
+    `conjecture_check` on each `random_game`.  Never asserts the cap.
     """
     if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
         raise InvalidGameError(f"trials must be an integer, got {trials!r}")
@@ -352,14 +372,13 @@ def conjecture_scan(
     counterexamples: list[tuple[str, str, float, float]] = []
     min_slack = math.inf
     for start in range(0, trials, _SCAN_WINDOW):
-        games = [
-            random_game(seeded_rng(seed, trial), spec)
-            for trial in range(start, min(trials, start + _SCAN_WINDOW))
-        ]
-        for game, report in zip(games, exact._classical_reports(games)):
-            found, slack = conjecture_check(game, report)
-            counterexamples.extend(found)
-            min_slack = min(min_slack, slack)
+        rows, totals, quotas, counts = _window_counts(seed, range(start, min(trials, start + _SCAN_WINDOW)), spec)
+        sizes = [w.size for w in rows]
+        # as `exact_indices` divides, in Python ints; a game with no swing has indices 0
+        swings = np.repeat(np.maximum(np.add.reduceat(counts, np.cumsum(sizes) - sizes), 1), sizes)
+        found, slack = _cap_check(rows, totals, quotas, [f"p{i + 1}" for i in range(m)], (counts / swings).astype(float))
+        counterexamples.extend(found)
+        min_slack = min(min_slack, slack)
     return ConjectureReport(
         games_scanned=trials,
         counterexamples=tuple(counterexamples),

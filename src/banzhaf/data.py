@@ -153,17 +153,19 @@ class RandomGameSpec:
             raise InvalidGameError(f"quota_fraction must be a positive finite number, got {q!r}")
 
 
-def random_game(rng: np.random.Generator, spec: RandomGameSpec) -> VotingGame:
-    """Random single-quota game shaped by a RandomGameSpec.
-
-    Integer weights uniform in [min_weight, max_weight], redrawn while all
-    are zero, player count uniform in [min_players, max_players], quota at
-    quota_fraction of the total weight.
-    """
+def random_weights(rng: np.random.Generator, spec: RandomGameSpec) -> np.ndarray:
+    """Random int64 weights shaped by a RandomGameSpec: the player count uniform in
+    [min_players, max_players], the weights in [min_weight, max_weight], redrawn while all are 0."""
     m = int(rng.integers(spec.min_players, spec.max_players + 1))
     weights = np.zeros(m, dtype=np.int64)
     while not weights.any():  # all-zero weights would make the quota 0
         weights = rng.integers(spec.min_weight, spec.max_weight + 1, size=m)
+    return weights
+
+
+def random_game(rng: np.random.Generator, spec: RandomGameSpec) -> VotingGame:
+    """Random single-quota game: `random_weights`, quota at quota_fraction of their total."""
+    weights = random_weights(rng, spec)
     return single_quota_game(weights.tolist(), spec.quota_fraction * int(weights.sum()))
 
 

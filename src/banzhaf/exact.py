@@ -19,7 +19,7 @@ every integer sum exactly, so the counts are the enumerator's for any quota
 and any load.  The grid grows as ``m * W``, not ``2^m``, and its counts are
 Python ints from 63 players on, so that none wraps.  A table's grid is a
 stack of one; many games (the conjecture scan's) are rows of one stack,
-padded to its largest total, and count with one search and one gather.
+built a player position at a time, and count with one search and one gather.
 
 Other single-quota games ("sorted-half") never visit coalitions one by one
 either.  Both halves are sorted once by sum, and every player is counted by
@@ -79,6 +79,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .games import (
     AssociationMatrix,
@@ -271,8 +272,8 @@ class CoalitionTable:
     @cached_property
     def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The integer weights, and the game's grid as a stack of one."""
-        weights = self.game.weight_matrix[:, 0].astype(np.int64)
-        return (weights, *_grid_stack([weights]))
+        weights = self.game.weight_matrix.astype(np.int64)
+        return (weights[:, 0], *_grid_stack(weights))
 
     def _grid_swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
         weights, prefix, sums = self._grid
@@ -432,22 +433,28 @@ def _break_bounds(
         p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
 
 
-def _grid_stack(weights: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The sum grids of a stack of games, one per array of integer
-    ``weights``: ``prefix[g, b]``, how many subsets of game g's players sum
-    below ``b``, for ``b = 0..W + 1`` with ``W`` the stack's largest total
-    (int64 below 63 players, Python ints from 63 on, so that no count
-    wraps), and the sums ``0..W`` as floats between -inf and +inf."""
-    width = max(int(w.sum()) for w in weights) + 2
-    prefix = np.zeros((len(weights), width), dtype=np.int64 if max(w.size for w in weights) < 63 else object)
+def _grid_stack(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sum grids of a stack of games, one per column of the (m, g)
+    integer ``weights``: ``prefix[g, b]``, how many subsets of game g's
+    players sum below ``b``, for ``b = 0..W + 1`` with ``W`` the stack's
+    largest total (int64 below 63 players, Python ints from 63 on, so that
+    no count wraps), and the sums ``0..W`` as floats between -inf and +inf.
+    A game of fewer players is padded with weight 0, which doubles its counts.
+    Each player position adds to every count ``c[s]`` its ``c[s - w]``, read
+    as windows on the flat array, which starts with ``p`` zeros, one fewer
+    than the heaviest weight ``w``, and ends each row with ``p`` more."""
+    (m, g), tops = weights.shape, weights.cumsum(axis=0).max(axis=1).tolist()  # the stack's running top
+    total, pad = tops[-1], max(int(weights.max()) - 1, 0)
+    width = total + 2 + pad
+    flat = np.zeros(pad + g * width, dtype=np.int64 if m < 63 else object)
+    prefix = flat[pad:].reshape(g, width)
     prefix[:, 1] = 1  # the empty coalition
-    for w, counts in zip(weights, prefix[:, 1:]):  # the count of each sum, summed in place below
-        top = 0  # the largest sum so far
-        for x in w.tolist():
-            counts[x : top + x + 1] += counts[: top + 1]
-            top += x
+    # windows[o] is flat[o : o + total + 1]; game r's c[s - w] starts at pad + r * width + 1 - w
+    windows = as_strided(flat, (flat.size - total, total + 1), flat.strides * 2, writeable=False)
+    for starts, top in zip(np.arange(pad + 1, flat.size, width) - weights, tops):
+        prefix[:, 1 : top + 2] += windows[starts, : top + 1]
     np.cumsum(prefix, axis=1, out=prefix)
-    sums = np.arange(-1.0, width)
+    sums = np.arange(-1.0, total + 2)
     sums[0], sums[-1] = -np.inf, np.inf
     return prefix, sums
 
@@ -547,29 +554,25 @@ def index_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport
     )
 
 
-def _classical_reports(games: list[VotingGame]) -> list[IndexReport]:
-    """``exact_indices(game)`` for each of the single-quota ``games``, to the bit.
-
-    The games that `_engine` counts on the sum grid are rows of stacks
-    (`_grid_stack`), as many in order as fit `_GROUP_BYTES` at 8 bytes per
-    padded count (at least one), and a stack costs one edge search and one
-    `_others_below` call, not a table per game.  Other games get a table.
-    """
-    reports = [None if _engine(g) == "subset-sum" else exact_indices(g) for g in games]
-    grid = [p for p, report in enumerate(reports) if report is None]
-    widths = np.array([int(games[p].dimension_totals[0]) + 2 for p in grid])
-    while grid:
-        padded = 8 * np.arange(1, len(grid) + 1) * np.maximum.accumulate(widths)
+def _stacked_swings(weights: list[np.ndarray], thresholds: np.ndarray) -> np.ndarray:
+    """The swing counts of integer single-quota games' players, game after
+    game: game g's players weigh ``weights[g]``, it wins from
+    ``thresholds[g]``, and its grid fits its budget (`_grid_fits`).  A stack
+    (`_grid_stack`) holds as many games in order as fit `_GROUP_BYTES` at 16
+    bytes per padded count and its shifted copy (at least one), for one
+    build, one edge search and one `_others_below` call."""
+    counts, widths = [np.zeros(0, dtype=np.int64)], np.array([int(w.sum()) + 2 for w in weights])
+    while weights:
+        padded = 16 * np.arange(1, len(weights) + 1) * np.maximum.accumulate(widths)
         n = max(1, int(np.count_nonzero(padded <= _GROUP_BYTES)))
-        stack, grid, widths = grid[:n], grid[n:], widths[n:]
-        loads = [games[p].weight_matrix[:, 0] for p in stack]
-        weights = [w.astype(np.int64) for w in loads]
-        rows = np.repeat(np.arange(n), [w.size for w in weights])
-        thresholds = np.array([games[p].winning_thresholds[0] for p in stack])
-        counts = _grid_swing_counts(*_grid_stack(weights), thresholds, rows, np.concatenate(weights), np.concatenate(loads))
-        for p, row in zip(stack, np.split(counts, np.cumsum([w.size for w in weights])[:-1])):
-            reports[p] = index_report(games[p], "classical", row)
-    return reports
+        stack, weights, widths = weights[:n], weights[n:], widths[n:]
+        sizes, flat = np.array([w.size for w in stack]), np.concatenate(stack)
+        rows, by_position = np.repeat(np.arange(n), sizes), np.zeros((sizes.max(), n), dtype=np.int64)
+        by_position.T[np.arange(sizes.max()) < sizes[:, None]] = flat  # each game's players, then weight-0 padding
+        swings = _grid_swing_counts(*_grid_stack(by_position), thresholds[:n], rows, flat, flat)
+        counts.append(swings >> (sizes.max() - sizes)[rows])  # each padding player doubled its game's counts
+        thresholds = thresholds[n:]
+    return np.concatenate(counts)
 
 
 def _table_for(game: VotingGame, table: CoalitionTable | None) -> CoalitionTable:

@@ -306,20 +306,8 @@ class VotingGame:
 
     @cached_property
     def quota_tolerances(self) -> tuple[float, ...]:
-        """Per-dimension absolute tolerance at the quota boundary.
-
-        Zero for dimensions where every weight and the quota are integer
-        valued (sums are then exact in float64, since such a column totals
-        below `EXACT_INTEGER_LIMIT`), a small relative slack otherwise.
-        """
-        tols = []
-        for d, (q, integral) in enumerate(zip(self.quotas, self._columns[1])):
-            if integral and q.is_integer():
-                tols.append(0.0)
-            else:
-                scale = max(1.0, abs(q), abs(self.dimension_totals[d]))
-                tols.append(BOUNDARY_REL_TOL * scale)
-        return tuple(tols)
+        """Per-dimension absolute tolerance at the quota boundary (`quota_tolerance`)."""
+        return tuple(map(quota_tolerance, self.quotas, *self._columns))
 
     @cached_property
     def winning_thresholds(self) -> tuple[float, ...]:
@@ -339,6 +327,14 @@ class VotingGame:
         return tuple(
             math.nextafter(q + t, math.inf) for q, t in zip(self.quotas, self.quota_tolerances)
         )
+
+
+def quota_tolerance(quota: float, total: float, integral: bool) -> float:
+    """The absolute tolerance at a quota boundary, for a dimension whose
+    weights add to ``total``: zero when the weights (``integral``) and the
+    quota are integer valued (sums are then exact in float64, since such a
+    column totals below `EXACT_INTEGER_LIMIT`), a small relative slack otherwise."""
+    return 0.0 if integral and quota.is_integer() else BOUNDARY_REL_TOL * max(1.0, abs(quota), abs(total))
 
 
 def resolve_player(player_ids: Sequence[str], player: int | str) -> int:

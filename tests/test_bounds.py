@@ -3,6 +3,7 @@ import gc
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from banzhaf.bounds import (
     scan_all_critical_coalitions,
     size_window,
 )
-from banzhaf.data import RandomGameSpec, random_game
+from banzhaf.data import RandomGameSpec, random_game, random_weights
 from banzhaf.exact import SINGLE_QUOTA_PLAYER_CAP, exact_indices
 from banzhaf.games import (
     InvalidGameError,
@@ -47,6 +48,23 @@ from oracles import (
 
 def game_321():
     return single_quota_game([3, 2, 1], 4)
+
+
+# The scan's specs: stacked grids of up to 16 players, zero weights, quotas
+# that take the boundary tolerance, games past the sorted halves' cap, heavy
+# games of which some take the sorted halves, wide games whose counts pass
+# int64, and games of one or two players weighing 0 or 1.
+SCAN_SPECS = [
+    RandomGameSpec(),
+    RandomGameSpec(max_players=16),
+    RandomGameSpec(min_weight=0),
+    RandomGameSpec(quota_fraction=0.37),
+    RandomGameSpec(min_players=41, max_players=48),
+    RandomGameSpec(max_players=4, max_weight=40),
+    RandomGameSpec(63, 70, 0, 1),
+    RandomGameSpec(1, 2, 0, 1),
+]
+SCAN_IDS = ["default", "max-players-16", "min-weight-0", "quota-0.37", "players-41-to-48", "heavy", "wide", "tiny"]
 
 
 def other_reports():
@@ -392,34 +410,77 @@ class TestConjecture:
     def test_numpy_integers_accepted(self):
         assert conjecture_scan(np.int64(3), np.uint8(1)) == conjecture_scan(3, 1)
 
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=SCAN_IDS)
+    @pytest.mark.parametrize("windows", [0.5, 2.25])
+    def test_scan_is_a_loop_of_checks(self, spec, windows):
+        """The window counter's swing counts are `exact_indices`' on each
+        trial's `random_game`, and the scan's report is the loop's."""
+        trials, seed = int(windows * bounds._SCAN_WINDOW), 1604
+        counted = []
+        for start in range(0, trials, bounds._SCAN_WINDOW):
+            rows, _, _, counts = bounds._window_counts(seed, range(start, min(trials, start + bounds._SCAN_WINDOW)), spec)
+            counted += np.split(counts, np.cumsum([w.size for w in rows])[:-1])
+        expected = [exact_indices(random_game(seeded_rng(seed, t), spec)).swing_counts for t in range(trials)]
+        assert [tuple(c.tolist()) for c in counted] == expected
+        assert conjecture_scan(trials, seed, spec) == loop_conjecture_scan(trials, seed, spec)
+
+    @pytest.mark.parametrize("spec", SCAN_SPECS, ids=SCAN_IDS)
+    def test_weights_are_random_games(self, spec):
+        for t in range(500):
+            game = random_game(seeded_rng(7, t), spec)
+            assert random_weights(seeded_rng(7, t), spec).tolist() == [w for (w,) in game.weights]
+
     @pytest.mark.parametrize(
         "spec",
-        [
-            RandomGameSpec(),
-            RandomGameSpec(max_players=16),  # stacked, like the smaller games
-            RandomGameSpec(min_weight=0),
-            RandomGameSpec(quota_fraction=0.37),
-            RandomGameSpec(min_players=41, max_players=48),  # past the sorted halves' cap
-        ],
-        ids=["default", "max-players-16", "min-weight-0", "quota-0.37", "players-41-to-48"],
+        [RandomGameSpec(), RandomGameSpec(quota_fraction=0.37),
+         RandomGameSpec(quota_fraction=Fraction(1, 3)), RandomGameSpec(quota_fraction=3.0)],
+        ids=["half-of-odd-totals", "quota-0.37", "quota-one-third", "quota-3"],
     )
-    @pytest.mark.parametrize("windows", [0.5, 2.25])
-    def test_scan_is_a_loop_of_checks(self, monkeypatch, spec, windows):
-        trials, seed = int(windows * bounds._SCAN_WINDOW), 1604
-        checked = []
-        check = bounds.conjecture_check
+    def test_thresholds_are_the_games(self, monkeypatch, spec):
+        """Each trial's threshold is its game's, bit for bit: half an odd
+        total, 0.37 and a third of a total are not whole, so they take the
+        boundary tolerance, and three times a total is whole."""
+        stacked, seen = exact._stacked_swings, []
 
-        def recorded(game, report):
-            checked.append((game, report))
-            return check(game, report)
+        def recorded(weights, thresholds):
+            seen.extend(thresholds.tolist())
+            return stacked(weights, thresholds)
 
-        monkeypatch.setattr(bounds, "conjecture_check", recorded)
-        report = conjecture_scan(trials, seed, spec)
-        monkeypatch.undo()
-        assert report == loop_conjecture_scan(trials, seed, spec)
-        games = [game for game, _ in checked]
-        assert games == [random_game(seeded_rng(seed, t), spec) for t in range(trials)]
-        assert [r for _, r in checked] == [exact_indices(game) for game in games]
+        monkeypatch.setattr(exact, "_stacked_swings", recorded)
+        conjecture_scan(300, 5, spec)
+        games = [random_game(seeded_rng(5, t), spec) for t in range(300)]
+        # games that the engine choice sends to the sorted halves are built as games, not stacked
+        expected = [g.winning_thresholds[0] for g in games if exact._engine(g) == "subset-sum"]
+        assert len(expected) > 250
+        assert [x.hex() for x in seen] == [x.hex() for x in expected]
+        assert any(not x.is_integer() for x in expected) is (spec.quota_fraction != 3)
+
+    @pytest.mark.parametrize(
+        "fraction, message",
+        [
+            (1e-320, "quotas[0]: boundary tolerance 1.12e-10 reaches the quota 1.11999e-318, so the empty coalition would win"),
+            (1e-14, "quotas[0]: boundary tolerance 1.12e-10 reaches the quota 1.12e-12, so the empty coalition would win"),
+            (1e308, "quotas[0]: not finite"),
+        ],
+    )
+    def test_edge_trials_raise_the_games_errors(self, fraction, message):
+        spec = RandomGameSpec(quota_fraction=fraction)
+        with pytest.raises(InvalidGameError, match=f"^{re.escape(message)}$"):
+            random_game(seeded_rng(1, 0), spec)
+        with pytest.raises(InvalidGameError, match=f"^{re.escape(message)}$"):
+            conjecture_scan(5, 1, spec)
+
+    def test_counterexample_of_the_window_is_the_checks(self, monkeypatch):
+        """Doctored counts through the scan's normalization and cap rule give
+        the counterexample and slack that `conjecture_check` gives: p1's
+        normalized index 5 / 4 exceeds 2 * 3 / 6 = 1."""
+        counts = np.array([5, -1, 0], dtype=object)
+        monkeypatch.setattr(bounds, "_window_counts", lambda *a: ([np.array([3, 2, 1])], [6], [4.0], counts))
+        report = conjecture_scan(1, 0)
+        doctored = dataclasses.replace(exact_indices(game_321()), normalized=(1.25, 0.0, 0.0))
+        found, slack = conjecture_check(game_321(), doctored)
+        assert found == [("weights=[3.0, 2.0, 1.0] q=4.0", "p1", 1.25, 1.0)]
+        assert (report.counterexamples, report.min_slack) == (tuple(found), slack)
 
     def test_memory_does_not_grow_with_trials(self):
         """A scan holds one window of games at a time.  The interpreter keeps
@@ -480,7 +541,7 @@ class TestConjecture:
 
         cap = SINGLE_QUOTA_PLAYER_CAP
         assert exact._GRID_CELLS == 2**26 and 48 * (48 * 29127 + 1) == 2**26 - 208
-        monkeypatch.setattr(bounds, "random_game", drawn)
+        monkeypatch.setattr(bounds, "random_weights", drawn)
         spec = RandomGameSpec(min_players=cap + 1, max_players=48, max_weight=29128)
         message = (
             f"max_players above {cap} needs every sum grid to fit its budget, "

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banzhaf import exact
+from banzhaf import bounds, exact
+from banzhaf.bounds import conjecture_scan
 from banzhaf.cli import main
 from banzhaf.data import (
     MigrationTable,
@@ -18,6 +19,7 @@ from banzhaf.data import (
     eu_game,
     random_association,
     random_game,
+    random_weights,
 )
 from banzhaf.exact import (
     HARD_PLAYER_CAP,
@@ -41,6 +43,7 @@ from banzhaf.games import (
 from oracles import (
     corpus,
     dp_load_swings,
+    loop_conjecture_scan,
     loop_win_bounds,
     naive_gain_loss,
     naive_load_swings,
@@ -805,64 +808,77 @@ class TestSumGrid:
         assert peak <= 16 * sums + exact._GROUP_BYTES
 
 
+def _grid_games(games):
+    """The weights and thresholds of those of ``games`` that the engine
+    choice counts on the sum grid, and their `exact_indices` counts."""
+    games = [g for g in games if exact._engine(g) == "subset-sum"]
+    weights = [g.weight_matrix[:, 0].astype(np.int64) for g in games]
+    thresholds = np.array([g.winning_thresholds[0] for g in games])
+    return weights, thresholds, [c for g in games for c in exact_indices(g).swing_counts]
+
+
 class TestClassicalReports:
-    """`exact._classical_reports` counts the games of the sum grid together,
-    in stacks, to the bits of `exact_indices`."""
+    """`exact._stacked_swings` counts integer games together, in stacks of
+    sum grids, to the bits of `exact_indices`."""
 
     def test_equals_exact_indices(self):
-        # integer, non-integer, zero-heavy and boundary-tolerance games of 1 to
-        # 15 players: the integer ones are stacked, the others counted alone
-        games = parity_games(400, seed=1601, max_players=15)
-        assert {g.num_players for g in games} == set(range(1, 16))
-        assert exact._classical_reports(games) == [exact_indices(g) for g in games]
+        # integer, zero-heavy and boundary-tolerance games of 1 to 15 players
+        weights, thresholds, expected = _grid_games(parity_games(400, seed=1601, max_players=15))
+        assert {w.size for w in weights} == set(range(1, 16))
+        assert len(weights) > 150
+        assert exact._stacked_swings(weights, thresholds).tolist() == expected
 
     def test_stacks_mix_with_tables_and_python_ints(self):
         # heavy 3- and 4-player games, some of them sorted-half, between
-        # stacked games of 63 to 70 players whose counts pass int64
+        # stacked games; and games of 63 to 70 players whose counts pass int64
         heavy, wide = RandomGameSpec(max_players=4, max_weight=40), RandomGameSpec(63, 70, 0, 1)
-        games = [random_game(seeded_rng(1604, t), (heavy, wide)[t % 3 == 2]) for t in range(150)]
-        assert {exact._engine(g) for g in games} == {"subset-sum", "sorted-half"}
-        reports = exact._classical_reports(games)
-        assert reports == [exact_indices(g) for g in games]
-        assert max(max(r.swing_counts) for r in reports) >= 2**63
-        assert {type(c) for r in reports for c in r.swing_counts} == {int}
+        for spec in (heavy, wide):
+            games = [random_game(seeded_rng(1604, t), spec) for t in range(150)]
+            counts = bounds._window_counts(1604, range(150), spec)[3].tolist()
+            assert counts == [c for g in games for c in exact_indices(g).swing_counts]
+            assert conjecture_scan(150, 1604, spec) == loop_conjecture_scan(150, 1604, spec)
+        assert {exact._engine(random_game(seeded_rng(1604, t), heavy)) for t in range(150)} == {"subset-sum", "sorted-half"}
+        assert max(counts) >= 2**63 and {type(c) for c in counts} == {int}  # the wide games'
 
-    def test_two_decimal_weights(self):
+    def test_two_decimal_quotas(self):
+        # integer weights against quotas rounded to 0, 1 or 2 decimals: those
+        # that are not whole take the boundary tolerance
         rng = np.random.default_rng(1602)
         games = []
         for _ in range(300):
-            weights = np.round(rng.uniform(0.0, 9.99, int(rng.integers(1, 14))), 2)
-            quota = max(0.01, round(float(rng.uniform(0.05, 1.0) * weights.sum()), 2))
+            weights = rng.integers(0, 30, int(rng.integers(1, 14)))
+            quota = max(0.01, round(float(rng.uniform(0.05, 1.0) * weights.sum()), int(rng.integers(0, 3))))
             games.append(single_quota_game(weights.tolist(), quota))
-        assert exact._classical_reports(games) == [exact_indices(g) for g in games]
+        weights, thresholds, expected = _grid_games(games)
+        assert len(weights) > 250
+        assert exact._stacked_swings(weights, thresholds).tolist() == expected
 
     @pytest.mark.parametrize("budget", [8, 5 * (8 << 5), 8 * (8 << 8)])
     def test_chunks_of_any_size_agree(self, monkeypatch, budget):
         # a stack holds the games whose rows, padded to its widest, fit the
-        # budget at 8 bytes per count: the first budget fits no row, so each
-        # stack holds one game; the second fits 160 counts, a few light games
-        # or one heavier game, and the third 2,048 counts
-        games = parity_games(150, seed=1603, max_players=8)
-        expected = [exact_indices(g) for g in games]
+        # budget at 16 bytes per count: the first budget fits no row, so each
+        # stack holds one game; the second fits 80 counts, a few light games
+        # or one heavier game, and the third 1,024 counts
+        weights, thresholds, expected = _grid_games(parity_games(150, seed=1603, max_players=8))
         monkeypatch.setattr(exact, "_GROUP_BYTES", budget)
-        assert exact._classical_reports(games) == expected
+        assert exact._stacked_swings(weights, thresholds).tolist() == expected
 
     def test_memory_within_one_stack(self):
-        """A stack's prefix fits `_GROUP_BYTES`, and its count adds at most
-        one gather of that size, however many games there are: 400 games of
-        12 players weighing up to 100 (up to 1,202 counts a row) take three
-        stacks.  The reports, which outlive the count, are not counted."""
+        """A stack's prefix and its shifted copy fit `_GROUP_BYTES`, and its
+        count adds at most one gather of that size, however many games there
+        are: 400 games of 12 players weighing up to 100 (up to 1,202 counts a
+        row) take six stacks.  The counts, which outlive the count, are not
+        counted."""
         spec = RandomGameSpec(min_players=12, max_weight=100)
-        games = [random_game(seeded_rng(1605, t), spec) for t in range(400)]
-        for game in games:  # cached before measuring
-            game.weight_matrix, game.winning_thresholds
+        weights = [random_weights(seeded_rng(1605, t), spec) for t in range(400)]
+        thresholds = np.array([w.sum() / 2 for w in weights])
         tracemalloc.start()
         try:
-            reports = exact._classical_reports(games)
+            counts = exact._stacked_swings(weights, thresholds)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(reports) == 400
+        assert counts.size == 4800
         assert peak - kept <= 2 * exact._GROUP_BYTES + (1 << 19)
 
 
