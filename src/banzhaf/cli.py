@@ -18,21 +18,15 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .games import AssociationMatrix, InvalidGameError, VotingGame, removal_loads, require_single_quota, seeded_rng
-from .exact import CoalitionTable, exact_indices, index_report
+from . import data, games
+from .games import AssociationMatrix, InvalidGameError, VotingGame, require_single_quota, seeded_rng
+from .exact import CoalitionTable, exact_indices
 from .sampling import CI_METHODS, confidence_interval, estimate_indices, index_cap, required_samples
 from .bounds import bounds_report, conjecture_scan, size_window
-from .data import (
-    RandomGameSpec,
-    build_migration_association,
-    eu_game,
-    load_game_file,
-    load_migration_csv_file,
-    random_association,
-)
+from .data import RandomGameSpec, build_migration_association, eu_game, load_game_file, load_migration_csv_file
 
 FORMATS = ("table", "json", "csv")
-# `eu --random-association` counts its load matrices in stacks of at most this many bytes
+# `eu --random-association` draws its association matrices in stacks of at most this many bytes
 _STACK_BYTES = 1 << 20
 
 
@@ -306,17 +300,19 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     _emit(fmt, precision, out, header, payload, footer=footer)
 
 
-def _random_association_counts(game: VotingGame, table: CoalitionTable, seed: int, runs: int):
-    """Yield the swing counts under ``random_association(m, seed + r)`` for
-    each run ``r`` in order, counted by ``table`` in stacks of load matrices
-    that fit `_STACK_BYTES`."""
+def _random_association_counts(game: VotingGame, table: CoalitionTable, seed: int, runs: int) -> np.ndarray:
+    """The (runs, m) swing counts under ``random_association(m, seed + r)`` for each run ``r``, in
+    stacks whose (n, m, m) draws fit `_STACK_BYTES`: each stack is drawn and checked as one array,
+    its loads are one running sum over its (n * m, m) rows, and ``table`` counts it in one call."""
     m, k = game.num_players, game.num_dimensions
-    step = max(1, _STACK_BYTES // (8 * m * k))
+    step = max(1, _STACK_BYTES // (8 * m * m))
+    counts = []
     for start in range(0, runs, step):
-        stack = np.empty((min(step, runs - start), m, k))
-        for j, loads in enumerate(stack):
-            loads[:] = removal_loads(game, random_association(m, seed + start + j))[1]
-        yield from table.swing_counts(stack)
+        draws = data._association_draws(m, seed + start, min(step, runs - start))
+        games._check_association(draws)
+        loads = games._load_sums(draws.reshape(-1, m), game.weight_matrix)
+        counts.append(table.swing_counts(loads.reshape(-1, m, k)))
+    return np.concatenate(counts)
 
 
 @cli.command("eu")
@@ -340,17 +336,16 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
     table = CoalitionTable(game)
     classical = exact_indices(game, table=table)
     if random_assoc:
-        per_run = [index_report(game, "association", counts).normalized
-                   for counts in _random_association_counts(game, table, seed, runs)]
-        mean = np.mean(np.array(per_run), axis=0)
+        counts = _random_association_counts(game, table, seed, runs)
+        normalized = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)  # no swings: all 0.0
+        per_run, mean = normalized.tolist(), normalized.mean(axis=0).tolist()
         header = ["run", *game.player_ids]
-        rows = [[str(r), *vals] for r, vals in enumerate(per_run)]
-        rows.append(["mean", *(float(v) for v in mean)])
+        rows = [[str(r), *vals] for r, vals in enumerate(per_run)] + [["mean", *mean]]
         payload = {
             "protocol": {"runs": runs, "seed": seed},
             "classical_normalized": dict(zip(game.player_ids, classical.normalized)),
             "runs": [dict(zip(game.player_ids, vals)) for vals in per_run],
-            "mean": dict(zip(game.player_ids, (float(v) for v in mean))),
+            "mean": dict(zip(game.player_ids, mean)),
         }
         _emit(fmt, precision, out, header, payload, rows)
         return

@@ -107,14 +107,22 @@ def build_migration_association(table: MigrationTable) -> AssociationMatrix:
     return AssociationMatrix(entries)
 
 
+def _association_draws(m: int, seed: int, runs: int) -> np.ndarray:
+    """(runs, m, m) stack of association draws: run r holds the uniform
+    [-1, 1) draws of `seeded_rng` at ``seed + r``, with a unit diagonal."""
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
+        raise InvalidGameError(f"m, the player count, must be a positive integer, got {m!r}")
+    draws = np.empty((runs, m, m))
+    for r, a in enumerate(draws):  # run 0 passes the seed as given, for seeded_rng to check
+        a[:] = seeded_rng(seed + r if r else seed).uniform(-1.0, 1.0, size=(m, m))
+    draws.reshape(runs, m * m)[:, :: m + 1] = 1.0
+    return draws
+
+
 def random_association(m: int, seed: int) -> AssociationMatrix:
     """Association matrix with unit diagonal and independent off-diagonal
     entries uniform on [-1, 1]; deterministic for a given (m, seed)."""
-    if m < 1:
-        raise InvalidGameError(f"need at least one player, got m={m}")
-    a = seeded_rng(seed).uniform(-1.0, 1.0, size=(m, m))
-    np.fill_diagonal(a, 1.0)
-    return AssociationMatrix(a)
+    return AssociationMatrix(_association_draws(m, seed, 1)[0])
 
 
 @dataclass(frozen=True)

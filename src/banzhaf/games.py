@@ -140,6 +140,25 @@ def _require_size(phi: AssociationMatrix, m: int) -> None:
         )
 
 
+def _check_association(a: np.ndarray) -> None:
+    """Reject a (..., n, m) float64 array of association rows (n <= m) unless its entries are finite and
+    inside [-1, 1], with a[i][i] = 1; name the first non-finite entry, else the first bad row's offence."""
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        *_, i, j = map(int, np.unravel_index(bad[0], a.shape))
+        raise InvalidGameError(f"association row {i}[{j}]: not finite")
+    outside = np.abs(a) > 1.0
+    off_diagonal = np.diagonal(a, axis1=-2, axis2=-1) != 1.0
+    bad = np.flatnonzero(off_diagonal | outside.any(axis=-1))
+    if bad.size:
+        at = tuple(map(int, np.unravel_index(bad[0], off_diagonal.shape)))
+        i, row = at[-1], a[at]
+        if off_diagonal[at]:
+            raise InvalidGameError(f"association diagonal a[{i}][{i}] must be 1, got {float(row[i])!r}")
+        j = int(np.argmax(outside[at]))
+        raise InvalidGameError(f"association a[{i}][{j}]={float(row[j])!r} outside [-1, 1]")
+
+
 @dataclass(frozen=True)
 class AssociationMatrix:
     """Square matrix of persuasion coefficients.
@@ -147,7 +166,7 @@ class AssociationMatrix:
     ``entries[i][j]`` quantifies player ``i``'s pull on player ``j``.
     Every entry must satisfy ``|a_ij| <= 1`` and the diagonal is fixed at
     ``a_ii = 1`` (full pull on oneself).  Rows may be given as lists,
-    tuples or ``ndarray.tolist()`` rows, or the whole matrix as a 2-D
+    tuples or ``ndarray.tolist()`` rows, or the whole matrix as a square
     integer or float ndarray, which is checked in numpy; either way they
     are stored as float tuples, and the same entries give equal matrices.
     """
@@ -155,44 +174,28 @@ class AssociationMatrix:
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        entries, a = self.entries, None
-        if isinstance(entries, np.ndarray) and entries.ndim == 2 and entries.dtype.kind in "iuf":
+        entries = self.entries
+        if isinstance(entries, np.ndarray) and entries.dtype.kind in "iuf" and entries.shape == entries.shape[:1] * 2:
             a = entries.astype(np.float64)  # a copy, which the caller cannot change
-            bad = np.flatnonzero(~np.isfinite(a))
-            if bad.size:
-                i, j = divmod(int(bad[0]), a.shape[1])
-                raise InvalidGameError(f"association row {i}[{j}]: not finite")
+            _check_association(a)
             rows = tuple(map(tuple, a.tolist()))
         elif isinstance(entries, (str, dict)) or not isinstance(entries, Iterable):
             raise InvalidGameError("association matrix must be a list of rows")
         else:
             rows = tuple(_float_row(r, f"association row {i}") for i, r in enumerate(entries))
-        object.__setattr__(self, "entries", rows)
-        m = len(rows)
-        if m == 0:
-            raise InvalidGameError("association matrix is empty")
-        # rows are checked in order, and within a row the length, then the
-        # diagonal, then the entries; the first offence is reported
-        square = next((i for i, row in enumerate(rows) if len(row) != m), m)
-        if a is None:
+            # rows are checked in order, and within a row the length, then the
+            # diagonal, then the entries; the first offence is reported
+            m = len(rows)
+            square = next((i for i, row in enumerate(rows) if len(row) != m), m)
             a = np.array(rows[:square], dtype=np.float64).reshape(square, m)
-        else:
-            a = a[:square]
-        outside = np.abs(a) > 1.0
-        off_diagonal = np.diagonal(a) != 1.0
-        bad_rows = np.flatnonzero(off_diagonal | outside.any(axis=1))
-        if bad_rows.size:
-            i = int(bad_rows[0])
-            if off_diagonal[i]:
+            _check_association(a)
+            if square < m:
                 raise InvalidGameError(
-                    f"association diagonal a[{i}][{i}] must be 1, got {rows[i][i]!r}"
+                    f"association row {square}: expected {m} entries, got {len(rows[square])}"
                 )
-            j = int(np.argmax(outside[i]))
-            raise InvalidGameError(f"association a[{i}][{j}]={rows[i][j]!r} outside [-1, 1]")
-        if square < m:
-            raise InvalidGameError(
-                f"association row {square}: expected {m} entries, got {len(rows[square])}"
-            )
+        if not rows:
+            raise InvalidGameError("association matrix is empty")
+        object.__setattr__(self, "entries", rows)
         a.flags.writeable = False
         object.__setattr__(self, "_matrix", a)
 
@@ -556,10 +559,14 @@ def is_critical_classical(game: VotingGame, player: int, coalition: int) -> bool
 
 def _load_sums(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(r, k) loads of the (r, m) association rows ``A`` over the (m, k)
-    weights ``W``: each row's products ``a_j * w_j`` added in player order,
-    one rounding per product and per sum, and a -0.0 total read as 0.0, so
-    every load is bit-identical to the running sum from 0.0 (a matmul is not)."""
-    return np.cumsum(A[:, :, None] * W, axis=1)[:, -1] + 0.0
+    weights ``W``: each row's products ``a_j * w_j`` added in place, in player
+    order, to a running sum from 0.0 (an all -0.0 row totals 0.0), which a
+    matmul would not match bit for bit.  Holding one (r, k) sum and product at
+    a time, one call takes the rows of a whole stack of matrices."""
+    out = np.zeros((W.shape[1], len(A)))  # a row per dimension: each add spans all of A's rows
+    for a, w in zip(A.T, W[:, :, None]):
+        out += a * w
+    return out.T
 
 
 def persuasion_loads(game: VotingGame, phi: AssociationMatrix) -> tuple[tuple[float, ...], ...]:

@@ -3,13 +3,14 @@ import gc
 import io
 import json
 import re
+import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from banzhaf import cli
+from banzhaf import cli, games
 from banzhaf.cli import main
 from banzhaf.data import dump_game, eu_game, random_association
 from banzhaf.exact import exact_indices
@@ -324,17 +325,60 @@ class TestEu:
         assert run(capsys, ["eu", "--random-association", *argv]) == expected
 
     def test_random_association_stacks_match_the_per_matrix_loop(self, capsys, monkeypatch):
-        """Stacks of two load matrices, so that five runs cross two stack
+        """Stacks of two runs' draws, so that five runs cross two stack
         boundaries: the same bytes as one stack, and each run's indices
         those of its own `exact_indices` call, as before stacking."""
         argv = ["eu", "--random-association", "--runs", "5", "--seed", "2", "--format", "json", "--precision", "17"]
         one_stack = run(capsys, argv)
-        monkeypatch.setattr(cli, "_STACK_BYTES", 2 * 18 * 3 * 8)
+        monkeypatch.setattr(cli, "_STACK_BYTES", 2 * 18 * 18 * 8)
         code, out, _ = run(capsys, argv)
         assert (code, out) == one_stack[:2] and code == 0
         game = eu_game()
         expected = [exact_indices(game, random_association(18, 2 + r)).normalized for r in range(5)]
         assert json.loads(out)["runs"] == [{p: round(v, 17) for p, v in zip(game.player_ids, row)} for row in expected]
+
+    def test_random_association_builds_no_matrix_per_run(self, capsys, monkeypatch):
+        """The runs are drawn, checked and loaded as one stack of arrays:
+        no `AssociationMatrix`, and so no tuples of entries, per run."""
+
+        def no_matrix(self):
+            raise AssertionError("an AssociationMatrix was built")
+
+        argv = ["eu", "--random-association", "--runs", "5", "--seed", "2"]
+        expected = run(capsys, argv)
+        monkeypatch.setattr(games.AssociationMatrix, "__post_init__", no_matrix)
+        assert run(capsys, argv) == expected and expected[0] == 0
+
+    def test_random_association_stack_is_checked(self, capsys, monkeypatch):
+        """A stack's draws pass the association rule before their loads."""
+        draw = cli.data._association_draws
+
+        def doctored(m, seed, runs):
+            draws = draw(m, seed, runs)
+            draws[1, 0, 1] = 1.5
+            return draws
+
+        monkeypatch.setattr(cli.data, "_association_draws", doctored)
+        argv = ["eu", "--random-association", "--runs", "3"]
+        assert run(capsys, argv) == (2, "", "error: association a[0][1]=1.5 outside [-1, 1]\n")
+
+    def test_random_association_memory(self, capsys):
+        """The traced peak of 100 runs stays below 3.5 MiB: 2.56 MiB when each
+        run had its own loads, 2.71 MiB with one running load sum over the
+        stack, 3.65 MiB if the stack's (r * m, m, k) products and their
+        cumulative sum were materialised.  A first run fills the interpreter's
+        caches and free lists, which tracemalloc counts as live."""
+        argv = ["eu", "--random-association", "--runs", "100"]
+        run(capsys, argv)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "mean" in capsys.readouterr().out
+        assert peak < 3.5 * 2**20
 
     def test_migration_and_random_exclusive(self, capsys, tmp_path):
         path = tmp_path / "mig.csv"

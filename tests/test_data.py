@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from banzhaf.data import (
     EU_COUNTRIES,
+    _association_draws,
     MigrationTable,
     RandomGameSpec,
     build_migration_association,
@@ -234,6 +235,23 @@ class TestRandomAssociation:
     def test_m_validation(self):
         with pytest.raises(InvalidGameError):
             random_association(0, seed=1)
+
+    @pytest.mark.parametrize("m", [0, -2, 3.0, "3", True, None])
+    def test_m_must_be_a_positive_integer(self, m):
+        message = f"^m, the player count, must be a positive integer, got {re.escape(repr(m))}$"
+        with pytest.raises(InvalidGameError, match=message):
+            random_association(m, 0)
+        with pytest.raises(InvalidGameError, match=message):
+            _association_draws(m, 0, 3)
+
+    @pytest.mark.parametrize("m, seed, runs", [(18, 0, 100), (1, 7, 5), (30, 11, 4)])
+    def test_stacked_draws_are_the_matrices_byte_for_byte(self, m, seed, runs):
+        """Each run of a stack keeps its own stream: run r of the stack from
+        ``seed`` is ``random_association(m, seed + r)``."""
+        draws = _association_draws(m, seed, runs)
+        assert draws.shape == (runs, m, m) and draws.dtype == np.float64
+        for r, a in enumerate(draws):
+            assert a.tobytes() == random_association(m, seed + r).matrix.tobytes()
 
     @pytest.mark.parametrize("seed", [True, 1.5, "3"])
     def test_non_integer_seed_rejected(self, seed):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banzhaf import bounds, exact
+from banzhaf import bounds, exact, games
 from banzhaf.bounds import conjecture_scan
 from banzhaf.cli import main
 from banzhaf.data import (
@@ -35,6 +35,7 @@ from banzhaf.games import (
     VotingGame,
     persuasion_load,
     persuasion_loads,
+    removal_loads,
     seeded_rng,
     single_quota_game,
     sums_win,
@@ -912,8 +913,19 @@ def test_persuasion_loads_match_sequential_loop():
     for game, phi in cases:
         expected = _persuasion_loads_loop(game, phi)
         assert _bytes(persuasion_loads(game, phi)) == _bytes(expected)
+        assert removal_loads(game, phi)[0] == "association"
+        assert _bytes(removal_loads(game, phi)[1]) == _bytes(expected)
         for i, row in enumerate(expected):
             assert _bytes(persuasion_load(game, phi, i).load) == _bytes(row)
+    # the cases of one game as one stack: one load call on their (r * m, m)
+    # rows, as `eu --random-association` makes
+    stacks = {}
+    for game, phi in cases:
+        stacks.setdefault(id(game), (game, []))[1].append(phi)
+    assert len(stacks[id(eu)][1]) == 100
+    for game, phis in stacks.values():
+        stacked = games._load_sums(np.concatenate([phi.matrix for phi in phis]), game.weight_matrix)
+        assert _bytes(stacked) == _bytes([row for phi in phis for row in _persuasion_loads_loop(game, phi)])
 
 
 class TestDelta:

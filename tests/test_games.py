@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from banzhaf.exact import CoalitionTable, exact_indices
 from banzhaf.games import (
+    _check_association,
     AssociationMatrix,
     InvalidGameError,
     VotingGame,
@@ -287,6 +288,34 @@ class TestAssociationMatrix:
                     with pytest.raises(InvalidGameError) as exc:
                         AssociationMatrix(entries)
                     assert str(exc.value) == expected
+
+    def test_stack_rule_is_the_matrix_rule(self):
+        """The array rule on an (r, m, m) stack checks every entry's
+        finiteness first, then each row in order: its error is the one
+        `AssociationMatrix` gives for the first matrix holding a non-finite
+        entry, else for the first matrix that offends at all."""
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            r, m = (int(x) for x in rng.integers(1, 5, size=2))
+            stack = rng.uniform(-1.0, 1.0, size=(r, m, m))
+            stack.reshape(r, m * m)[:, :: m + 1] = 1.0
+            for _ in range(int(rng.integers(0, 3))):
+                s, i, j = (int(x) for x in rng.integers(0, (r, m, m)))
+                stack[s, i, j] = rng.choice([1.5, -1.25, 0.5, 2.0, np.nan, -np.inf])
+            nonfinite = [s for s in range(r) if not np.isfinite(stack[s]).all()]
+            expected = None
+            for s in nonfinite[:1] or range(r):
+                try:
+                    AssociationMatrix(stack[s])
+                except InvalidGameError as exc:
+                    expected = str(exc)
+                    break
+            if expected is None:
+                _check_association(stack)
+            else:
+                with pytest.raises(InvalidGameError) as exc:
+                    _check_association(stack)
+                assert str(exc.value) == expected
 
     def test_extreme_entries_allowed(self):
         phi = AssociationMatrix(((1.0, -1.0), (1.0, 1.0)))
