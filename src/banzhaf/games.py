@@ -513,9 +513,10 @@ def removal_edges(loads, thresholds: Sequence[float]) -> np.ndarray:
 
     # the edge is the first of ``t + l`` and one ulp either way that holds,
     # if the float before that one breaks
-    start = t + l
-    below = np.nextafter(start, -np.inf)
-    steps = np.array([np.nextafter(below, -np.inf), below, start, np.nextafter(start, np.inf)])
+    with np.errstate(over="ignore"):  # one ulp past the largest float is an infinity, a valid step
+        start = t + l
+        below = np.nextafter(start, -np.inf)
+        steps = np.array([np.nextafter(below, -np.inf), below, start, np.nextafter(start, np.inf)])
     held = holds(steps)
     edges = np.where(held[1], below, np.where(held[2], start, steps[3]))
     lost = np.flatnonzero(held[0] | ~held[3])

@@ -60,13 +60,21 @@ def loop_load(game: VotingGame, phi: AssociationMatrix, i: int, coalition: int) 
     return load
 
 
-def winning_coalitions(game: VotingGame, strict: bool = False) -> list[tuple[int, tuple[float, ...]]]:
+def winning_coalitions(
+    game: VotingGame, strict: bool = False, split: int | None = None
+) -> list[tuple[int, tuple[float, ...]]]:
     """``(coalition, sums)`` of every coalition that wins under the given
-    convention, summed one coalition at a time."""
+    convention, summed one coalition at a time in player order; with
+    ``split``, its members below ``split`` and the others are summed apart
+    and then added, the order in which the enumerator's blocks add them."""
     thresholds = game.thresholds(strict)
     out = []
     for c in range(1 << game.num_players):
-        sums = coalition_weight(game, c)
+        if split is None:
+            sums = coalition_weight(game, c)
+        else:
+            low = coalition_weight(game, c & ((1 << split) - 1))
+            sums = tuple(h + l for h, l in zip(coalition_weight(game, c >> split << split), low))
         if sums_win(sums, thresholds):
             out.append((c, sums))
     return out

@@ -35,6 +35,7 @@ from banzhaf.games import (
     VotingGame,
     persuasion_load,
     persuasion_loads,
+    removal_edges,
     removal_loads,
     seeded_rng,
     single_quota_game,
@@ -491,34 +492,53 @@ class TestCompactedWinners:
         assert list(counts) == [math.comb(19, 9)] * 20
 
 
+@st.composite
+def multi_quota_games(draw):
+    """A game of 1 to 10 players over 2 or 3 quotas, with weights that are
+    mostly not integers and some zeros, and a low-half width for its blocks."""
+    k, m = draw(st.integers(2, 3)), draw(st.integers(1, 10))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+    rows = draw(st.lists(st.tuples(*[weight] * k), min_size=m, max_size=m))
+    game = VotingGame(player_ids=tuple(f"p{i}" for i in range(m)), weights=tuple(rows), quotas=(1.0,) * k)
+    return game, draw(st.integers(1, m))
+
+
 class TestLoadStacks:
     """An (r, m, k) stack of load matrices counts as r single-matrix calls
     on every engine, and as the oracle."""
 
-    def _stack(self, game, seed):
+    def _stack(self, table, seed):
         """The loads of `_pulling_against`, which are mostly negative,
-        own-weight loads and two `random_association` PPMs' loads."""
+        own-weight loads, two `random_association` PPMs' loads, and under
+        each convention a matrix of `_boundary_loads`."""
+        game = table.game
         m = game.num_players
         phis = (_pulling_against(m), random_association(m, seed), random_association(m, seed + 1))
-        return np.array([persuasion_loads(game, phis[0]), game.weight_matrix, *(persuasion_loads(game, phi) for phi in phis[1:])])
+        return np.array([persuasion_loads(game, phis[0]), game.weight_matrix, *(persuasion_loads(game, phi) for phi in phis[1:]),
+                         *(_boundary_loads(table, strict) for strict in (False, True))])
 
     def _check(self, table, stack, oracle=True):
         """Under both conventions: (r, m) counts, each row the single
-        matrix's count, and the oracle's when ``oracle``."""
+        matrix's count, and the oracle's when ``oracle``.  The oracle adds an
+        enumerating table's coalition sums in its blocks' order: an edge on
+        the full coalition's sums in a non-integer dimension tells apart sums
+        that another order rounds an ulp away."""
         game = table.game
+        split = table._blocks[0].shape[1].bit_length() - 1 if table.engine == "enumeration" else None
         for strict in (False, True):
             counts = table.swing_counts(stack, strict=strict)
             assert counts.shape == stack.shape[:2]
             assert counts.tolist() == [table.swing_counts(loads, strict=strict).tolist() for loads in stack]
             if oracle:
-                winners = winning_coalitions(game, strict)
+                winners = winning_coalitions(game, strict, split)
                 assert counts.tolist() == naive_stack_swings(winners, stack, game.thresholds(strict))
 
     def test_eu_game_with_cached_winners(self, monkeypatch):
-        """Each country's four rows in one chunk, against the oracle, then
-        in chunks of three rows and of one."""
+        """Each country's six rows, grouped by their live quotas, against the
+        oracle, then in chunks of three rows and of one."""
         game = eu_game()
-        table, stack = CoalitionTable(game), self._stack(game, 5)
+        table = CoalitionTable(game)
+        stack = self._stack(table, 5)
         self._check(table, stack)
         assert len(table._winning_sets) == 2
         counts = [table.swing_counts(stack, strict=strict) for strict in (False, True)]
@@ -534,7 +554,7 @@ class TestLoadStacks:
         for n, game in enumerate(games):
             table = _table(game, 4)
             assert len(winning_coalitions(game)) > _room(table)
-            self._check(table, self._stack(game, 950 + n))
+            self._check(table, self._stack(table, 950 + n))
             assert table._winning_sets == {}
 
     def test_single_quota_engines(self):
@@ -544,7 +564,30 @@ class TestLoadStacks:
         for game, engine in zip(games, ("subset-sum", "sorted-half", "subset-sum")):
             table = CoalitionTable(game)
             assert table.engine == engine
-            self._check(table, self._stack(game, 960), oracle=game.num_players <= 6)
+            self._check(table, self._stack(table, 960), oracle=game.num_players <= 6)
+
+    @given(multi_quota_games())
+    @settings(max_examples=150, deadline=None)
+    def test_full_coalition_has_the_largest_sums(self, case):
+        """What the enumerator's all-breaking rule rests on: of every
+        coalition's sums, as its blocks add them, the largest per dimension is
+        the full coalition's, bit for bit."""
+        game, bits = case
+        low, high = _table(game, bits)._blocks
+        every = high[:, :, None] + low[:, None, :]
+        assert every.max(axis=(1, 2)).tobytes() == (low[:, -1] + high[:, -1]).tobytes()
+
+    def test_no_scan_when_no_entry_can_break(self, monkeypatch):
+        """Loads <= 0 leave every quota dead, so the count reads no block."""
+        game = _random_two_quota_game(12, (0.4, 0.35), seed=941)
+        table = _table(game, 4)
+
+        def scan(*_):
+            raise AssertionError("scanned the winners")
+
+        monkeypatch.setattr(CoalitionTable, "winner_blocks", scan)
+        loads = np.array([-game.weight_matrix, np.zeros_like(game.weight_matrix)])
+        assert table.swing_counts(loads).tolist() == [[0] * 12] * 2
 
     def test_stacks_of_one_and_none(self):
         for game in (eu_game(), single_quota_game([3, 5, 2], 6), single_quota_game([0.5, 1.25, 2.0], 2.1)):
@@ -554,6 +597,47 @@ class TestLoadStacks:
             assert table.swing_counts(np.empty((0, m, k))).shape == (0, m)
             with pytest.raises(InvalidGameError, match=rf"^loads must be shaped \(2, {m}, {k}\), got \(2, {m + 1}, {k}\)$"):
                 table.swing_counts(np.ones((2, m + 1, k)))
+
+
+def _full_sums(table):
+    """The full coalition's sums: on an enumerating table as its blocks add
+    them, the largest any coalition has, else the weights' totals."""
+    if table.engine != "enumeration":
+        return table.game.weight_matrix.sum(axis=0)
+    low, high = table._blocks
+    return low[:, -1] + high[:, -1]
+
+
+def _loads_at(edges, thresholds):
+    """Per dimension, a load whose break edge under the threshold is exactly
+    ``edges[d]`` (found from ``v - t`` by one-ulp steps)."""
+    loads = []
+    for v, t in zip(edges, thresholds):
+        load = v - t
+        for _ in range(8):
+            edge = removal_edges(np.array([load]), [t])[0]
+            if edge == v:
+                break
+            load = np.nextafter(load, np.inf if edge < v else -np.inf)
+        assert edge == v
+        loads.append(load)
+    return loads
+
+
+def _boundary_loads(table, strict):
+    """An (m, k) load matrix on the enumerator's shortcuts under one
+    convention's thresholds t, a row per player in turn: break edges at t
+    (a dead quota) or one ulp above it, at the full coalition's sums or one
+    ulp above them (an entry that breaks every winner), three mixes across
+    dimensions, then loads all <= 0 and loads of the largest float (edges of
+    +inf)."""
+    game = table.game
+    t, top, k = np.array(game.thresholds(strict)), _full_sums(table), game.num_dimensions
+    first = np.arange(k) == 0
+    up = np.nextafter(t, np.inf), np.nextafter(top, np.inf)
+    edges = [t, up[0], top, up[1], np.where(first, up[0], t), np.where(first, t, up[1]), np.where(first, top, up[0])]
+    rows = [_loads_at(v, t) for v in edges] + [np.resize([-2.5, -0.0, 0.0], k), np.full(k, np.finfo(float).max)]
+    return np.array([rows[(i + 3 * strict) % len(rows)] for i in range(game.num_players)])
 
 
 def _against_enumerator(game, loads_list):

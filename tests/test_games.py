@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -639,9 +641,11 @@ def _edge_games():
 
 def _edge_loads(t):
     """Loads against threshold ``t``: those that cancel it to 0 and to one
-    ulp either way, +-1e300, negative, zero and positive loads."""
+    ulp either way, +-1e300, negative, zero and positive loads, and the
+    largest floats either way."""
+    big = sys.float_info.max
     return [-t, -math.nextafter(t, 0.0), -math.nextafter(t, math.inf), 1e300, -1e300,
-            -0.5 * t, -3.75, -1e-300, 0.0, -0.0, 0.25 * t, 2.0 * t + 1.0, 1.7e308, -1.7e308]
+            -0.5 * t, -3.75, -1e-300, 0.0, -0.0, 0.25 * t, 2.0 * t + 1.0, 1.7e308, -1.7e308, big, -big]
 
 
 class TestRemovalEdges:
@@ -649,8 +653,11 @@ class TestRemovalEdges:
     every float sum, checked at the edge and one ulp on either side."""
 
     def _check(self, loads, thresholds):
-        """Edges of (k, n) ``loads``, checked against the kernel per dimension."""
-        edges = removal_edges(loads, thresholds)
+        """Edges of (k, n) ``loads``, found without a warning, and checked
+        against the kernel per dimension."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = removal_edges(loads, thresholds)
         assert edges.shape == loads.shape
         for l, t, v in zip(loads, thresholds, edges):
             for s in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)):
