@@ -63,16 +63,17 @@ breaks an entry iff it does not win against the entry's edges, one
 comparison per dimension.  Two rules skip the comparisons that cannot change
 a count.  Every winner has ``s >= t``, so a quota whose edge is at or below
 ``t`` breaks no winner (it is dead), and an entry with no live quota counts
-0 (a count of only such entries scans nothing).  Float addition of non-negative weights never lowers a sum, and each
-half's sums add its weights in player order, so no coalition's sums pass the
-full coalition's (the two halves' last sums, added): an entry whose edge is
-above them in some quota breaks every winner, and counts the winners that
-hold its player.  The other entries are grouped once per count, by player
-and set of live quotas, and per block each group is compared over its live
-quotas only: an entry alone against scalar edges, more in one broadcast, in
-chunks that fit `_GROUP_BYTES`, so the r load matrices of a stack
-(`CoalitionTable.swing_counts` takes one or r) share one pass over the
-winners.
+0 (a count of only such entries scans nothing).  Float addition of
+non-negative weights never lowers a sum, and each half's sums add its
+weights in player order, so no coalition's sums pass the full coalition's
+(the two halves' last sums, added): an entry whose edge is above them in
+some quota breaks every winner, and counts the winners that hold its
+player.  The other entries are grouped once per count, by player and set of
+live quotas (a tuple, so any number of quotas), and per block each group is
+compared over its live quotas only: an entry alone against scalar edges,
+more in one broadcast, in chunks that fit `_GROUP_BYTES`, so the r load
+matrices of a stack (`CoalitionTable.swing_counts` takes one or r) share one
+pass over the winners.
 
 Gain and loss between two load rows are three counts on any engine and for
 any number of quotas: per dimension ``s - l < t`` is monotone in ``l``, since
@@ -398,23 +399,24 @@ class CoalitionTable:
         # a winner of sums s breaks entry e iff s < edges[:, e] in some
         # dimension, that is iff it does not win against the entry's edges
         edges = removal_edges(loads.T, thresholds)
-        k, (low, high) = len(thresholds), self._blocks
+        low, high = self._blocks
         # Every winner has s >= t, so a quota whose edge is at or below t breaks
         # none (it is dead), and no coalition's sums pass the full coalition's,
-        # so an edge above them breaks every winner.  An entry's key is the bits
-        # of its live quotas, or bit k alone if it breaks every winner.
-        live = (1 << np.arange(k)) @ (edges > np.array(thresholds)[:, None])
-        keys = np.where((edges > (low[:, -1] + high[:, -1])[:, None]).any(axis=0), 1 << k, live)
-        # grouped by player and key without a sort: numpy's first sort in a
-        # process maps about 1.5 MB of its code, which the EU study's peak
-        # memory would show
-        grouped: dict[tuple[int, int], list[int]] = {}
-        for e, (i, key) in enumerate(zip(players.tolist(), keys.tolist())):
-            if key:  # no live quota: the entry breaks no winner
-                grouped.setdefault((i, key), []).append(e)
+        # so an edge above them breaks every winner: such an entry is compared
+        # in no quota.  An entry is kept if it breaks every winner or has a
+        # live quota, and keyed by its player and which quotas it compares.
+        every = (edges > (low[:, -1] + high[:, -1])[:, None]).any(axis=0)
+        live = (edges > np.array(thresholds)[:, None]) & ~every
+        breaks_some = (live.any(axis=0) | every).tolist()
+        # grouped by key without a sort: numpy's first sort in a process maps
+        # about 1.5 MB of its code, which the EU study's peak memory would show
+        grouped: dict[tuple[int, tuple[bool, ...]], list[int]] = {}
+        for e, (i, quotas, breaks) in enumerate(zip(players.tolist(), zip(*live.tolist()), breaks_some)):
+            if breaks:
+                grouped.setdefault((i, quotas), []).append(e)
         groups = []
-        for (i, key), entries in grouped.items():
-            dims = [d for d in range(k) if key >> d & 1]  # none if it breaks every winner
+        for (i, quotas), entries in grouped.items():
+            dims = [d for d, on in enumerate(quotas) if on]  # none if it breaks every winner
             # an entry alone is compared with scalar edges, a group in columns
             live_edges = edges[dims, entries[0]].tolist() if len(entries) == 1 else edges[dims][:, entries, None]
             groups.append((i, entries, dims, live_edges))
@@ -423,9 +425,12 @@ class CoalitionTable:
             # a chunk's two (rows, n) bool arrays take at most a quarter of
             # _GROUP_BYTES, which keeps a count's peak memory below the scan's
             rows = max(1, _GROUP_BYTES // max(1, 8 * sums.shape[1]))
+            own_totals: dict[int, int] = {}  # each player's winners in the block, counted once
             for i, entries, dims, live_edges in groups:
                 own = members[i]
-                own_total = np.count_nonzero(own)
+                own_total = own_totals.get(i)
+                if own_total is None:
+                    own_total = own_totals[i] = np.count_nonzero(own)
                 for start in range(0, len(entries), rows):
                     chunk = entries[start : start + rows]
                     kept = [0] * len(chunk)  # an entry that breaks every winner keeps none

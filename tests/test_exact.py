@@ -519,10 +519,12 @@ class TestLoadStacks:
 
     def _check(self, table, stack, oracle=True):
         """Under both conventions: (r, m) counts, each row the single
-        matrix's count, and the oracle's when ``oracle``.  The oracle adds an
-        enumerating table's coalition sums in its blocks' order: an edge on
-        the full coalition's sums in a non-integer dimension tells apart sums
-        that another order rounds an ulp away."""
+        matrix's count, and the oracle's when ``oracle``.  The oracle sums
+        coalitions in player order, except for the last two rows, the
+        `_boundary_loads`, on an enumerating table: those it adds in the
+        table's blocks' order, since an edge on the full coalition's sums in a
+        non-integer dimension tells apart sums that another order rounds an
+        ulp away."""
         game = table.game
         split = table._blocks[0].shape[1].bit_length() - 1 if table.engine == "enumeration" else None
         for strict in (False, True):
@@ -530,8 +532,10 @@ class TestLoadStacks:
             assert counts.shape == stack.shape[:2]
             assert counts.tolist() == [table.swing_counts(loads, strict=strict).tolist() for loads in stack]
             if oracle:
-                winners = winning_coalitions(game, strict, split)
-                assert counts.tolist() == naive_stack_swings(winners, stack, game.thresholds(strict))
+                t = game.thresholds(strict)
+                expected = naive_stack_swings(winning_coalitions(game, strict), stack[:-2], t)
+                expected += naive_stack_swings(winning_coalitions(game, strict, split), stack[-2:], t)
+                assert counts.tolist() == expected
 
     def test_eu_game_with_cached_winners(self, monkeypatch):
         """Each country's six rows, grouped by their live quotas, against the
@@ -556,6 +560,20 @@ class TestLoadStacks:
             assert len(winning_coalitions(game)) > _room(table)
             self._check(table, self._stack(table, 950 + n))
             assert table._winning_sets == {}
+
+    def test_more_quotas_than_a_bitmask_holds(self):
+        """63 and 70 quotas, with a matrix that loads only quotas 60 on, so
+        that its entries break winners only in those."""
+        rng = np.random.default_rng(971)
+        for k in (63, 70):
+            weights = rng.integers(0, 10, size=(5, k)) + rng.uniform(0, 1, size=(5, k)) * (np.arange(k) % 2)
+            game = VotingGame(player_ids=tuple(f"p{i}" for i in range(5)), weights=tuple(map(tuple, weights.tolist())),
+                              quotas=tuple((weights.sum(axis=0) * rng.uniform(0.3, 0.6, size=k)).tolist()))
+            table = CoalitionTable(game)
+            late = np.where(np.arange(k) >= 60, weights, 0.0)
+            stack = np.concatenate((late[None], self._stack(table, 970)))
+            self._check(table, stack)
+            assert table.swing_counts(late).any()
 
     def test_single_quota_engines(self):
         """The sum grid, in int64 and in Python ints, and the sorted halves."""
