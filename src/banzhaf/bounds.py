@@ -27,7 +27,7 @@ from .games import (
     removal_breaks,
     require_same_players,
     require_single_quota,
-    seeded_rng,
+    seeded_streams,
     sums_win,
 )
 from . import exact, games
@@ -332,7 +332,7 @@ def _window_counts(seed: int, trials: range, spec: RandomGameSpec):
     """The trials' weights, totals and quotas, as `random_game` draws them,
     and their players' swing counts, in stacks where a game's grid fits and
     its threshold is positive, else on its own game, which raises its errors."""
-    rows = [random_weights(seeded_rng(seed, t), spec) for t in trials]
+    rows = [random_weights(rng, spec) for rng in seeded_streams(seed, len(trials), trials.start)]
     totals = [int(w.sum()) for w in rows]
     quotas = [games.as_finite(spec.quota_fraction * t, "quotas[0]") for t in totals]  # `VotingGame`'s check
     thresholds = np.array([q - games.quota_tolerance(q, t, True) for q, t in zip(quotas, totals)])

@@ -24,7 +24,7 @@ from .games import (
     InvalidGameError,
     VotingGame,
     as_finite,
-    seeded_rng,
+    seeded_streams,
     single_quota_game,
 )
 
@@ -113,8 +113,8 @@ def _association_draws(m: int, seed: int, runs: int) -> np.ndarray:
     if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
         raise InvalidGameError(f"m, the player count, must be a positive integer, got {m!r}")
     draws = np.empty((runs, m, m))
-    for r, a in enumerate(draws):  # run 0 passes the seed as given, for seeded_rng to check
-        a[:] = seeded_rng(seed + r if r else seed).uniform(-1.0, 1.0, size=(m, m))
+    for a, rng in zip(draws, seeded_streams(seed, runs)):
+        a[:] = rng.uniform(-1.0, 1.0, size=(m, m))
     draws.reshape(runs, m * m)[:, :: m + 1] = 1.0
     return draws
 
@@ -165,7 +165,7 @@ def random_weights(rng: np.random.Generator, spec: RandomGameSpec) -> np.ndarray
     """Random int64 weights shaped by a RandomGameSpec: the player count uniform in
     [min_players, max_players], the weights in [min_weight, max_weight], redrawn while all are 0."""
     m = int(rng.integers(spec.min_players, spec.max_players + 1))
-    weights = np.zeros(m, dtype=np.int64)
+    weights = rng.integers(spec.min_weight, spec.max_weight + 1, size=m)
     while not weights.any():  # all-zero weights would make the quota 0
         weights = rng.integers(spec.min_weight, spec.max_weight + 1, size=m)
     return weights

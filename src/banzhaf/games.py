@@ -19,6 +19,15 @@ floats for one coalition, or rows of a numpy array for many.  The scalar
 predicates below, the exact engines and the sampler all call these two;
 `removal_edges` turns each load into the sum below which its removal breaks
 a quota, checked by `removal_breaks` itself.
+
+Random streams are Philox generators keyed by numpy's `SeedSequence` hash of
+a seed and a spawn key (`seeded_rng`).  A loop over many streams takes them
+from `seeded_streams`, which hashes the keys of every stream of one entropy
+length in one uint32 pass, restating `SeedSequence`'s mix and
+``generate_state(2, np.uint64)`` (NEP 19), and re-keys one generator for each
+stream in turn, with a fresh state's zero counter and empty buffer.  Philox
+is counter-based, so that is the stream a fresh generator gives; the
+generator is never shared by two live streams.
 """
 
 from __future__ import annotations
@@ -364,15 +373,102 @@ def require_same_players(game: VotingGame, report) -> None:
         raise InvalidGameError("game players do not match the report's")
 
 
-def seeded_rng(seed: int, *key: int) -> np.random.Generator:
-    """Philox stream keyed by ``seed`` and the spawn ``key``: the same
-    arguments give the same stream, and different keys independent ones."""
+def _checked_seed(seed: int) -> int:
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
         raise InvalidGameError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise InvalidGameError(f"seed must be non-negative, got {seed}")
+    return operator.index(seed)
+
+
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """Philox stream keyed by ``seed`` and the spawn ``key``: the same
+    arguments give the same stream, and different keys independent ones."""
+    _checked_seed(seed)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's `SeedSequence` hash: its pool size, the start and multiplier of the
+# hash constants that mix entropy into the pool (A) and draw words from it (B),
+# and the multipliers and shift of its `mix`.
+_POOL = 4
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHERS = np.array([[d for d in range(_POOL) if d != s] for s in range(_POOL)])
+
+
+def _hash_constants(start: int, multiplier: int, calls: int) -> np.ndarray:
+    """(2, calls) uint32: the constant that each of ``calls`` hashes in turn xors in, and the next, its multiplier."""
+    c = [start]
+    for _ in range(calls):
+        c.append(c[-1] * multiplier & 0xFFFFFFFF)
+    return np.array([c[:-1], c[1:]], dtype=np.uint32)
+
+
+def _hashmix(v: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    v = (v ^ constants[0]) * constants[1]
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _philox_keys(words: np.ndarray) -> np.ndarray:
+    """(n, 2) uint64: ``SeedSequence.generate_state(2, np.uint64)`` of the n
+    streams whose assembled entropy is the rows of the (n, L) uint32
+    ``words``, each step hashed across the rows and the pool's columns at once."""
+    length = words.shape[1]
+    a = _hash_constants(*_HASH_A, _POOL * max(length, _POOL))
+    pool = np.zeros((len(words), _POOL), dtype=np.uint32)  # a missing word hashes as 0
+    pool[:, :length] = words[:, :_POOL]
+    pool = _hashmix(pool, a[:, :_POOL])
+    for src, others in enumerate(_OTHERS):  # every pool word into each other one
+        at = _POOL + 3 * src
+        pool[:, others] = _mix(pool[:, others], _hashmix(pool[:, src, None], a[:, at : at + 3]))
+    for src in range(_POOL, length):  # then each later entropy word into all four
+        at = _POOL * src
+        pool = _mix(pool, _hashmix(words[:, src, None], a[:, at : at + _POOL]))
+    return _hashmix(pool, _hash_constants(*_HASH_B, _POOL)).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _words(start: int, stop: int, width: int) -> np.ndarray:
+    """(stop - start, width) uint32: the ints from ``start`` to ``stop``, each
+    split into ``width`` words, low word first, as `SeedSequence` splits it."""
+    dtype = np.uint64 if stop < 2**63 else object  # Python ints past int64, which any numpy's arange takes
+    v = np.arange(start, stop, dtype=dtype)[:, None]
+    return ((v >> np.arange(0, 32 * width, 32).astype(dtype)) & 0xFFFFFFFF).astype(np.uint32)
+
+
+def seeded_streams(seed: int, count: int, first_key: int | None = None) -> Iterator[np.random.Generator]:
+    """The ``count`` streams that `seeded_rng` gives at ``(seed, first_key + j)``,
+    or, with no ``first_key``, at ``seed + j``, in turn.  The seed is checked
+    once, and the keys hashed in one pass per entropy length; one generator is
+    built and re-keyed for each stream, so a stream is valid only until the
+    next is drawn."""
+    if count == 1:  # numpy's own hash of one key costs less than a pass over arrays
+        yield seeded_rng(seed, *(() if first_key is None else (first_key,)))
+        return
+    seed = _checked_seed(seed)
+    start = seed if first_key is None else operator.index(first_key)
+    end, keys = start + count, []
+    while start < end:  # one pass for each span of ints with one word count
+        width = max(1, -(-start.bit_length() // 32))
+        stop = min(end, 1 << 32 * width)
+        words = _words(start, stop, width)
+        if first_key is not None:  # a spawn key follows the seed's words, zero padded to the pool size
+            prefix = _words(seed, seed + 1, max(-(-seed.bit_length() // 32), _POOL))
+            words = np.hstack([prefix.repeat(len(words), axis=0), words])
+        keys += _philox_keys(words).tolist()
+        start = stop
+    bits = np.random.Philox(key=0)
+    rng, state = np.random.Generator(bits), bits.state
+    for key in keys:
+        state["state"]["key"] = key  # with a fresh state's zero counter and empty buffer
+        bits.state = state
+        yield rng
 
 
 def single_quota_game(

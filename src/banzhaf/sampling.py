@@ -4,7 +4,10 @@ variance-adaptive confidence intervals.
 Each player gets its own counter-based random stream (`seeded_rng`, Philox
 keyed by the master seed and the player index), so estimates are
 reproducible bit for bit regardless of evaluation order and the per-player
-streams stay independent.
+streams stay independent.  The players' streams come as one batch
+(`seeded_streams`): their keys are hashed in one pass, and one generator is
+re-keyed for each player in turn, after the previous player has drawn all
+of its samples, so no two players share a live stream.
 A sample for player ``i`` is a uniform coalition containing ``i``: the other
 ``m - 1`` membership bits are fair coin flips.  Player ``j``'s bit is bit
 ``j % 64`` of the sample's uint64 word ``j // 64``, which is bit ``j % 8`` of
@@ -48,7 +51,7 @@ from .games import (
     removal_loads,
     require_same_players,
     resolve_player,
-    seeded_rng,
+    seeded_streams,
     subset_sums,
     sums_win,
 )
@@ -140,12 +143,11 @@ def _swing_count_for_player(
     i: int,
     load_row: np.ndarray,
     n: int,
-    seed: int,
+    rng: np.random.Generator,
     tables: np.ndarray,
 ) -> int:
     k = tables.shape[1]
     thresholds = game.winning_thresholds
-    rng = seeded_rng(seed, i)
     words = (game.num_players + 63) // 64
     # per sample: the raw words, k sums, one looked-up row and its intp byte
     # indices, and the kernel's temporaries (a float row and a few bool rows)
@@ -198,7 +200,8 @@ def estimate_indices(
     mode, loads = removal_loads(game, phi)
     tables = _byte_tables(game.weight_matrix)
     counts = [
-        _swing_count_for_player(game, i, loads[i], samples, seed, tables) for i in range(m)
+        _swing_count_for_player(game, i, loads[i], samples, rng, tables)
+        for i, rng in enumerate(seeded_streams(seed, m, 0))
     ]
     n = samples
     estimates = tuple(c / n for c in counts)

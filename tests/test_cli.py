@@ -5,12 +5,13 @@ import json
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from banzhaf import cli, games
+from banzhaf import bounds, cli, data, games, sampling
 from banzhaf.cli import main
 from banzhaf.data import dump_game, eu_game, random_association
 from banzhaf.exact import exact_indices
@@ -526,6 +527,32 @@ class TestMalformedInput:
         if code != 0:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _fresh_streams(seed, count, first_key=None):
+    """The streams of `games.seeded_streams`, each from its own `seeded_rng`."""
+    for j in range(count):
+        yield games.seeded_rng(seed + j) if first_key is None else games.seeded_rng(seed, first_key + j)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eu", "--random-association", "--seed", "4294967294", "--runs", "4"],
+        ["conjecture", "--seed", "4294967295", "--trials", "5"],
+        ["approx", "--game", str(Path(__file__).resolve().parents[1] / "docs" / "sample-game.json"),
+         "--seed", "4294967296", "--epsilon", "0.05", "--delta", "0.05"],
+    ],
+    ids=["eu-random-association", "conjecture", "approx"],
+)
+def test_stream_batches_at_the_word_boundary(capsys, monkeypatch, argv):
+    """Seeds at 2^32 take a second entropy word: the EU runs' four seeds hash in
+    two lengths, in one batch.  Every batch gives the bytes of one `seeded_rng`
+    per stream."""
+    batched = run(capsys, argv)
+    for module in (bounds, data, sampling):
+        monkeypatch.setattr(module, "seeded_streams", _fresh_streams)
+    assert batched[0] == 0 and batched == run(capsys, argv)
 
 
 def test_redirected_streams_are_released(g3):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banzhaf.data import RandomGameSpec, random_weights
 from banzhaf.exact import CoalitionTable, exact_indices
 from banzhaf.games import (
     _check_association,
@@ -27,6 +28,7 @@ from banzhaf.games import (
     removal_breaks,
     removal_edges,
     seeded_rng,
+    seeded_streams,
     single_quota_game,
     sums_win,
     validate_coalition,
@@ -332,6 +334,73 @@ class TestSeededRng:
 
     def test_numpy_integer_seed_accepted(self):
         assert seeded_rng(np.uint8(7), 2).integers(2**62) == seeded_rng(7, 2).integers(2**62)
+
+
+def _numpy_key(seed, *key):
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64).tolist()
+
+
+def _keys(streams):
+    return [rng.bit_generator.state["state"]["key"].tolist() for rng in streams]
+
+
+class TestSeededStreams:
+    """A batch of streams is numpy's own: each key is `SeedSequence`'s, and
+    each stream draws what a fresh `seeded_rng` at its seed and key draws."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("first_key", [0, 2**32 - 2, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_keyed_keys_are_numpys(self, seed, first_key, count):
+        # from 2^32 - 2 and 2^64 - 1 a batch holds keys of two word counts
+        expected = [_numpy_key(seed, k) for k in range(first_key, first_key + count)]
+        assert _keys(seeded_streams(seed, count, first_key)) == expected
+
+    @pytest.mark.parametrize("seed", SEEDS + [2**32 - 2, 2**128 - 2])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_consecutive_seed_keys_are_numpys(self, seed, count):
+        # from 2^32 - 2 two seeds have one word and two have two; from 2^128 - 2,
+        # four words and five, the fifth hashed after the pool's four
+        assert _keys(seeded_streams(seed, count)) == [_numpy_key(seed + r) for r in range(count)]
+
+    @pytest.mark.parametrize("count", [1, 6])
+    @pytest.mark.parametrize("seed, first_key", [(7, 2**32 - 3), (2**32 - 3, None)])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            # full-range words in uneven chunks, as the sampler draws them
+            lambda rng: np.concatenate([rng.integers(0, 2**64, size=(r, 2), dtype=np.uint64) for r in (1, 4, 3)]),
+            # a scalar, then a sized bounded draw: each value takes 32 bits, so a
+            # stream can end with the other half of a 64-bit word buffered
+            lambda rng: random_weights(rng, RandomGameSpec(min_players=2, max_players=9)),
+            lambda rng: rng.uniform(-1.0, 1.0, (3, 3)),
+        ],
+        ids=["uint64-chunks", "random-weights", "uniform"],
+    )
+    def test_draws_are_seeded_rngs(self, count, seed, first_key, draw):
+        # each stream leaves a part-used buffer, which the next stream must not see
+        for j, rng in enumerate(seeded_streams(seed, count, first_key)):
+            fresh = seeded_rng(seed + j) if first_key is None else seeded_rng(seed, first_key + j)
+            assert np.array_equal(draw(rng), draw(fresh))
+
+    @pytest.mark.parametrize("first_key", [None, 3])
+    def test_numpy_integer_seed(self, first_key):
+        # 255 + 1 would wrap in uint8: the seed is an int before any shift
+        expected = [_numpy_key(255 + j) if first_key is None else _numpy_key(255, first_key + j) for j in range(3)]
+        assert _keys(seeded_streams(np.uint8(255), 3, first_key)) == expected
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be non-negative, got -1"), (True, "seed must be an integer, got True"),
+         (1.5, "seed must be an integer, got 1.5")],
+    )
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("first_key", [None, 0])
+    def test_bad_seed_raises_before_a_stream(self, seed, message, count, first_key):
+        with pytest.raises(InvalidGameError, match=f"^{re.escape(message)}$"):
+            next(seeded_streams(seed, count, first_key))
 
 
 class TestCoalitions:

@@ -191,15 +191,16 @@ class TestUnpack:
         monkeypatch.setattr(sampling, "_CHUNK_BYTES", budget)
         drawn = []
 
-        class RecordingRng:  # the sampler's stream, noting each chunk's sample count
-            def __init__(self, *key):
-                self.rng = seeded_rng(*key)
+        class RecordingRng:  # a stream of the sampler, noting each chunk's sample count
+            def __init__(self, rng):
+                self.rng = rng
 
             def integers(self, *args, size, **kwargs):
                 drawn.append(size[0])
                 return self.rng.integers(*args, size=size, **kwargs)
 
-        monkeypatch.setattr(sampling, "seeded_rng", RecordingRng)
+        streams = sampling.seeded_streams
+        monkeypatch.setattr(sampling, "seeded_streams", lambda *args: map(RecordingRng, streams(*args)))
         chunked = [estimate_indices(game, p, samples=120, seed=9) for p in (None, phi)]
         assert chunked == default
         assert max(drawn) == rows
@@ -216,7 +217,7 @@ class TestUnpack:
         tracemalloc.start()
         try:
             tables = _byte_tables(game.weight_matrix)
-            _swing_count_for_player(game, 0, game.weight_matrix[0], 20_000, 0, tables)
+            _swing_count_for_player(game, 0, game.weight_matrix[0], 20_000, seeded_rng(0, 0), tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -227,7 +228,7 @@ class TestUnpack:
         samples, since the tables are not a chunk's buffers."""
         game = _integer_game(64, seed=7)
         tables = _byte_tables(game.weight_matrix)
-        expected = _swing_count_for_player(game, 5, game.weight_matrix[5], 500, 3, tables)
+        expected = _swing_count_for_player(game, 5, game.weight_matrix[5], 500, seeded_rng(3, 5), tables)
         monkeypatch.setattr(sampling, "_CHUNK_BYTES", tables.nbytes // 2)
         chunks = []
 
@@ -237,7 +238,7 @@ class TestUnpack:
 
         sampling_lookup = sampling._lookup_sums
         monkeypatch.setattr(sampling, "_lookup_sums", spy)
-        assert _swing_count_for_player(game, 5, game.weight_matrix[5], 500, 3, tables) == expected
+        assert _swing_count_for_player(game, 5, game.weight_matrix[5], 500, seeded_rng(3, 5), tables) == expected
         assert sum(chunks) == 500 and min(chunks[:-1]) > 1
 
 
@@ -570,7 +571,7 @@ class TestByteTables:
         tracemalloc.start()
         try:
             tables = _byte_tables(game.weight_matrix)
-            _swing_count_for_player(game, 999, game.weight_matrix[999], 30_000, 0, tables)
+            _swing_count_for_player(game, 999, game.weight_matrix[999], 30_000, seeded_rng(0, 999), tables)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
