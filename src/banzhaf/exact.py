@@ -153,7 +153,7 @@ def _engine(game: VotingGame) -> str:
     quotas."""
     if game.num_dimensions > 1:
         return "enumeration"
-    (total,), (integral,) = game._columns
+    integral, total = game.integral_dimensions[0], game.dimension_totals[0]
     return "subset-sum" if integral and _grid_fits(game.num_players, int(total)) else "sorted-half"
 
 

@@ -5,6 +5,11 @@ quota.  A coalition is a bitmask over player indices ``0..m-1``.  The
 coalition wins when its summed weight meets every quota (non-strict
 comparison, so a coalition sitting exactly on a quota wins).
 
+Weights, quotas and association rows all pass through one reader,
+`_float_rows`, into one flat float64 array under one ``np.isfinite`` check;
+`VotingGame` and `AssociationMatrix` check lengths, signs and bounds on that
+array, and report the first offence in row order.
+
 A member of a winning coalition is critical when subtracting the member's
 removal load from the coalition weight breaks at least one quota.  For the
 classical index the removal load is the member's own weight.  Under an
@@ -38,7 +43,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -97,49 +102,41 @@ def as_finite(v: object, where: str) -> float:
 _PLAIN_NUMBERS = {float, int}
 
 
-def _float_row(values: Sequence[float], what: str) -> tuple[float, ...]:
-    # A row of plain Python numbers takes one type check and one conversion
-    # pass; any other row is read entry by entry, to name the first offender.
-    # A string or a dict iterates, but is not a row of numbers.
-    if isinstance(values, (str, dict)) or not hasattr(values, "__iter__"):
-        raise InvalidGameError(f"{what}: not numeric")
-    values = tuple(values)
-    if set(map(type, values)) <= _PLAIN_NUMBERS:
-        try:
-            row = tuple(map(float, values))
-        except OverflowError:  # an int beyond the float range
-            row = (math.inf,)
-        if all(map(math.isfinite, row)):
-            return row
-    return tuple(as_finite(v, f"{what}[{pos}]") for pos, v in enumerate(values))
-
-
-def _plain_columns(weights) -> tuple | None:
-    """``(rows, totals, integral)`` for weight rows that are lists or tuples
-    of one length, whose entries are plain ints and floats, finite and
-    non-negative: the rows as float tuples, and each column's total (added in
-    row order) and whether its entries are all integers, each checked over
-    the flattened entries at once.  None for any other rows, which are then
-    read entry by entry, to name the first offender."""
-    lengths = set(map(len, weights)) if set(map(type, weights)) <= {list, tuple} else ()
-    if len(lengths) != 1:
-        return None
-    (n,) = lengths
-    if not n or not set(map(type, chain.from_iterable(weights))) <= _PLAIN_NUMBERS:
-        return None
-    try:
-        rows = tuple(tuple(map(float, r)) for r in weights)
-    except OverflowError:  # an int beyond the float range
-        return None
-    values = list(chain.from_iterable(rows))
-    if not all(map(math.isfinite, values)) or min(values) < 0:
-        return None
-    return (rows, *_column_stats([values[d::n] for d in range(n)]))
-
-
-def _column_stats(columns) -> tuple[tuple[float, ...], tuple[bool, ...]]:
-    """Each column's total, added in order, and whether its entries are all integers."""
-    return tuple(map(sum, columns)), tuple(all(map(float.is_integer, c)) for c in columns)
+def _float_rows(rows, name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``rows`` as one flat float64 array, and each row's
+    length: a 2-D int, uint or float ndarray by one `astype`, rows of plain
+    ints and floats by one `np.array`, other entries by `as_finite`, which
+    names the first that is not numeric as ``name(i)[j]``.  One `np.isfinite`
+    check then names the first that is not finite, and a row that is not a
+    sequence of numbers (a string or a dict iterates, but is not one) is
+    named ``name(i)`` after the rows before it."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iuf":
+        flat = rows.astype(np.float64).ravel()  # a copy, which the caller cannot change
+        lengths = np.full(len(rows), rows.shape[1])
+    else:
+        rows = list(rows)
+        if not set(map(type, rows)) <= {list, tuple}:
+            for i, r in enumerate(rows):
+                if isinstance(r, (str, dict)) or not hasattr(r, "__iter__"):
+                    _float_rows(rows[:i], name)  # an offence in an earlier row comes first
+                    raise InvalidGameError(f"{name(i)}: not numeric")
+            rows = list(map(tuple, rows))
+        lengths = np.array(list(map(len, rows)), dtype=np.intp)
+        entries = list(chain.from_iterable(rows))
+        flat = None
+        if set(map(type, entries)) <= _PLAIN_NUMBERS:
+            try:
+                flat = np.array(entries, dtype=np.float64)
+            except OverflowError:  # an int beyond the float range, which `as_finite` names
+                pass
+        if flat is None:
+            flat = np.array([as_finite(v, f"{name(i)}[{j}]") for i, row in enumerate(rows) for j, v in enumerate(row)])
+    finite = np.isfinite(flat)
+    if not finite.all():
+        at, ends = np.argmin(finite), np.cumsum(lengths)
+        i = int(np.searchsorted(ends, at, side="right"))
+        raise InvalidGameError(f"{name(i)}[{at - ends[i] + lengths[i]}]: not finite")
+    return flat, lengths
 
 
 def _require_size(phi: AssociationMatrix, m: int) -> None:
@@ -174,38 +171,32 @@ class AssociationMatrix:
 
     ``entries[i][j]`` quantifies player ``i``'s pull on player ``j``.
     Every entry must satisfy ``|a_ij| <= 1`` and the diagonal is fixed at
-    ``a_ii = 1`` (full pull on oneself).  Rows may be given as lists,
-    tuples or ``ndarray.tolist()`` rows, or the whole matrix as a square
-    integer or float ndarray, which is checked in numpy; either way they
-    are stored as float tuples, and the same entries give equal matrices.
+    ``a_ii = 1`` (full pull on oneself).  Rows (lists, tuples, ndarrays or
+    one square int or float ndarray) go through `_float_rows`, and are kept
+    as the read-only float64 `matrix` and as float tuples, ``entries``, so
+    equal floats give equal matrices that hash alike (``-0.0 == 0.0``).
     """
 
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         entries = self.entries
-        if isinstance(entries, np.ndarray) and entries.dtype.kind in "iuf" and entries.shape == entries.shape[:1] * 2:
-            a = entries.astype(np.float64)  # a copy, which the caller cannot change
-            _check_association(a)
-            rows = tuple(map(tuple, a.tolist()))
-        elif isinstance(entries, (str, dict)) or not isinstance(entries, Iterable):
+        if isinstance(entries, (str, dict)) or not isinstance(entries, Iterable):
             raise InvalidGameError("association matrix must be a list of rows")
-        else:
-            rows = tuple(_float_row(r, f"association row {i}") for i, r in enumerate(entries))
-            # rows are checked in order, and within a row the length, then the
-            # diagonal, then the entries; the first offence is reported
-            m = len(rows)
-            square = next((i for i, row in enumerate(rows) if len(row) != m), m)
-            a = np.array(rows[:square], dtype=np.float64).reshape(square, m)
-            _check_association(a)
-            if square < m:
-                raise InvalidGameError(
-                    f"association row {square}: expected {m} entries, got {len(rows[square])}"
-                )
-        if not rows:
+        flat, lengths = _float_rows(entries, "association row {}".format)
+        # rows are checked in order, and within a row the length, then the
+        # diagonal, then the entries; the first offence is reported
+        m = len(lengths)
+        wrong = np.flatnonzero(lengths != m)
+        square = int(wrong[0]) if wrong.size else m
+        a = flat[: square * m].reshape(square, m)
+        _check_association(a)
+        if square < m:
+            raise InvalidGameError(f"association row {square}: expected {m} entries, got {lengths[square]}")
+        if not m:
             raise InvalidGameError("association matrix is empty")
-        object.__setattr__(self, "entries", rows)
         a.flags.writeable = False
+        object.__setattr__(self, "entries", tuple(map(tuple, a.tolist())))
         object.__setattr__(self, "_matrix", a)
 
     @property
@@ -219,7 +210,7 @@ class AssociationMatrix:
 
     @classmethod
     def identity(cls, m: int) -> "AssociationMatrix":
-        return cls(tuple(tuple(1.0 if i == j else 0.0 for j in range(m)) for i in range(m)))
+        return cls(np.eye(m))
 
 
 def _default_ids(m: int) -> tuple[str, ...]:
@@ -233,6 +224,16 @@ class VotingGame:
     ``weights`` holds one row per player with ``k`` non-negative entries;
     ``quotas`` holds the ``k`` positive thresholds.  ``association`` is
     optional and, when present, must be an ``m x m`` matrix.
+
+    Weight rows (lists, tuples, ndarrays or one (m, k) int or float ndarray)
+    and quotas go through `_float_rows`, so the same numbers give the same
+    game and the same first error.  Derived once, read-only:
+    ``weight_matrix``, the (m, k) float64 array, sharing no memory with the
+    caller's (``weights`` is its rows as float tuples); ``dimension_totals``,
+    each dimension's total added in player order; and
+    ``integral_dimensions``, whether its weights are all integers.  Equal
+    fields give equal games; ``hash(game)`` raises `TypeError`, because
+    ``metadata`` is a dict.
     """
 
     player_ids: tuple[str, ...]
@@ -247,27 +248,27 @@ class VotingGame:
             raise InvalidGameError("game needs at least one player")
         if len(set(ids)) != len(ids):
             raise InvalidGameError("player ids must be unique")
-        if len(self.weights) != len(ids):
-            raise InvalidGameError(f"{len(ids)} players but {len(self.weights)} weight rows")
-        plain = _plain_columns(self.weights)
-        if plain is None:
-            rows = tuple(_float_row(r, f"weights for player {p}") for p, r in zip(ids, self.weights))
-        else:
-            rows, totals, integral = plain
-        quotas = _float_row(self.quotas, "quotas")
+        m = len(ids)
+        if len(self.weights) != m:
+            raise InvalidGameError(f"{m} players but {len(self.weights)} weight rows")
+        flat, lengths = _float_rows(self.weights, lambda i: f"weights for player {ids[i]}")
+        quotas = tuple(_float_rows((self.quotas,), lambda i: "quotas")[0].tolist())
         if not quotas:
             raise InvalidGameError("game needs at least one quota dimension")
         k = len(quotas)
-        if plain is None or len(totals) != k:
-            for i, row in enumerate(rows):
-                if len(row) != k:
-                    raise InvalidGameError(
-                        f"weights for player {ids[i]}: expected {k} entries, got {len(row)}"
-                    )
-                for d, w in enumerate(row):
-                    if w < 0:
-                        raise InvalidGameError(f"weights for player {ids[i]}[{d}]: negative weight {w!r}")
-            totals, integral = _column_stats(list(zip(*rows)))
+        # rows are checked in order: a negative weight in the rows before
+        # the first row of another length than k is reported before it
+        wrong = np.flatnonzero(lengths != k)
+        short = int(wrong[0]) if wrong.size else m
+        w = flat[: short * k].reshape(short, k)
+        negative = np.flatnonzero(w < 0)
+        if negative.size:
+            i, d = divmod(int(negative[0]), k)
+            raise InvalidGameError(f"weights for player {ids[i]}[{d}]: negative weight {float(w[i, d])!r}")
+        if short < m:
+            raise InvalidGameError(f"weights for player {ids[short]}: expected {k} entries, got {lengths[short]}")
+        totals = tuple(np.cumsum(w, axis=0)[-1].tolist())  # in player order; np.sum adds pairwise
+        integral = tuple((w == np.floor(w)).all(axis=0).tolist())
         for d, q in enumerate(quotas):
             if q <= 0:
                 raise InvalidGameError(f"quotas[{d}]: must be positive, got {q!r}")
@@ -277,22 +278,21 @@ class VotingGame:
                     "at or above 2^53, where float64 sums are no longer exact"
                 )
         if self.association is not None:
-            _require_size(self.association, len(ids))
+            _require_size(self.association, m)
+        w.flags.writeable = False
         object.__setattr__(self, "player_ids", ids)
-        object.__setattr__(self, "weights", rows)
+        object.__setattr__(self, "weights", tuple(map(tuple, w.tolist())))
         object.__setattr__(self, "quotas", quotas)
         object.__setattr__(self, "metadata", dict(self.metadata))
-        # each weight column's total and whether it is integer valued, read by
-        # `dimension_totals`, `quota_tolerances` and the exact engine's choice
-        object.__setattr__(self, "_columns", (totals, integral))
+        object.__setattr__(self, "weight_matrix", w)
+        object.__setattr__(self, "dimension_totals", totals)
+        object.__setattr__(self, "integral_dimensions", integral)
         for d, (q, tol) in enumerate(zip(quotas, self.quota_tolerances)):
             if q - tol <= 0:
                 raise InvalidGameError(
                     f"quotas[{d}]: boundary tolerance {tol!r} reaches the quota {q!r}, "
                     "so the empty coalition would win"
                 )
-
-    # eq on the metadata dict is fine: loaders produce plain str/float values.
 
     @property
     def num_players(self) -> int:
@@ -306,20 +306,9 @@ class VotingGame:
         return resolve_player(self.player_ids, player)
 
     @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        out = np.array(self.weights, dtype=np.float64)
-        out.flags.writeable = False
-        return out
-
-    @property
-    def dimension_totals(self) -> tuple[float, ...]:
-        """Each dimension's total weight, added in player order."""
-        return self._columns[0]
-
-    @cached_property
     def quota_tolerances(self) -> tuple[float, ...]:
         """Per-dimension absolute tolerance at the quota boundary (`quota_tolerance`)."""
-        return tuple(map(quota_tolerance, self.quotas, *self._columns))
+        return tuple(map(quota_tolerance, self.quotas, self.dimension_totals, self.integral_dimensions))
 
     @cached_property
     def winning_thresholds(self) -> tuple[float, ...]:

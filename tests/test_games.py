@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import re
 import sys
 import warnings
@@ -68,22 +70,46 @@ class TestConstruction:
 
     def test_plain_rows_read_as_entry_by_entry(self):
         """Rows of plain ints and floats are checked all at once; rows of
-        another type (here a tuple subclass) are read entry by entry.  Both
-        give the same game, totals and tolerances, and the same first error."""
+        another type (here a tuple subclass, ndarray rows or numpy scalars)
+        are read entry by entry, and a whole integer or float ndarray is
+        converted at once.  Every form gives the same game, weight array,
+        totals and tolerances, and the same first error."""
 
         class Row(tuple):
             pass
 
+        def numpy_scalar(v):
+            if type(v) is float:
+                return np.float64(v)
+            return np.int64(v) if type(v) is int and abs(v) < 2**63 else v
+
+        def forms(rows):
+            yield [tuple(r) for r in rows]
+            yield [Row(r) for r in rows]
+            yield [np.array(r) for r in rows]
+            yield [[numpy_scalar(v) for v in r] for r in rows]
+            plain = all(type(v) in (int, float) for r in rows for v in r)
+            if plain and len(set(map(len, rows))) == 1:
+                yield np.array(rows)  # int64, float64 or, past int64, object
+
         def both(rows, quotas):
             ids = tuple(f"p{i}" for i in range(len(rows)))
             out = []
-            for kind in (tuple, Row):
+            for given in forms(rows):
                 try:
-                    game = VotingGame(ids, [kind(r) for r in rows], quotas)
+                    game = VotingGame(ids, given, quotas)
                     out.append((game, game.dimension_totals, game.quota_tolerances))
+                    matrix = game.weight_matrix
+                    assert matrix.dtype == np.float64 and not matrix.flags.writeable
+                    assert matrix.tobytes() == out[0][0].weight_matrix.tobytes()
+                    assert not any(np.shares_memory(matrix, a) for a in [given, *given] if isinstance(a, np.ndarray))
+                    assert all(type(v) is float for row in game.weights for v in row)
+                    with pytest.raises(TypeError):  # the metadata dict is unhashable
+                        hash(game)
                 except InvalidGameError as e:
                     out.append(str(e))
-            return out
+            assert all(o == out[1] for o in out[2:])
+            return out[:2]
 
         for rows, quotas in [
             ([(3,), (2,), (1,)], (4,)),
@@ -97,7 +123,8 @@ class TestConstruction:
             assert plain == entries
             game, totals, tolerances = plain
             columns = list(zip(*game.weights))
-            assert [float.hex(t) for t in totals] == [float.hex(sum(c)) for c in columns]
+            # added in player order (Python 3.12's sum compensates, so it is no oracle there)
+            assert [float.hex(t) for t in totals] == [float.hex(functools.reduce(operator.add, c)) for c in columns]
             assert [float.hex(t) for t in totals] == [float.hex(t) for t in entries[1]]
             exact = [q.is_integer() and all(w.is_integer() for w in c) for q, c in zip(game.quotas, columns)]
             assert [t == 0.0 for t in tolerances] == exact
@@ -113,6 +140,29 @@ class TestConstruction:
         ]:
             plain, entries = both(rows, quotas)
             assert plain == entries and plain.startswith(message)
+
+    @pytest.mark.parametrize(
+        "array, quotas, message",
+        [
+            (np.array([[1.0], [np.nan]]), (1,), r"weights for player b\[0\]: not finite"),
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), (1, 1), r"weights for player a\[1\]: not finite"),
+            (np.array([[-1.0, 2.0], [-np.inf, 1.0]]), (1, 1), r"weights for player b\[0\]: not finite"),
+            (np.array([[1, 2], [3, -1]]), (1, 1), r"weights for player b\[1\]: negative weight -1.0"),
+            (np.array([[True], [False]]), (1,), r"weights for player a\[0\]: not numeric"),
+            (np.array([[1 + 0j], [1]]), (1,), r"weights for player a\[0\]: not numeric"),
+            (np.array([1.0, 2.0]), (1,), "weights for player a: not numeric"),
+            (np.array([[1.0, 2.0], [3.0, 4.0]]), (1,), "weights for player a: expected 1 entries, got 2"),
+            (np.array([[1], [2]], dtype=np.uint8), (1, 1), "weights for player a: expected 2 entries, got 1"),
+        ],
+        ids=["nan", "inf", "-inf-after-negative", "negative", "bool", "complex", "1-d", "long-rows", "short-rows"],
+    )
+    def test_array_errors_are_the_rows_errors(self, array, quotas, message):
+        with pytest.raises(InvalidGameError) as from_rows:
+            VotingGame(("a", "b"), array.tolist(), quotas)
+        with pytest.raises(InvalidGameError) as from_array:
+            VotingGame(("a", "b"), array, quotas)
+        assert str(from_array.value) == str(from_rows.value)
+        assert re.fullmatch(message, str(from_array.value))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidGameError, match="expected 2 entries"):
@@ -171,6 +221,18 @@ class TestAssociationMatrix:
     def test_identity(self):
         phi = AssociationMatrix.identity(3)
         assert phi.entries == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_identity_is_its_rows(self, m):
+        phi = AssociationMatrix.identity(m)
+        assert phi == AssociationMatrix([[float(i == j) for j in range(m)] for i in range(m)])
+        assert all(type(v) is float for row in phi.entries for v in row)
+
+    def test_negative_zero_matches_zero(self):
+        zero = AssociationMatrix(((1.0, 0.0), (0.0, 1.0)))
+        for entries in [((1.0, -0.0), (0.0, 1.0)), np.array([[1.0, -0.0], [-0.0, 1.0]])]:
+            phi = AssociationMatrix(entries)
+            assert phi == zero and hash(phi) == hash(zero)
 
     def test_rows_as_lists_tuples_or_tolist(self):
         as_tuples = AssociationMatrix(((1.0, 0.5), (0.0, 1.0)))
