@@ -50,10 +50,6 @@ __all__ = [
 ]
 
 
-def _weights(game: VotingGame) -> list[float]:
-    return [row[0] for row in game.weights]
-
-
 def ht_profile(game: VotingGame, player: int | str) -> tuple[int, int | None]:
     """The exclusion sizes (t, h) behind the per-player bound.
 
@@ -65,7 +61,7 @@ def ht_profile(game: VotingGame, player: int | str) -> tuple[int, int | None]:
     """
     require_single_quota(game, "ht_profile")
     i = game.player_index(player)
-    w = _weights(game)
+    w = game.weight_matrix[:, 0].tolist()
     q = game.quotas[0]
     lose = game.winning_thresholds[0]  # below it a sum cannot win, tolerance included
     others = sorted(w[:i] + w[i + 1 :])
@@ -133,7 +129,7 @@ def size_window(game: VotingGame) -> tuple[int, int | float]:
     Each edge is one binary search over sizes with its float comparison.
     """
     require_single_quota(game, "size_window")
-    w = _weights(game)
+    w = game.weight_matrix[:, 0].tolist()
     q = game.quotas[0]
     lose = game.winning_thresholds[0]  # below it a sum cannot win
     w_max, w_min = max(w), min(w)
@@ -266,7 +262,7 @@ def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:
     """
     require_single_quota(game, "scan_all_critical_coalitions")
     if game.num_players > exact.HARD_PLAYER_CAP:  # rejected before the table builds its engine's arrays
-        exact._check_size(game, "enumeration")
+        exact.check_size(game, "enumeration")
     checked, violations = 0, []
     for sums, members in CoalitionTable(game).winner_blocks(game.winning_thresholds):
         applies, violated = _all_critical(game, sums, members)
@@ -330,18 +326,11 @@ _SCAN_WINDOW = 128
 
 def _window_counts(seed: int, trials: range, spec: RandomGameSpec):
     """The trials' weights, totals and quotas, as `random_game` draws them,
-    and their players' swing counts, in stacks where a game's grid fits and
-    its threshold is positive, else on its own game, which raises its errors."""
+    and their players' swing counts (`exact.integer_game_counts`)."""
     rows = [random_weights(rng, spec) for rng in seeded_streams(seed, len(trials), trials.start)]
     totals = [int(w.sum()) for w in rows]
     quotas = [games.as_finite(spec.quota_fraction * t, "quotas[0]") for t in totals]  # `VotingGame`'s check
-    thresholds = np.array([q - games.quota_tolerance(q, t, True) for q, t in zip(quotas, totals)])
-    grid = np.array([exact._grid_fits(w.size, t) for w, t in zip(rows, totals)]) & (thresholds > 0)
-    stacked, counts = np.repeat(grid, [w.size for w in rows]), np.empty(sum(w.size for w in rows), dtype=object)
-    counts[stacked] = exact._stacked_swings([w for w, on in zip(rows, grid) if on], thresholds[grid])
-    alone = [games.single_quota_game(w.tolist(), spec.quota_fraction * t) for w, t, on in zip(rows, totals, grid) if not on]
-    counts[~stacked] = [c for game in alone for c in exact_indices(game).swing_counts]
-    return rows, totals, quotas, counts
+    return rows, totals, quotas, exact.integer_game_counts(rows, totals, quotas)
 
 
 def conjecture_scan(
@@ -355,8 +344,8 @@ def conjecture_scan(
     Each trial derives its own stream from (seed, trial index), so the
     report is identical for identical arguments regardless of evaluation
     order.  A window's trials are counted together, with a game object only
-    for a trial that cannot be stacked (`_window_counts`), to the reports of
-    `conjecture_check` on each `random_game`.  Never asserts the cap.
+    for a trial that cannot be stacked (`exact.integer_game_counts`), to the
+    reports of `conjecture_check` on each `random_game`.  Never asserts the cap.
     """
     if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
         raise InvalidGameError(f"trials must be an integer, got {trials!r}")
@@ -364,7 +353,7 @@ def conjecture_scan(
         raise InvalidGameError(f"trials must be positive, got {trials}")
     # past the sorted halves' cap only the sum grid counts; the heaviest game's is the largest
     m, w = int(spec.max_players), int(spec.max_weight)
-    if m > SINGLE_QUOTA_PLAYER_CAP and not exact._grid_fits(m, m * w):
+    if m > SINGLE_QUOTA_PLAYER_CAP and not exact.grid_fits(m, m * w):
         raise InvalidGameError(
             f"max_players above {SINGLE_QUOTA_PLAYER_CAP} needs every sum grid to fit its budget, "
             f"but {m} players of weight {w} make {m * (m * w + 1)} cells"

@@ -3,8 +3,9 @@
 Subcommands: ``exact`` (every coalition counted), ``approx`` (Monte Carlo with
 confidence intervals), ``bounds`` (combinatorial diagnostics), ``eu`` (the
 18-country EU Council study), ``conjecture`` (random-game scan of the
-max-weight cap).  Reports go to stdout or ``--out``; formats are ``table``,
-``json`` and ``csv`` and print the same numbers at the same precision.
+max-weight cap).  ``eu --random-association`` renders the counts of
+`exact.association_study`.  Reports go to stdout or ``--out``; formats are
+``table``, ``json`` and ``csv``, with the same numbers at the same precision.
 
 Exit codes: 0 success, 1 usage error, 2 data or invariant error.
 """
@@ -18,16 +19,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import data, games
 from .games import AssociationMatrix, InvalidGameError, VotingGame, require_single_quota, seeded_rng
-from .exact import CoalitionTable, exact_indices
+from .exact import CoalitionTable, association_study, exact_indices
 from .sampling import CI_METHODS, confidence_interval, estimate_indices, index_cap, required_samples
 from .bounds import bounds_report, conjecture_scan, size_window
 from .data import RandomGameSpec, build_migration_association, eu_game, load_game_file, load_migration_csv_file
 
 FORMATS = ("table", "json", "csv")
-# `eu --random-association` draws its association matrices in stacks of at most this many bytes
-_STACK_BYTES = 1 << 20
 
 
 def _load_game_arg(value: str) -> VotingGame:
@@ -300,21 +298,6 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     _emit(fmt, precision, out, header, payload, footer=footer)
 
 
-def _random_association_counts(game: VotingGame, table: CoalitionTable, seed: int, runs: int) -> np.ndarray:
-    """The (runs, m) swing counts under ``random_association(m, seed + r)`` for each run ``r``, in
-    stacks whose (n, m, m) draws fit `_STACK_BYTES`: each stack is drawn and checked as one array,
-    its loads are one running sum over its (n * m, m) rows, and ``table`` counts it in one call."""
-    m, k = game.num_players, game.num_dimensions
-    step = max(1, _STACK_BYTES // (8 * m * m))
-    counts = []
-    for start in range(0, runs, step):
-        draws = data._association_draws(m, seed + start, min(step, runs - start))
-        games._check_association(draws)
-        loads = games._load_sums(draws.reshape(-1, m), game.weight_matrix)
-        counts.append(table.swing_counts(loads.reshape(-1, m, k)))
-    return np.concatenate(counts)
-
-
 @cli.command("eu")
 @click.option("--migration", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Migration CSV; adds association-aware indices.")
@@ -336,7 +319,7 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
     table = CoalitionTable(game)
     classical = exact_indices(game, table=table)
     if random_assoc:
-        counts = _random_association_counts(game, table, seed, runs)
+        counts = association_study(game, seed, runs, table)
         normalized = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)  # no swings: all 0.0
         per_run, mean = normalized.tolist(), normalized.mean(axis=0).tolist()
         header = ["run", *game.player_ids]

@@ -107,7 +107,7 @@ def build_migration_association(table: MigrationTable) -> AssociationMatrix:
     return AssociationMatrix(entries)
 
 
-def _association_draws(m: int, seed: int, runs: int) -> np.ndarray:
+def association_draws(m: int, seed: int, runs: int) -> np.ndarray:
     """(runs, m, m) stack of association draws: run r holds the uniform
     [-1, 1) draws of `seeded_rng` at ``seed + r``, with a unit diagonal."""
     if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
@@ -122,7 +122,7 @@ def _association_draws(m: int, seed: int, runs: int) -> np.ndarray:
 def random_association(m: int, seed: int) -> AssociationMatrix:
     """Association matrix with unit diagonal and independent off-diagonal
     entries uniform on [-1, 1]; deterministic for a given (m, seed)."""
-    return AssociationMatrix(_association_draws(m, seed, 1)[0])
+    return AssociationMatrix(association_draws(m, seed, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def parse_game(doc: Mapping) -> VotingGame:
         if isinstance(q, Mapping):
             _expect("fraction" in q, f"quotas[{d}]: object form needs a 'fraction' key")
             f = _number(q["fraction"], f"quotas[{d}].fraction")
-            total = sum(row[d] for row in weight_rows if len(row) > d)
+            total = float(np.cumsum([0.0, *(row[d] for row in weight_rows if len(row) > d)])[-1])  # in player order
             quotas.append(f * total)
         else:
             quotas.append(_number(q, f"quotas[{d}]", "a number or a fraction object"))

@@ -18,8 +18,8 @@ the quota are the kernel's verdicts on the float grid ``0..W``, which holds
 every integer sum exactly, so the counts are the enumerator's for any quota
 and any load.  The grid grows as ``m * W``, not ``2^m``, and its counts are
 Python ints from 63 players on, so that none wraps.  A table's grid is a
-stack of one; many games (the conjecture scan's) are rows of one stack,
-built a player position at a time, and count with one search and one gather.
+stack of one; `integer_game_counts` stacks many games, built a player
+position at a time, and counts them with one search and one gather.
 
 Other single-quota games ("sorted-half") never visit coalitions one by one
 either.  Both halves are sorted once by sum, and every player is counted by
@@ -72,8 +72,9 @@ player.  The other entries are grouped once per count, by player and set of
 live quotas (a tuple, so any number of quotas), and per block each group is
 compared over its live quotas only: an entry alone against scalar edges,
 more in one broadcast, in chunks that fit `_GROUP_BYTES`, so the r load
-matrices of a stack (`CoalitionTable.swing_counts` takes one or r) share one
-pass over the winners.
+matrices of a stack (`CoalitionTable.swing_counts` takes one or r, and
+`association_study` gives it r random matrices' loads) share one pass over
+the winners.
 
 Gain and loss between two load rows are three counts on any engine and for
 any number of quotas: per dimension ``s - l < t`` is monotone in ``l``, since
@@ -84,6 +85,7 @@ swings(``u``) - swings(base), the loss swings(``u``) - swings(alt).
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,14 +93,20 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .data import association_draws
 from .games import (
     AssociationMatrix,
     InvalidGameError,
     VotingGame,
+    check_association,
+    load_sums,
+    quota_tolerance,
     removal_breaks,
     removal_edges,
     removal_loads,
     require_single_quota,
+    seeded_rng,
+    single_quota_game,
     subset_sums,
     sums_win,
 )
@@ -110,6 +118,7 @@ __all__ = [
     "DeltaReport",
     "CoalitionTable",
     "exact_indices",
+    "association_study",
     "association_delta",
 ]
 
@@ -140,6 +149,8 @@ _GRID_PER_HALF_ENTRY = 16
 # enumerator's comparisons of one player's entries with a block of winners
 # are built at once, up to this many bytes.
 _GROUP_BYTES = 1 << 20
+# `association_study` draws its association matrices in stacks of at most this many bytes
+_STACK_BYTES = 1 << 20
 _INF = np.array([np.inf])
 # per engine, the `CoalitionTable` arrays built with the table, and its count
 _ENGINES = {"subset-sum": ("_grid", "_grid_swings"), "sorted-half": ("_sides", "_sorted_swings"),
@@ -154,16 +165,16 @@ def _engine(game: VotingGame) -> str:
     if game.num_dimensions > 1:
         return "enumeration"
     integral, total = game.integral_dimensions[0], game.dimension_totals[0]
-    return "subset-sum" if integral and _grid_fits(game.num_players, int(total)) else "sorted-half"
+    return "subset-sum" if integral and grid_fits(game.num_players, int(total)) else "sorted-half"
 
 
-def _grid_fits(m: int, total: int) -> bool:
+def grid_fits(m: int, total: int) -> bool:
     """Whether the sum grid of ``m`` integer weights adding to ``total`` fits
     its budget (see `_GRID_CELLS`)."""
     return m * (total + 1) <= min(_GRID_CELLS, _GRID_PER_HALF_ENTRY * m << (m + 1) // 2)
 
 
-def _check_size(game: VotingGame, engine: str, stacklevel: int = 3) -> None:
+def check_size(game: VotingGame, engine: str, stacklevel: int = 3) -> None:
     """Reject a game past ``engine``'s cap; warn of a long enumeration ``stacklevel`` frames up."""
     m = game.num_players
     if engine == "subset-sum":  # the grid fits its budget by choice
@@ -230,7 +241,7 @@ class CoalitionTable:
 
     def __init__(self, game: VotingGame):
         self.engine = _engine(game)
-        _check_size(game, self.engine)
+        check_size(game, self.engine)
         self.game = game
         # thresholds -> (sums, members) of every winning coalition, for the
         # conventions whose winners fit the budget of `winner_blocks`
@@ -361,7 +372,7 @@ class CoalitionTable:
         single-quota table it checks the enumeration's player cap first.
         """
         if self.engine != "enumeration":
-            _check_size(self.game, "enumeration", stacklevel=4)
+            check_size(self.game, "enumeration", stacklevel=4)
         cached = self._winning_sets.get(thresholds)
         if cached is not None:
             yield cached
@@ -571,28 +582,10 @@ def _shaped(loads, shape: tuple[int, ...], what: str) -> np.ndarray:
     return loads
 
 
-def index_report(game: VotingGame, mode: str, counts: np.ndarray) -> IndexReport:
-    """The report of the swing ``counts`` of ``game``'s players in ``mode``, as `exact_indices` gives it."""
-    m = game.num_players
-    denom = 1 << (m - 1)
-    swings = counts.tolist()
-    total = sum(swings)
-    normalized = tuple(c / total for c in swings) if total else (0.0,) * m
-    return IndexReport(
-        player_ids=game.player_ids,
-        mode=mode,
-        swing_counts=tuple(swings),
-        absolute=tuple(c / denom for c in swings),
-        normalized=normalized,
-        total_swings=total,
-        coalitions_per_player=denom,
-    )
-
-
 def _stacked_swings(weights: list[np.ndarray], thresholds: np.ndarray) -> np.ndarray:
     """The swing counts of integer single-quota games' players, game after
     game: game g's players weigh ``weights[g]``, it wins from
-    ``thresholds[g]``, and its grid fits its budget (`_grid_fits`).  A stack
+    ``thresholds[g]``, and its grid fits its budget (`grid_fits`).  A stack
     (`_grid_stack`) holds as many games in order as fit `_GROUP_BYTES` at 16
     bytes per padded count and its shifted copy (at least one), for one
     build, one edge search and one `_others_below` call."""
@@ -608,6 +601,20 @@ def _stacked_swings(weights: list[np.ndarray], thresholds: np.ndarray) -> np.nda
         counts.append(swings >> (sizes.max() - sizes)[rows])  # each padding player doubled its game's counts
         thresholds = thresholds[n:]
     return np.concatenate(counts)
+
+
+def integer_game_counts(weights: list[np.ndarray], totals: list[int], quotas: list[float]) -> np.ndarray:
+    """`exact_indices`' swing counts of single-quota games, game after game:
+    game g's integer ``weights[g]`` total ``totals[g]``, against
+    ``quotas[g]``.  A game whose grid fits and whose threshold is positive is
+    stacked (`_stacked_swings`); any other is built, and raises its errors."""
+    thresholds = np.array([q - quota_tolerance(q, t, True) for q, t in zip(quotas, totals)])
+    grid = np.array([grid_fits(w.size, t) for w, t in zip(weights, totals)]) & (thresholds > 0)
+    stacked, counts = np.repeat(grid, [w.size for w in weights]), np.empty(sum(w.size for w in weights), dtype=object)
+    counts[stacked] = _stacked_swings([w for w, on in zip(weights, grid) if on], thresholds[grid])
+    alone = [single_quota_game(w.tolist(), q) for w, q, on in zip(weights, quotas, grid) if not on]
+    counts[~stacked] = [c for game in alone for c in exact_indices(game).swing_counts]
+    return counts
 
 
 def _table_for(game: VotingGame, table: CoalitionTable | None) -> CoalitionTable:
@@ -634,8 +641,42 @@ def exact_indices(
     prebuilt ``table`` recycles its sum arrays across calls.
     """
     mode, loads = removal_loads(game, phi)
-    counts = _table_for(game, table).swing_counts(loads, strict=strict)
-    return index_report(game, mode, counts)
+    m = game.num_players
+    denom = 1 << (m - 1)
+    swings = _table_for(game, table).swing_counts(loads, strict=strict).tolist()
+    total = sum(swings)
+    normalized = tuple(c / total for c in swings) if total else (0.0,) * m
+    return IndexReport(
+        player_ids=game.player_ids,
+        mode=mode,
+        swing_counts=tuple(swings),
+        absolute=tuple(c / denom for c in swings),
+        normalized=normalized,
+        total_swings=total,
+        coalitions_per_player=denom,
+    )
+
+
+def association_study(game: VotingGame, seed: int, runs: int, table: CoalitionTable | None = None) -> np.ndarray:
+    """The (runs, m) swing counts under ``random_association(m, seed + r)``,
+    row ``r`` that of `exact_indices`, in stacks whose (n, m, m) draws fit
+    `_STACK_BYTES`: a stack is drawn and checked as one array, loaded by one
+    running sum over its (n * m, m) rows and counted by one ``table`` call (a
+    new table when none is given).  A bad ``runs`` or ``seed`` is rejected
+    before a table is built or a matrix drawn."""
+    if not isinstance(runs, numbers.Integral) or isinstance(runs, bool) or runs <= 0:
+        raise InvalidGameError(f"runs must be a positive integer, got {runs!r}")
+    seeded_rng(seed)  # rejects a bad seed
+    table = _table_for(game, table)
+    m, k = game.num_players, game.num_dimensions
+    step = max(1, _STACK_BYTES // (8 * m * m))
+    counts = []
+    for start in range(0, runs, step):
+        draws = association_draws(m, seed + start, min(step, runs - start))
+        check_association(draws)
+        loads = load_sums(draws.reshape(-1, m), game.weight_matrix)
+        counts.append(table.swing_counts(loads.reshape(-1, m, k)))
+    return np.concatenate(counts)
 
 
 def association_delta(

@@ -43,7 +43,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def _float_rows(rows, name: Callable[[int], str]) -> tuple[np.ndarray, np.ndarra
         rows = list(rows)
         if not set(map(type, rows)) <= {list, tuple}:
             for i, r in enumerate(rows):
-                if isinstance(r, (str, dict)) or not hasattr(r, "__iter__"):
+                if isinstance(r, (str, dict)) or not hasattr(r, "__iter__") or getattr(r, "ndim", 1) == 0:
                     _float_rows(rows[:i], name)  # an offence in an earlier row comes first
                     raise InvalidGameError(f"{name(i)}: not numeric")
             rows = list(map(tuple, rows))
@@ -146,7 +146,7 @@ def _require_size(phi: AssociationMatrix, m: int) -> None:
         )
 
 
-def _check_association(a: np.ndarray) -> None:
+def check_association(a: np.ndarray) -> None:
     """Reject a (..., n, m) float64 array of association rows (n <= m) unless its entries are finite and
     inside [-1, 1], with a[i][i] = 1; name the first non-finite entry, else the first bad row's offence."""
     bad = np.flatnonzero(~np.isfinite(a))
@@ -181,7 +181,7 @@ class AssociationMatrix:
 
     def __post_init__(self) -> None:
         entries = self.entries
-        if isinstance(entries, (str, dict)) or not isinstance(entries, Iterable):
+        if isinstance(entries, (str, dict)) or not isinstance(entries, Iterable) or getattr(entries, "ndim", 1) == 0:
             raise InvalidGameError("association matrix must be a list of rows")
         flat, lengths = _float_rows(entries, "association row {}".format)
         # rows are checked in order, and within a row the length, then the
@@ -190,7 +190,7 @@ class AssociationMatrix:
         wrong = np.flatnonzero(lengths != m)
         square = int(wrong[0]) if wrong.size else m
         a = flat[: square * m].reshape(square, m)
-        _check_association(a)
+        check_association(a)
         if square < m:
             raise InvalidGameError(f"association row {square}: expected {m} entries, got {lengths[square]}")
         if not m:
@@ -249,6 +249,8 @@ class VotingGame:
         if len(set(ids)) != len(ids):
             raise InvalidGameError("player ids must be unique")
         m = len(ids)
+        if not isinstance(self.weights, Sized) or getattr(self.weights, "ndim", 1) == 0:  # an iterator, a 0-d array
+            raise InvalidGameError("weights must be a list of rows")
         if len(self.weights) != m:
             raise InvalidGameError(f"{m} players but {len(self.weights)} weight rows")
         flat, lengths = _float_rows(self.weights, lambda i: f"weights for player {ids[i]}")
@@ -643,7 +645,7 @@ def is_critical_classical(game: VotingGame, player: int, coalition: int) -> bool
     return _swings(game, i, coalition, game.weights[i])
 
 
-def _load_sums(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+def load_sums(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(r, k) loads of the (r, m) association rows ``A`` over the (m, k)
     weights ``W``: each row's products ``a_j * w_j`` added in place, in player
     order, to a running sum from 0.0 (an all -0.0 row totals 0.0), which a
@@ -660,10 +662,10 @@ def persuasion_loads(game: VotingGame, phi: AssociationMatrix) -> tuple[tuple[fl
 
     Row ``i`` holds ``sum_j a_ij * w_jd`` over all ``m`` players, the weight
     player ``i`` can move by leaving and pulling along (or pushing back)
-    everyone it influences, summed in player order (`_load_sums`).
+    everyone it influences, summed in player order (`load_sums`).
     """
     _require_size(phi, game.num_players)
-    return tuple(map(tuple, _load_sums(phi.matrix, game.weight_matrix).tolist()))
+    return tuple(map(tuple, load_sums(phi.matrix, game.weight_matrix).tolist()))
 
 
 def removal_loads(game: VotingGame, phi: AssociationMatrix | None) -> tuple[str, np.ndarray]:
@@ -687,7 +689,7 @@ class PersuasionLoad:
 def persuasion_load(game: VotingGame, phi: AssociationMatrix, player: int | str) -> PersuasionLoad:
     _require_size(phi, game.num_players)
     i = game.player_index(player)
-    load = tuple(_load_sums(phi.matrix[i : i + 1], game.weight_matrix)[0].tolist())
+    load = tuple(load_sums(phi.matrix[i : i + 1], game.weight_matrix)[0].tolist())
     surplus = tuple(l - w for l, w in zip(load, game.weights[i]))
     return PersuasionLoad(player=game.player_ids[i], load=load, surplus=surplus)
 
@@ -713,4 +715,4 @@ def is_critical_assoc(
     row = phi.matrix[i]
     if members_only:
         row = np.where([(coalition >> j) & 1 for j in range(game.num_players)], row, 0.0)
-    return _swings(game, i, coalition, _load_sums(row[None], game.weight_matrix)[0].tolist())
+    return _swings(game, i, coalition, load_sums(row[None], game.weight_matrix)[0].tolist())

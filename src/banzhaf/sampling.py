@@ -86,7 +86,7 @@ class EstimateReport:
 
     @property
     def normalized(self) -> tuple[float, ...]:
-        total = sum(self.estimates)
+        total = float(np.cumsum([0.0, *self.estimates])[-1])  # in player order; 3.12's `sum` compensates
         if total == 0.0:
             return (0.0,) * len(self.estimates)
         return tuple(e / total for e in self.estimates)

@@ -47,6 +47,37 @@ class TestPublicSurface:
         assert set(EARLIER_NAMES) <= set(banzhaf.__all__)
 
 
+def _private_reads(path: Path, modules: set[str]) -> list[str]:
+    """Where the module at ``path`` reads an underscore name of another of
+    ``modules``, as ``mod._x`` or by ``from .mod import _x``; dunders such as
+    ``mod.__all__`` are public."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module if node.level == 0 else "." * node.level + (node.module or "")
+            if source in (".", "..", "banzhaf"):
+                aliases |= {a.asname or a.name for a in node.names if a.name in modules}
+            elif source.lstrip(".").removeprefix("banzhaf.") in modules:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                reads += [f"{path.name}:{node.lineno} from {source} import {name}" for name in private]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            if node.attr.startswith("_") and not node.attr.endswith("__"):
+                reads.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    """Modules share only names without an underscore: the public ones in
+    ``__all__``, and shared helpers such as `games.subset_sums`."""
+    package = Path(banzhaf.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    modules = {p.stem for p in paths} - {"__init__"}
+    assert {"cli", "exact", "bounds"} <= modules
+    assert [read for path in paths for read in _private_reads(path, modules)] == []
+
+
 def _tour_values() -> dict[str, object]:
     """Run README's library tour statement by statement, and return the
     value of each bare expression keyed by its source."""
@@ -70,3 +101,4 @@ def test_library_tour_runs_as_written():
     assert values["bz.required_samples(0.01, 0.01)"] == 26492
     normalized = values["bz.exact_indices(eu).normalized"]
     assert round(normalized[banzhaf.eu_game().player_ids.index("DEU")], 5) == 0.09560
+    assert values["bz.association_study(eu, seed=0, runs=100).shape"] == (100, 18)

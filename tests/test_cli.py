@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from banzhaf import bounds, cli, data, games, sampling
+from banzhaf import bounds, cli, data, exact, games, sampling
 from banzhaf.cli import main
 from banzhaf.data import dump_game, eu_game, random_association
 from banzhaf.exact import exact_indices
@@ -331,7 +331,7 @@ class TestEu:
         those of its own `exact_indices` call, as before stacking."""
         argv = ["eu", "--random-association", "--runs", "5", "--seed", "2", "--format", "json", "--precision", "17"]
         one_stack = run(capsys, argv)
-        monkeypatch.setattr(cli, "_STACK_BYTES", 2 * 18 * 18 * 8)
+        monkeypatch.setattr(exact, "_STACK_BYTES", 2 * 18 * 18 * 8)
         code, out, _ = run(capsys, argv)
         assert (code, out) == one_stack[:2] and code == 0
         game = eu_game()
@@ -352,14 +352,14 @@ class TestEu:
 
     def test_random_association_stack_is_checked(self, capsys, monkeypatch):
         """A stack's draws pass the association rule before their loads."""
-        draw = cli.data._association_draws
+        draw = exact.association_draws
 
         def doctored(m, seed, runs):
             draws = draw(m, seed, runs)
             draws[1, 0, 1] = 1.5
             return draws
 
-        monkeypatch.setattr(cli.data, "_association_draws", doctored)
+        monkeypatch.setattr(exact, "association_draws", doctored)
         argv = ["eu", "--random-association", "--runs", "3"]
         assert run(capsys, argv) == (2, "", "error: association a[0][1]=1.5 outside [-1, 1]\n")
 

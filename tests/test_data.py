@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from banzhaf.data import (
     EU_COUNTRIES,
-    _association_draws,
+    association_draws,
     MigrationTable,
     RandomGameSpec,
     build_migration_association,
@@ -242,13 +242,13 @@ class TestRandomAssociation:
         with pytest.raises(InvalidGameError, match=message):
             random_association(m, 0)
         with pytest.raises(InvalidGameError, match=message):
-            _association_draws(m, 0, 3)
+            association_draws(m, 0, 3)
 
     @pytest.mark.parametrize("m, seed, runs", [(18, 0, 100), (1, 7, 5), (30, 11, 4)])
     def test_stacked_draws_are_the_matrices_byte_for_byte(self, m, seed, runs):
         """Each run of a stack keeps its own stream: run r of the stack from
         ``seed`` is ``random_association(m, seed + r)``."""
-        draws = _association_draws(m, seed, runs)
+        draws = association_draws(m, seed, runs)
         assert draws.shape == (runs, m, m) and draws.dtype == np.float64
         for r, a in enumerate(draws):
             assert a.tobytes() == random_association(m, seed + r).matrix.tobytes()
@@ -304,6 +304,16 @@ class TestGameFiles:
         }
         g = parse_game(doc)
         assert g.quotas[0] == pytest.approx(215.34)
+
+    def test_fraction_quota_adds_in_player_order(self):
+        """The total behind a fraction quota adds the weights in player
+        order, as `VotingGame.dimension_totals` does: ten weights of 0.1 total
+        0.9999999999999999, where `math.fsum` (and `sum` from Python 3.12)
+        gives 1.0."""
+        doc = {"players": [{"id": f"p{i}", "weights": [0.1]} for i in range(10)], "quotas": [{"fraction": 0.5}]}
+        game = parse_game(doc)
+        assert game.dimension_totals[0] != math.fsum([0.1] * 10)
+        assert game.quotas[0] == 0.5 * game.dimension_totals[0]
 
     def test_association_diagonal_rejected(self):
         doc = self.doc()

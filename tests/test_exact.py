@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -27,6 +28,7 @@ from banzhaf.exact import (
     CoalitionTable,
     _break_bounds,
     association_delta,
+    association_study,
     exact_indices,
 )
 from banzhaf.games import (
@@ -1026,8 +1028,64 @@ def test_persuasion_loads_match_sequential_loop():
         stacks.setdefault(id(game), (game, []))[1].append(phi)
     assert len(stacks[id(eu)][1]) == 100
     for game, phis in stacks.values():
-        stacked = games._load_sums(np.concatenate([phi.matrix for phi in phis]), game.weight_matrix)
+        stacked = games.load_sums(np.concatenate([phi.matrix for phi in phis]), game.weight_matrix)
         assert _bytes(stacked) == _bytes([row for phi in phis for row in _persuasion_loads_loop(game, phi)])
+
+
+class TestAssociationStudy:
+    """`association_study` counts each run's random association matrix as
+    `exact_indices` does, whichever engine the table chose and however the
+    runs split into stacks."""
+
+    @pytest.mark.parametrize(
+        "game, engine",
+        [
+            (eu_game(), "enumeration"),
+            (single_quota_game([5, 3, 3, 2, 1, 1, 7], 12), "subset-sum"),
+            (single_quota_game([0.5, 1.25, 2.0, 0.75, 3.5, 0.3], 4.1), "sorted-half"),
+        ],
+        ids=["enumeration", "subset-sum", "sorted-half"],
+    )
+    def test_equals_the_per_matrix_loop(self, monkeypatch, game, engine):
+        m, runs, seed = game.num_players, 5, 4
+        table = CoalitionTable(game)
+        assert table.engine == engine
+        expected = [exact_indices(game, random_association(m, seed + r), table=table).swing_counts for r in range(runs)]
+        one_stack = association_study(game, seed, runs, table)
+        # two runs' draws a stack, so that five runs cross two stack boundaries
+        monkeypatch.setattr(exact, "_STACK_BYTES", 2 * m * m * 8)
+        stacked = association_study(game, seed, runs)
+        assert one_stack.shape == stacked.shape == (runs, m)
+        assert [tuple(row) for row in one_stack.tolist()] == [tuple(row) for row in stacked.tolist()] == expected
+
+    def test_numpy_integers_accepted(self):
+        game = single_quota_game([3, 2, 1], 4)
+        assert association_study(game, np.uint8(2), np.int64(3)).tolist() == association_study(game, 2, 3).tolist()
+
+    @pytest.mark.parametrize(
+        "seed, runs, message",
+        [
+            (0, 0, "runs must be a positive integer, got 0"),
+            (0, -2, "runs must be a positive integer, got -2"),
+            (0, 2.0, "runs must be a positive integer, got 2.0"),
+            (0, True, "runs must be a positive integer, got True"),
+            (-1, 2, "seed must be non-negative, got -1"),
+            (1.5, 2, "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_bad_runs_or_seed_rejected_first(self, monkeypatch, seed, runs, message):
+        def refused(*args):
+            raise AssertionError("a table was built or a matrix drawn")
+
+        monkeypatch.setattr(exact, "CoalitionTable", refused)
+        monkeypatch.setattr(exact, "association_draws", refused)
+        with pytest.raises(InvalidGameError, match=f"^{re.escape(message)}$"):
+            association_study(eu_game(), seed, runs)
+
+    def test_table_of_another_game_rejected(self):
+        table = CoalitionTable(single_quota_game([3, 2, 1], 4))
+        with pytest.raises(InvalidGameError, match="^table was built for a different game$"):
+            association_study(single_quota_game([3, 2, 1], 4), 0, 2, table)
 
 
 class TestDelta:

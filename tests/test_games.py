@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from banzhaf.data import RandomGameSpec, random_weights
 from banzhaf.exact import CoalitionTable, exact_indices
 from banzhaf.games import (
-    _check_association,
+    check_association,
     AssociationMatrix,
     InvalidGameError,
     VotingGame,
@@ -67,6 +67,22 @@ class TestConstruction:
         with pytest.raises(InvalidGameError, match=r"^quotas\[1\]: "):
             VotingGame(("a", "b"), ((1.0, 1e13), (1.0, 0.5)), (1.0, 0.25))
         assert single_quota_game([1e13, 0.5], 20.0).winning_thresholds[0] > 0
+
+    @pytest.mark.parametrize(
+        "weights, quotas, message",
+        [
+            (((1,), (2,)), np.array(1.0), "quotas: not numeric"),
+            ((np.array(1.0), (2,)), (1,), "weights for player a: not numeric"),
+            (iter(((1,), (2,))), (1,), "weights must be a list of rows"),
+        ],
+        ids=["0-d-quotas", "0-d-row", "iterator"],
+    )
+    def test_0d_rows_and_unsized_weights_named(self, weights, quotas, message):
+        """A 0-d array where a row belongs, and weights with no length, are
+        named like other malformed input, not left to the `TypeError` of
+        iterating or sizing them."""
+        with pytest.raises(InvalidGameError, match=f"^{message}$"):
+            VotingGame(("a", "b"), weights, quotas)
 
     def test_plain_rows_read_as_entry_by_entry(self):
         """Rows of plain ints and floats are checked all at once; rows of
@@ -153,8 +169,9 @@ class TestConstruction:
             (np.array([1.0, 2.0]), (1,), "weights for player a: not numeric"),
             (np.array([[1.0, 2.0], [3.0, 4.0]]), (1,), "weights for player a: expected 1 entries, got 2"),
             (np.array([[1], [2]], dtype=np.uint8), (1, 1), "weights for player a: expected 2 entries, got 1"),
+            (np.array(1.0), (1,), "weights must be a list of rows"),
         ],
-        ids=["nan", "inf", "-inf-after-negative", "negative", "bool", "complex", "1-d", "long-rows", "short-rows"],
+        ids=["nan", "inf", "-inf-after-negative", "negative", "bool", "complex", "1-d", "long-rows", "short-rows", "0-d"],
     )
     def test_array_errors_are_the_rows_errors(self, array, quotas, message):
         with pytest.raises(InvalidGameError) as from_rows:
@@ -300,6 +317,8 @@ class TestAssociationMatrix:
             (((True, 0.0), (0.0, 1.0)), r"association row 0\[0\]: not numeric"),
             (((1.0, 0.0), (0.0, np.True_)), r"association row 1\[1\]: not numeric"),
             (((1.0, np.complex128(0)), (0.0, 1.0)), r"association row 0\[1\]: not numeric"),
+            (np.array(1.0), "association matrix must be a list of rows"),
+            (((1.0, 0.0), np.array(1.0)), "association row 1: not numeric"),
         ],
     )
     def test_malformed_rows_named(self, entries, message):
@@ -377,10 +396,10 @@ class TestAssociationMatrix:
                     expected = str(exc)
                     break
             if expected is None:
-                _check_association(stack)
+                check_association(stack)
             else:
                 with pytest.raises(InvalidGameError) as exc:
-                    _check_association(stack)
+                    check_association(stack)
                 assert str(exc.value) == expected
 
     def test_extreme_entries_allowed(self):

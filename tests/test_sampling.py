@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import os
 import re
 import subprocess
@@ -92,6 +94,20 @@ class TestEstimates:
         assert sum(r.normalized) == pytest.approx(1.0)
         zero = estimate_indices(single_quota_game([1, 1], 5), samples=50, seed=3)
         assert zero.normalized == (0.0, 0.0)
+
+    def test_normalized_adds_in_player_order(self):
+        """The estimates' total adds them in player order: ten estimates of
+        0.1 total 0.9999999999999999, where `math.fsum` (and `sum` from
+        Python 3.12) gives 1.0."""
+        m = 10
+        report = sampling.EstimateReport(
+            player_ids=tuple(f"p{i}" for i in range(m)), mode="classical", estimates=(0.1,) * m,
+            swing_counts=(1,) * m, samples=10, sample_variances=(None,) * m, seed=0,
+        )
+        total = functools.reduce(operator.add, report.estimates)
+        assert total != math.fsum(report.estimates)
+        assert report.normalized == tuple(e / total for e in report.estimates)
+        assert report.normalized != tuple(e / math.fsum(report.estimates) for e in report.estimates)
 
     def test_bad_sample_count(self):
         with pytest.raises(Exception, match="positive"):
