@@ -27,12 +27,11 @@ from .games import (
     removal_breaks,
     require_same_players,
     require_single_quota,
-    seeded_streams,
     sums_win,
 )
 from . import exact, games
 from .exact import SINGLE_QUOTA_PLAYER_CAP, CoalitionTable, IndexReport, exact_indices
-from .data import RandomGameSpec, random_weights
+from .data import RandomGameSpec, random_weight_rows
 
 __all__ = [
     "BoundsReport",
@@ -325,11 +324,16 @@ _SCAN_WINDOW = 128
 
 
 def _window_counts(seed: int, trials: range, spec: RandomGameSpec):
-    """The trials' weights, totals and quotas, as `random_game` draws them,
-    and their players' swing counts (`exact.integer_game_counts`)."""
-    rows = [random_weights(rng, spec) for rng in seeded_streams(seed, len(trials), trials.start)]
-    totals = [int(w.sum()) for w in rows]
-    quotas = [games.as_finite(spec.quota_fraction * t, "quotas[0]") for t in totals]  # `VotingGame`'s check
+    """The trials' weights (`random_weight_rows`), totals and quotas, as `random_game` draws them (a
+    float fraction times every total at once), and their swing counts (`exact.integer_game_counts`)."""
+    rows = random_weight_rows(seed, trials, spec)
+    sizes = np.array([w.size for w in rows])
+    totals, q = np.add.reduceat(np.concatenate(rows), np.cumsum(sizes) - sizes), spec.quota_fraction
+    with np.errstate(over="ignore"):
+        quotas = (q * totals.astype(float) if isinstance(q, float)
+                  else np.array([games.as_finite(q * t, "quotas[0]") for t in totals.tolist()]))
+    if not np.isfinite(quotas).all():
+        raise InvalidGameError("quotas[0]: not finite")  # `VotingGame`'s check
     return rows, totals, quotas, exact.integer_game_counts(rows, totals, quotas)
 
 

@@ -4,6 +4,14 @@ Covers the JSON game-file format (see docs/game-format.md), migration-flow
 CSV tables and the association matrices they induce, random association
 matrices and random test games, and the embedded 18-country EU Council
 dataset.
+
+A window of random games (`random_weight_rows`) is computed from its
+streams' first raw Philox words by numpy's rule for `Generator.integers`
+(Lemire 2019): the player count, then each weight, maps the next 32-bit word
+``x`` (a raw word's low half first) to ``low + (x * span >> 32)``, and numpy
+rejects ``x`` where ``x * span`` mod 2^32 < ``(2^32 - span) mod span``; a span
+of 1 takes no word.  A trial that numpy draws again (a rejected word, all-zero
+weights) or whose spans reach 2^32 - 1 is drawn by `random_weights`, the rule.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .games import (
     InvalidGameError,
     VotingGame,
     as_finite,
+    seeded_rng,
     seeded_streams,
     single_quota_game,
 )
@@ -169,6 +178,35 @@ def random_weights(rng: np.random.Generator, spec: RandomGameSpec) -> np.ndarray
     while not weights.any():  # all-zero weights would make the quota 0
         weights = rng.integers(spec.min_weight, spec.max_weight + 1, size=m)
     return weights
+
+
+def random_weight_rows(seed: int, trials: range, spec: RandomGameSpec) -> list[np.ndarray]:
+    """`random_weights` of ``seeded_rng(seed, t)`` for each trial ``t`` of ``trials``, computed
+    for the window at once from its streams' raw words (see the module docstring)."""
+    m_low, m_high, w_low, w_high = map(int, (spec.min_players, spec.max_players, spec.min_weight, spec.max_weight))
+    n = len(trials)
+    rows, redraw = [None] * n, np.ones(n, dtype=bool)
+    if max(m_high - m_low, w_high - w_low) < 2**32 - 2:
+        width = (m_high + 2) // 2  # 64-bit words for the count's 32-bit word and one per weight
+        streams = seeded_streams(seed, n, trials.start)
+        raw = np.array([rng.bit_generator.random_raw(width) for rng in streams]).reshape(n, width)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=2).reshape(n, 2 * width)
+        first = int(m_high > m_low)
+        m, rejected = _lemire(words[:, 0], m_low, m_high)
+        weights, rejects = _lemire(words[:, first : first + m_high], w_low, w_high)
+        used = np.arange(m_high) < m[:, None]
+        redraw = rejected | (rejects & used).any(axis=1) | ~(used & (weights != 0)).any(axis=1)
+        rows = [w[:k] for w, k in zip(weights, m.tolist())]
+    for t in np.flatnonzero(redraw).tolist():
+        rows[t] = random_weights(seeded_rng(seed, trials.start + t), spec)
+    return rows
+
+
+def _lemire(words: np.ndarray, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's int64 draws in [low, high] from the uint64 array of 32-bit ``words``, and where it rejects a word."""
+    span = high - low + 1
+    product = words * span
+    return (product >> 32).astype(np.int64) + low, (product & 0xFFFFFFFF) < (2**32 - span) % span
 
 
 def random_game(rng: np.random.Generator, spec: RandomGameSpec) -> VotingGame:

@@ -168,10 +168,11 @@ def _engine(game: VotingGame) -> str:
     return "subset-sum" if integral and grid_fits(game.num_players, int(total)) else "sorted-half"
 
 
-def grid_fits(m: int, total: int) -> bool:
-    """Whether the sum grid of ``m`` integer weights adding to ``total`` fits
-    its budget (see `_GRID_CELLS`)."""
-    return m * (total + 1) <= min(_GRID_CELLS, _GRID_PER_HALF_ENTRY * m << (m + 1) // 2)
+def grid_fits(m: int, total):
+    """Whether the sum grid of ``m`` integer weights adding to ``total`` (or to
+    each of an int array of totals) fits its budget (see `_GRID_CELLS`), in
+    Python ints, since ``16 m 2^(m/2)`` passes int64 from 105 players."""
+    return total < min(_GRID_CELLS, _GRID_PER_HALF_ENTRY * m << (m + 1) // 2) // m
 
 
 def check_size(game: VotingGame, engine: str, stacklevel: int = 3) -> None:
@@ -582,14 +583,14 @@ def _shaped(loads, shape: tuple[int, ...], what: str) -> np.ndarray:
     return loads
 
 
-def _stacked_swings(weights: list[np.ndarray], thresholds: np.ndarray) -> np.ndarray:
+def _stacked_swings(weights: list[np.ndarray], totals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """The swing counts of integer single-quota games' players, game after
-    game: game g's players weigh ``weights[g]``, it wins from
-    ``thresholds[g]``, and its grid fits its budget (`grid_fits`).  A stack
+    game: game g's players weigh ``weights[g]``, ``totals[g]`` in all, it wins
+    from ``thresholds[g]``, and its grid fits its budget (`grid_fits`).  A stack
     (`_grid_stack`) holds as many games in order as fit `_GROUP_BYTES` at 16
     bytes per padded count and its shifted copy (at least one), for one
     build, one edge search and one `_others_below` call."""
-    counts, widths = [np.zeros(0, dtype=np.int64)], np.array([int(w.sum()) + 2 for w in weights])
+    counts, widths = [np.zeros(0, dtype=np.int64)], totals + 2
     while weights:
         padded = 16 * np.arange(1, len(weights) + 1) * np.maximum.accumulate(widths)
         n = max(1, int(np.count_nonzero(padded <= _GROUP_BYTES)))
@@ -603,15 +604,17 @@ def _stacked_swings(weights: list[np.ndarray], thresholds: np.ndarray) -> np.nda
     return np.concatenate(counts)
 
 
-def integer_game_counts(weights: list[np.ndarray], totals: list[int], quotas: list[float]) -> np.ndarray:
+def integer_game_counts(weights: list[np.ndarray], totals: np.ndarray, quotas: np.ndarray) -> np.ndarray:
     """`exact_indices`' swing counts of single-quota games, game after game:
     game g's integer ``weights[g]`` total ``totals[g]``, against
     ``quotas[g]``.  A game whose grid fits and whose threshold is positive is
     stacked (`_stacked_swings`); any other is built, and raises its errors."""
-    thresholds = np.array([q - quota_tolerance(q, t, True) for q, t in zip(quotas, totals)])
-    grid = np.array([grid_fits(w.size, t) for w, t in zip(weights, totals)]) & (thresholds > 0)
-    stacked, counts = np.repeat(grid, [w.size for w in weights]), np.empty(sum(w.size for w in weights), dtype=object)
-    counts[stacked] = _stacked_swings([w for w, on in zip(weights, grid) if on], thresholds[grid])
+    sizes = np.array([w.size for w in weights])
+    players, at = np.unique(sizes, return_inverse=True)  # the fits per player count; row at[g] is game g's
+    thresholds = quotas - quota_tolerance(quotas, totals, True)
+    grid = np.array([grid_fits(m, totals) for m in players.tolist()])[at, np.arange(at.size)] & (thresholds > 0)
+    stacked, counts = np.repeat(grid, sizes), np.empty(sizes.sum(), dtype=object)
+    counts[stacked] = _stacked_swings([w for w, on in zip(weights, grid) if on], totals[grid], thresholds[grid])
     alone = [single_quota_game(w.tolist(), q) for w, q, on in zip(weights, quotas, grid) if not on]
     counts[~stacked] = [c for game in alone for c in exact_indices(game).swing_counts]
     return counts

@@ -230,10 +230,10 @@ class VotingGame:
     game and the same first error.  Derived once, read-only:
     ``weight_matrix``, the (m, k) float64 array, sharing no memory with the
     caller's (``weights`` is its rows as float tuples); ``dimension_totals``,
-    each dimension's total added in player order; and
-    ``integral_dimensions``, whether its weights are all integers.  Equal
-    fields give equal games; ``hash(game)`` raises `TypeError`, because
-    ``metadata`` is a dict.
+    each dimension's total added in player order; ``integral_dimensions``,
+    whether its weights are all integers; and ``quota_tolerances``
+    (`quota_tolerance`).  Equal fields give equal games; ``hash(game)``
+    raises `TypeError`, because ``metadata`` is a dict.
     """
 
     player_ids: tuple[str, ...]
@@ -243,6 +243,8 @@ class VotingGame:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.player_ids, Iterable) or getattr(self.player_ids, "ndim", 1) == 0:  # an int, a 0-d array
+            raise InvalidGameError("player ids must be a list of ids")
         ids = tuple(map(str, self.player_ids))
         if not ids:
             raise InvalidGameError("game needs at least one player")
@@ -269,8 +271,8 @@ class VotingGame:
             raise InvalidGameError(f"weights for player {ids[i]}[{d}]: negative weight {float(w[i, d])!r}")
         if short < m:
             raise InvalidGameError(f"weights for player {ids[short]}: expected {k} entries, got {lengths[short]}")
-        totals = tuple(np.cumsum(w, axis=0)[-1].tolist())  # in player order; np.sum adds pairwise
-        integral = tuple((w == np.floor(w)).all(axis=0).tolist())
+        sums, whole = np.cumsum(w, axis=0)[-1], (w == np.floor(w)).all(axis=0)  # sums in player order, not np.sum's pairs
+        totals, integral = tuple(sums.tolist()), tuple(whole.tolist())
         for d, q in enumerate(quotas):
             if q <= 0:
                 raise InvalidGameError(f"quotas[{d}]: must be positive, got {q!r}")
@@ -289,6 +291,7 @@ class VotingGame:
         object.__setattr__(self, "weight_matrix", w)
         object.__setattr__(self, "dimension_totals", totals)
         object.__setattr__(self, "integral_dimensions", integral)
+        object.__setattr__(self, "quota_tolerances", tuple(quota_tolerance(np.array(quotas), sums, whole).tolist()))
         for d, (q, tol) in enumerate(zip(quotas, self.quota_tolerances)):
             if q - tol <= 0:
                 raise InvalidGameError(
@@ -306,11 +309,6 @@ class VotingGame:
 
     def player_index(self, player: int | str) -> int:
         return resolve_player(self.player_ids, player)
-
-    @cached_property
-    def quota_tolerances(self) -> tuple[float, ...]:
-        """Per-dimension absolute tolerance at the quota boundary (`quota_tolerance`)."""
-        return tuple(map(quota_tolerance, self.quotas, self.dimension_totals, self.integral_dimensions))
 
     @cached_property
     def winning_thresholds(self) -> tuple[float, ...]:
@@ -332,12 +330,14 @@ class VotingGame:
         )
 
 
-def quota_tolerance(quota: float, total: float, integral: bool) -> float:
+def quota_tolerance(quota, total, integral):
     """The absolute tolerance at a quota boundary, for a dimension whose
     weights add to ``total``: zero when the weights (``integral``) and the
     quota are integer valued (sums are then exact in float64, since such a
-    column totals below `EXACT_INTEGER_LIMIT`), a small relative slack otherwise."""
-    return 0.0 if integral and quota.is_integer() else BOUNDARY_REL_TOL * max(1.0, abs(quota), abs(total))
+    column totals below `EXACT_INTEGER_LIMIT`), a small relative slack otherwise;
+    over arrays of dimensions or games too."""
+    slack = BOUNDARY_REL_TOL * np.maximum(np.maximum(1.0, np.abs(quota)), np.abs(total))
+    return np.where(np.logical_and(integral, np.floor(quota) == quota), 0.0, slack)
 
 
 def resolve_player(player_ids: Sequence[str], player: int | str) -> int:
@@ -470,9 +470,10 @@ def single_quota_game(
     metadata: Mapping[str, object] | None = None,
 ) -> VotingGame:
     """Build a one-dimensional game from a flat weight list."""
-    ids = tuple(player_ids) if player_ids is not None else _default_ids(len(weights))
+    if not isinstance(weights, Sized) or getattr(weights, "ndim", 1) == 0:  # an iterator, a 0-d array
+        raise InvalidGameError("weights must be a list of numbers")
     return VotingGame(
-        player_ids=ids,
+        player_ids=_default_ids(len(weights)) if player_ids is None else player_ids,
         weights=tuple((w,) for w in weights),
         quotas=(quota,),
         association=association,

@@ -424,6 +424,29 @@ class TestConjecture:
         assert [tuple(c.tolist()) for c in counted] == expected
         assert conjecture_scan(trials, seed, spec) == loop_conjecture_scan(trials, seed, spec)
 
+    def test_wide_scan_is_its_loop(self, monkeypatch):
+        """Games of 3 to 100 players of weight 1 all fit the sum grid, though
+        their counts pass int64 from 63 players, so every game is stacked and
+        the scan is its loop's.  The grid mask caps each player count in
+        Python ints, since 16 m 2^(m/2) passes int64 from 105 players."""
+        stacked, seen = exact._stacked_swings, []
+
+        def recorded(weights, totals, thresholds):
+            seen.extend(totals.tolist())
+            return stacked(weights, totals, thresholds)
+
+        monkeypatch.setattr(exact, "_stacked_swings", recorded)
+        spec = RandomGameSpec(max_players=100, max_weight=1)
+        assert conjecture_scan(150, 3, spec) == loop_conjecture_scan(150, 3, spec)
+        sizes = [random_weights(seeded_rng(3, t), spec).size for t in range(150)]
+        assert seen == sizes and max(sizes) > 62
+        ones = [np.ones(m, dtype=np.int64) for m in (104, 105, 127, 128, 160)]
+        totals = np.array([w.size for w in ones])
+        games = [single_quota_game(w.tolist(), t / 2) for w, t in zip(ones, totals.tolist())]
+        counts = exact.integer_game_counts(ones, totals, totals / 2)
+        assert counts.tolist() == [c for g in games for c in exact_indices(g).swing_counts]
+        assert seen[150:] == totals.tolist()
+
     @pytest.mark.parametrize("spec", SCAN_SPECS, ids=SCAN_IDS)
     def test_weights_are_random_games(self, spec):
         for t in range(500):
@@ -442,9 +465,9 @@ class TestConjecture:
         boundary tolerance, and three times a total is whole."""
         stacked, seen = exact._stacked_swings, []
 
-        def recorded(weights, thresholds):
+        def recorded(weights, totals, thresholds):
             seen.extend(thresholds.tolist())
-            return stacked(weights, thresholds)
+            return stacked(weights, totals, thresholds)
 
         monkeypatch.setattr(exact, "_stacked_swings", recorded)
         conjecture_scan(300, 5, spec)
@@ -536,12 +559,12 @@ class TestConjecture:
         class Drawn(Exception):
             pass
 
-        def drawn(rng, spec):
+        def drawn(seed, trials, spec):
             raise Drawn
 
         cap = SINGLE_QUOTA_PLAYER_CAP
         assert exact._GRID_CELLS == 2**26 and 48 * (48 * 29127 + 1) == 2**26 - 208
-        monkeypatch.setattr(bounds, "random_weights", drawn)
+        monkeypatch.setattr(bounds, "random_weight_rows", drawn)
         spec = RandomGameSpec(min_players=cap + 1, max_players=48, max_weight=29128)
         message = (
             f"max_players above {cap} needs every sum grid to fit its budget, "

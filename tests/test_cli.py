@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from banzhaf import bounds, cli, data, exact, games, sampling
+from banzhaf import cli, data, exact, games, sampling
 from banzhaf.cli import main
 from banzhaf.data import dump_game, eu_game, random_association
 from banzhaf.exact import exact_indices
@@ -548,9 +548,9 @@ def _fresh_streams(seed, count, first_key=None):
 def test_stream_batches_at_the_word_boundary(capsys, monkeypatch, argv):
     """Seeds at 2^32 take a second entropy word: the EU runs' four seeds hash in
     two lengths, in one batch.  Every batch gives the bytes of one `seeded_rng`
-    per stream."""
+    per stream; the conjecture scan draws its windows through `data`."""
     batched = run(capsys, argv)
-    for module in (bounds, data, sampling):
+    for module in (data, sampling):
         monkeypatch.setattr(module, "seeded_streams", _fresh_streams)
     assert batched[0] == 0 and batched == run(capsys, argv)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banzhaf import data
 from banzhaf.data import (
     EU_COUNTRIES,
     association_draws,
@@ -21,9 +22,11 @@ from banzhaf.data import (
     parse_game,
     random_association,
     random_game,
+    random_weight_rows,
+    random_weights,
 )
 from banzhaf.exact import exact_indices
-from banzhaf.games import AssociationMatrix, InvalidGameError
+from banzhaf.games import AssociationMatrix, InvalidGameError, seeded_rng
 
 
 class TestEuGame:
@@ -279,6 +282,62 @@ class TestRandomGame:
                 assert 2 <= row[0] <= 9
                 assert row[0].is_integer()
             assert g.quotas[0] == 0.5 * sum(r[0] for r in g.weights)
+
+
+def _words_taken(rng: np.random.Generator) -> int:
+    """The 32-bit words a Philox generator has handed out since it was
+    seeded: each counter step fills a buffer of four 64-bit words, and a
+    64-bit word is two 32-bit words, one of them kept back while it waits."""
+    state = rng.bit_generator.state
+    return 2 * (4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]) - state["has_uint32"]
+
+
+# (spec, whether the numpy draws of range(300) at seed 11 draw again: "none",
+# "some" or, past the spans that one 32-bit word serves, "all")
+ROW_SPECS = [
+    (RandomGameSpec(), "none"),
+    (RandomGameSpec(min_players=5, max_players=5), "none"),  # the count takes no word
+    (RandomGameSpec(min_weight=7, max_weight=7), "none"),  # nor do the weights
+    (RandomGameSpec(max_players=np.int64(9), max_weight=np.uint8(20)), "none"),
+    (RandomGameSpec(1, 3, 0, 1), "some"),  # all-zero weights, which numpy draws again
+    (RandomGameSpec(1, 3, 0, 20), "some"),
+    (RandomGameSpec(max_weight=2**31 + 1), "some"),  # about half the words are rejected
+    (RandomGameSpec(max_weight=2**31), "none"),  # its rejection threshold is 0
+    (RandomGameSpec(max_weight=2**32 - 1), "all"),
+    (RandomGameSpec(max_weight=2**32 + 5), "all"),
+]
+ROW_IDS = ["default", "one-count", "one-weight", "numpy-ints", "zero-one", "zero-to-20",
+           "span-2^31+1", "span-2^31", "span-2^32-1", "span-past-2^32"]
+
+
+class TestRandomWeightRows:
+    @pytest.mark.parametrize("spec, redraws", ROW_SPECS, ids=ROW_IDS)
+    @pytest.mark.parametrize("trials", [range(300), range(1000, 1128), range(2**32 - 3, 2**32 + 3)],
+                             ids=["first", "later", "two-word-keys"])
+    def test_rows_are_numpys(self, monkeypatch, spec, redraws, trials):
+        """A window's rows are `random_weights`' row for row, and only the
+        trials where numpy takes more words than one per draw (a rejected
+        word or all-zero weights), or every trial of a span of 2^32 - 1 or
+        more, are drawn by `random_weights` itself."""
+        redrawn = []
+
+        def recorded(seed, *key):
+            redrawn.extend(key)
+            return seeded_rng(seed, *key)
+
+        monkeypatch.setattr(data, "seeded_rng", recorded)
+        rows = random_weight_rows(11, trials, spec)
+        expected, again = [], []
+        for t in trials:
+            rng = seeded_rng(11, t)
+            expected.append(random_weights(rng, spec))
+            words = (spec.min_players < spec.max_players) + expected[-1].size * (spec.min_weight < spec.max_weight)
+            if _words_taken(rng) > words:
+                again.append(t)
+        assert [(w.dtype, w.tolist()) for w in rows] == [(w.dtype, w.tolist()) for w in expected]
+        assert redrawn == (list(trials) if redraws == "all" else again)
+        if trials == range(300):
+            assert {"none": not again, "some": 0 < len(again) < 300, "all": True}[redraws]
 
 
 class TestGameFiles:

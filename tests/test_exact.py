@@ -914,12 +914,12 @@ class TestSumGrid:
 
 
 def _grid_games(games):
-    """The weights and thresholds of those of ``games`` that the engine
-    choice counts on the sum grid, and their `exact_indices` counts."""
+    """The weights, totals and thresholds of those of ``games`` that the
+    engine choice counts on the sum grid, and their `exact_indices` counts."""
     games = [g for g in games if exact._engine(g) == "subset-sum"]
     weights = [g.weight_matrix[:, 0].astype(np.int64) for g in games]
     thresholds = np.array([g.winning_thresholds[0] for g in games])
-    return weights, thresholds, [c for g in games for c in exact_indices(g).swing_counts]
+    return weights, np.array([w.sum() for w in weights]), thresholds, [c for g in games for c in exact_indices(g).swing_counts]
 
 
 class TestClassicalReports:
@@ -928,10 +928,10 @@ class TestClassicalReports:
 
     def test_equals_exact_indices(self):
         # integer, zero-heavy and boundary-tolerance games of 1 to 15 players
-        weights, thresholds, expected = _grid_games(parity_games(400, seed=1601, max_players=15))
+        weights, totals, thresholds, expected = _grid_games(parity_games(400, seed=1601, max_players=15))
         assert {w.size for w in weights} == set(range(1, 16))
         assert len(weights) > 150
-        assert exact._stacked_swings(weights, thresholds).tolist() == expected
+        assert exact._stacked_swings(weights, totals, thresholds).tolist() == expected
 
     def test_stacks_mix_with_tables_and_python_ints(self):
         # heavy 3- and 4-player games, some of them sorted-half, between
@@ -954,9 +954,9 @@ class TestClassicalReports:
             weights = rng.integers(0, 30, int(rng.integers(1, 14)))
             quota = max(0.01, round(float(rng.uniform(0.05, 1.0) * weights.sum()), int(rng.integers(0, 3))))
             games.append(single_quota_game(weights.tolist(), quota))
-        weights, thresholds, expected = _grid_games(games)
+        weights, totals, thresholds, expected = _grid_games(games)
         assert len(weights) > 250
-        assert exact._stacked_swings(weights, thresholds).tolist() == expected
+        assert exact._stacked_swings(weights, totals, thresholds).tolist() == expected
 
     @pytest.mark.parametrize("budget", [8, 5 * (8 << 5), 8 * (8 << 8)])
     def test_chunks_of_any_size_agree(self, monkeypatch, budget):
@@ -964,9 +964,9 @@ class TestClassicalReports:
         # budget at 16 bytes per count: the first budget fits no row, so each
         # stack holds one game; the second fits 80 counts, a few light games
         # or one heavier game, and the third 1,024 counts
-        weights, thresholds, expected = _grid_games(parity_games(150, seed=1603, max_players=8))
+        weights, totals, thresholds, expected = _grid_games(parity_games(150, seed=1603, max_players=8))
         monkeypatch.setattr(exact, "_GROUP_BYTES", budget)
-        assert exact._stacked_swings(weights, thresholds).tolist() == expected
+        assert exact._stacked_swings(weights, totals, thresholds).tolist() == expected
 
     def test_memory_within_one_stack(self):
         """A stack's prefix and its shifted copy fit `_GROUP_BYTES`, and its
@@ -976,10 +976,11 @@ class TestClassicalReports:
         counted."""
         spec = RandomGameSpec(min_players=12, max_weight=100)
         weights = [random_weights(seeded_rng(1605, t), spec) for t in range(400)]
-        thresholds = np.array([w.sum() / 2 for w in weights])
+        totals = np.array([w.sum() for w in weights])
+        thresholds = totals / 2
         tracemalloc.start()
         try:
-            counts = exact._stacked_swings(weights, thresholds)
+            counts = exact._stacked_swings(weights, totals, thresholds)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

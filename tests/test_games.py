@@ -84,6 +84,23 @@ class TestConstruction:
         with pytest.raises(InvalidGameError, match=f"^{message}$"):
             VotingGame(("a", "b"), weights, quotas)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: single_quota_game(np.array(1.0), 1), "weights must be a list of numbers"),
+            (lambda: single_quota_game(iter([1, 2]), 2), "weights must be a list of numbers"),
+            (lambda: VotingGame(5, ((1,),), (1,)), "player ids must be a list of ids"),
+            (lambda: VotingGame(np.array("a"), ((1,),), (1,)), "player ids must be a list of ids"),
+        ],
+        ids=["0-d-flat-weights", "iterator-flat-weights", "int-ids", "0-d-ids"],
+    )
+    def test_unsized_flat_weights_and_ids_named(self, build, message):
+        """Flat weights with no length, and player ids that do not iterate,
+        are named like other malformed input, not left to the `TypeError` of
+        sizing or iterating them."""
+        with pytest.raises(InvalidGameError, match=f"^{message}$"):
+            build()
+
     def test_plain_rows_read_as_entry_by_entry(self):
         """Rows of plain ints and floats are checked all at once; rows of
         another type (here a tuple subclass, ndarray rows or numpy scalars)
