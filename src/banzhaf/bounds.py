@@ -253,17 +253,16 @@ def scan_all_critical_coalitions(game: VotingGame) -> tuple[int, list[int]]:
     """Apply the all-critical weight cap to every winning coalition.
 
     Returns the number of coalitions where the cap applied and the list of
-    coalitions (as bitmasks) that violated it.  It reads
-    `CoalitionTable.winner_blocks`, so it costs 2^m and is capped at 32
-    players.  Up to 16 players the table's high half is empty, so its sums
-    are `coalition_weight`'s to the bit; above, they are high plus low sums,
-    as in the multi-quota enumeration, which are exact for integer weights.
+    coalitions (as bitmasks) that violated it.  It reads an enumerating
+    table's `CoalitionTable.winner_blocks`, so it costs 2^m and takes the
+    enumeration's cap and warning from `exact.engine_plan`.  Up to 16 players
+    the table's high half is empty, so its sums are `coalition_weight`'s to
+    the bit; above, they are high plus low sums, as in the multi-quota
+    enumeration, which are exact for integer weights.
     """
     require_single_quota(game, "scan_all_critical_coalitions")
-    if game.num_players > exact.HARD_PLAYER_CAP:  # rejected before the table builds its engine's arrays
-        exact.check_size(game, "enumeration")
     checked, violations = 0, []
-    for sums, members in CoalitionTable(game).winner_blocks(game.winning_thresholds):
+    for sums, members in CoalitionTable(game, "enumeration").winner_blocks(game.winning_thresholds):
         applies, violated = _all_critical(game, sums, members)
         checked += int(np.count_nonzero(applies))
         violations += ((1 << np.arange(game.num_players)) @ members[:, violated]).tolist()
@@ -355,13 +354,12 @@ def conjecture_scan(
         raise InvalidGameError(f"trials must be an integer, got {trials!r}")
     if trials <= 0:
         raise InvalidGameError(f"trials must be positive, got {trials}")
-    # past the sorted halves' cap only the sum grid counts; the heaviest game's is the largest
     m, w = int(spec.max_players), int(spec.max_weight)
-    if m > SINGLE_QUOTA_PLAYER_CAP and not exact.grid_fits(m, m * w):
-        raise InvalidGameError(
-            f"max_players above {SINGLE_QUOTA_PLAYER_CAP} needs every sum grid to fit its budget, "
-            f"but {m} players of weight {w} make {m * (m * w + 1)} cells"
-        )
+    try:  # every game fits an engine if the heaviest the spec can draw does
+        exact.engine_plan(m, 1, True, m * w)
+    except InvalidGameError:
+        raise InvalidGameError(f"max_players above {SINGLE_QUOTA_PLAYER_CAP} needs every sum grid to fit its "
+                               f"budget, but {m} players of weight {w} make {m * (m * w + 1)} cells") from None
     counterexamples: list[tuple[str, str, float, float]] = []
     min_slack = math.inf
     for start in range(0, trials, _SCAN_WINDOW):

@@ -1,13 +1,14 @@
 """Exact swing counting over the subset sums of a game's coalitions.
 
 A table chooses its engine once, when it is built (`CoalitionTable.engine`),
-and each engine has one count, of the swings per (player, load row) entry.
+by one rule over the engines' stated budgets and work (`engine_plan`), and
+each engine has one count, of the swings per (player, load row) entry.
 The sorted halves and the enumerator hold per-dimension subset sums of a low
 and a high half of the players, so every coalition sum is ``high + low`` for
 one sum from each half; float addition commutes, so under one split it is
 the same float however the coalitions are visited.  Swing counts are integers.
 
-Integer single-quota games whose sum grid fits a budget are counted on it
+Integer single-quota games can be counted on their sum grid
 ("subset-sum", Matsui & Matsui 2000; Uno 2012): the subsets of all the
 players are counted by sum once, ``c[s]`` for ``s = 0..W``, with prefix
 ``P``.  Since ``c`` is the other players' counts ``o`` plus ``o`` shifted by
@@ -21,26 +22,25 @@ Python ints from 63 players on, so that none wraps.  A table's grid is a
 stack of one; `integer_game_counts` stacks many games, built a player
 position at a time, and counts them with one search and one gather.
 
-Other single-quota games ("sorted-half") never visit coalitions one by one
-either.  Both halves are sorted once by sum, and every player is counted by
-one rule.  A player ``i`` with removal load ``l`` swings a coalition of sum
-``s`` when ``s >= t`` and ``s - l < t``.  For a fixed sum ``a`` of one half
-both sides are monotone in the other half's sum ``c`` (float ``a + c`` never
-decreases as ``c`` grows), so over the other half's sorted sums the winning
-coalitions are a suffix and those the removal breaks a prefix.  Each edge
-is one search per sum of the scanned half for where the removal stops
-breaking the quota, and the winning edge is the same search at load 0
-(``s - 0.0 < t`` is ``s < t`` for every float): `np.searchsorted` guesses
-it and the kernel in `banzhaf.games` itself corrects it over runs of equal
-sums, so the counts are the enumerator's to the bit (the Horowitz-Sahni
-split applied to power indices; Klinz & Woeginger 2005, Matsui & Matsui
-2000).  Player ``i`` then adds, over the sums of its own half whose
-coalitions hold it, the width of the window between the winning edge and
-its break edge.  The scanned sums are taken in sorted order too, so the
-searches and corrections walk both arrays in order.  The halves split the
-players evenly and the table keeps only their sorted sums, so memory grows
-as ``2^(m/2)``, and the games are capped where a count outgrows a stated
-budget.
+Any single-quota game can be counted on its sorted halves ("sorted-half"),
+which never visit coalitions one by one either.  Both halves are sorted once
+by sum, and every player is counted by one rule.  A player ``i`` with removal
+load ``l`` swings a coalition of sum ``s`` when ``s >= t`` and ``s - l < t``.
+For a fixed sum ``a`` of one half both sides are monotone in the other
+half's sum ``c`` (float ``a + c`` never decreases as ``c`` grows), so over
+the other half's sorted sums the winning coalitions are a suffix and those
+the removal breaks a prefix.  Each edge is one search per sum of the scanned
+half for where the removal stops breaking the quota, and the winning edge is
+the same search at load 0 (``s - 0.0 < t`` is ``s < t`` for every float):
+`np.searchsorted` guesses it and the kernel in `banzhaf.games` itself
+corrects it over runs of equal sums, so the counts are the enumerator's to
+the bit (the Horowitz-Sahni split applied to power indices; Klinz &
+Woeginger 2005, Matsui & Matsui 2000).  Player ``i`` then adds, over the
+sums of its own half whose coalitions hold it, the width of the window
+between the winning edge and its break edge.  The scanned sums are taken in
+sorted order too, so the searches and corrections walk both arrays in
+order.  The halves split the players evenly and the table keeps only their
+sorted sums, so memory grows as ``2^(m/2)``.
 
 Games with several quotas ("enumeration") have no such order, and enumerate
 the ``2^(m-b)`` high blocks of a low half of ``b = min(m, 16)`` players,
@@ -50,12 +50,12 @@ coalitions can be swung, and in games like the EU Council few of them win,
 so the enumeration compacts each block's winners (their sums and membership
 bits) and counts over those alone; it tests a block one dimension at a time
 and then sums only the winners, so it never holds all of a block's sums.
-When all of a boundary convention's
-winners fit in one block's sum arrays (``2^b * k * 8`` bytes), the first
-scan caches them and later scans, one per load matrix, read only the cache;
-larger sets are enumerated and compacted afresh by each scan.  The comparisons
-themselves (``s >= t`` to win, ``s - l < t`` to break, under either boundary
-convention's thresholds) live in `banzhaf.games`, which every engine shares.
+When all of a boundary convention's winners fit in one block's sum arrays
+(``2^b * k * 8`` bytes), the first scan caches them and later scans, one per
+load matrix, read only the cache; larger sets are enumerated and compacted
+afresh by each scan.  The comparisons themselves (``s >= t`` to win,
+``s - l < t`` to break, under either boundary convention's thresholds) live
+in `banzhaf.games`, which every engine shares.
 A count finds each entry's break edge per dimension once (`removal_edges`):
 the least float ``v`` with ``v - l >= t``.  Float subtraction of a fixed
 ``l`` is monotone, so ``s - l < t`` exactly when ``s < v``, and a winner
@@ -85,8 +85,10 @@ swings(``u``) - swings(base), the loss swings(``u``) - swings(alt).
 
 from __future__ import annotations
 
+import inspect
 import numbers
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -122,7 +124,6 @@ __all__ = [
     "association_delta",
 ]
 
-# Games with several quotas enumerate all 2^m coalitions.
 HARD_PLAYER_CAP = 32
 SOFT_PLAYER_WARNING = 26
 _DEFAULT_BLOCK_BITS = 16
@@ -135,16 +136,18 @@ _SORTED_TABLE_BYTES = 128 << 20
 _BYTES_PER_HALF_ENTRY = 80
 _HALF_BITS_CAP = (_SORTED_TABLE_BYTES // _BYTES_PER_HALF_ENTRY).bit_length() - 1
 SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
-# An integer single-quota game is counted on its sum grid, the count of the
-# subsets of each sum s = 0..W, when the m * (W + 1) additions that build it
-# are within _GRID_CELLS and W + 1 is within _GRID_PER_HALF_ENTRY times the
-# larger sorted half, past which the sorted halves count faster (measured at
-# 16 to 32 players: the crossover lies between 16 and 64).  At the budget a
-# count takes about 0.2 s in int64 and 1.5 s in Python ints (63 players), and
-# a grid holds 16 bytes per sum in int64 and up to about 90 in Python ints,
-# at most about 90 MiB.
+# A sum grid of m players and total weight W builds in m * (W + 1) cells; at
+# _GRID_CELLS a count takes about 0.2 s in int64 and 1.5 s in Python ints (63
+# players), and the grid holds 16 bytes a sum in int64, up to 90 in ints.
 _GRID_CELLS = 1 << 26
+# Work is counted in grid sums, W + 1 a game.  An entry of the larger sorted
+# half costs _GRID_PER_HALF_ENTRY (the crossover, measured at 16 to 32
+# players, lies between 16 and 64), and a table of its own _TABLE_SETUP in a
+# stack: a lone 4-player sorted-half `exact_indices` takes about 140 us, a
+# stack of 128 such games 8-11 ns a sum at W of 4,000-40,000, and scans of
+# 3-24 players up to 20,000 ran fastest at 2^13-2^15 (in-process, 2-vCPU VM).
 _GRID_PER_HALF_ENTRY = 16
+_TABLE_SETUP = 1 << 14
 # The bounds of a group of players, a stack of small games' sum grids, or the
 # enumerator's comparisons of one player's entries with a block of winners
 # are built at once, up to this many bytes.
@@ -152,55 +155,55 @@ _GROUP_BYTES = 1 << 20
 # `association_study` draws its association matrices in stacks of at most this many bytes
 _STACK_BYTES = 1 << 20
 _INF = np.array([np.inf])
-# per engine, the `CoalitionTable` arrays built with the table, and its count
-_ENGINES = {"subset-sum": ("_grid", "_grid_swings"), "sorted-half": ("_sides", "_sorted_swings"),
-            "enumeration": ("_blocks", "_enumerated_swings")}
 
 
-def _engine(game: VotingGame) -> str:
-    """The engine that counts ``game``: "subset-sum" for one quota over
-    integer weights whose sum grid fits its budget (see `_GRID_CELLS`),
-    "sorted-half" for any other single quota, and "enumeration" for several
-    quotas."""
-    if game.num_dimensions > 1:
-        return "enumeration"
-    integral, total = game.integral_dimensions[0], game.dimension_totals[0]
-    return "subset-sum" if integral and grid_fits(game.num_players, int(total)) else "sorted-half"
+# An engine of `engine_plan`: whether it ``counts`` games of k quotas, integral or not; whether m players of
+# total weight W (numbers or arrays) ``fits`` its budget, and their ``work``; whether it ``stacks`` games; its
+# ``cap`` message; and the `CoalitionTable` ``arrays`` it builds and its ``count``.  Ties go to the first.
+_Engine = namedtuple("_Engine", "counts fits work stacks cap arrays count")
+_ENGINES = {
+    "subset-sum": _Engine(
+        counts=lambda k, integral: k == 1 and integral, fits=lambda m, W: m * (W + 1.0) <= _GRID_CELLS,
+        work=lambda m, W: W + 1.0, stacks=True, arrays="_grid", count="_grid_swings",
+        cap=f"a sum grid holds at most 2^{_GRID_CELLS.bit_length() - 1} cells, players x (total weight + 1); got {{m}}",
+    ),
+    "sorted-half": _Engine(  # 2^ceil(m/2) entries of _BYTES_PER_HALF_ENTRY bytes
+        counts=lambda k, integral: k == 1, fits=lambda m, W: (m + 1) // 2 <= _HALF_BITS_CAP, stacks=False,
+        work=lambda m, W: np.ldexp(_GRID_PER_HALF_ENTRY, (m + 1) // 2), arrays="_sides", count="_sorted_swings",
+        cap=f"exact counting of single-quota games is capped at {SINGLE_QUOTA_PLAYER_CAP} players, unless the "
+        f"weights are integers whose sum grid, players x (total weight + 1), holds at most "
+        f"2^{_GRID_CELLS.bit_length() - 1} cells; at the cap each half holds 2^{_HALF_BITS_CAP} sums and a count "
+        f"takes about {(_BYTES_PER_HALF_ENTRY << _HALF_BITS_CAP) >> 20} MiB; got {{m}}",
+    ),
+    "enumeration": _Engine(  # 2^m coalitions, for games with several quotas
+        counts=lambda k, integral: k > 1, fits=lambda m, W: m <= HARD_PLAYER_CAP, work=lambda m, W: np.ldexp(1.0, m),
+        stacks=False, arrays="_blocks", count="_enumerated_swings",
+        cap=f"exact enumeration is capped at {HARD_PLAYER_CAP} players, got {{m}}",
+    ),
+}
 
 
-def grid_fits(m: int, total):
-    """Whether the sum grid of ``m`` integer weights adding to ``total`` (or to
-    each of an int array of totals) fits its budget (see `_GRID_CELLS`), in
-    Python ints, since ``16 m 2^(m/2)`` passes int64 from 105 players."""
-    return total < min(_GRID_CELLS, _GRID_PER_HALF_ENTRY * m << (m + 1) // 2) // m
-
-
-def check_size(game: VotingGame, engine: str, stacklevel: int = 3) -> None:
-    """Reject a game past ``engine``'s cap; warn of a long enumeration ``stacklevel`` frames up."""
-    m = game.num_players
-    if engine == "subset-sum":  # the grid fits its budget by choice
-        return
-    if engine == "sorted-half":
-        if m > SINGLE_QUOTA_PLAYER_CAP:
-            mib = (_BYTES_PER_HALF_ENTRY << _HALF_BITS_CAP) >> 20
-            raise InvalidGameError(
-                f"exact counting of single-quota games is capped at "
-                f"{SINGLE_QUOTA_PLAYER_CAP} players, unless the weights are integers "
-                f"whose sum grid, players x (total weight + 1), holds at most "
-                f"2^{_GRID_CELLS.bit_length() - 1} cells; at the cap each half holds "
-                f"2^{_HALF_BITS_CAP} sums and a count takes about {mib} MiB; got {m}"
-            )
-        return
-    if m > HARD_PLAYER_CAP:
-        raise InvalidGameError(
-            f"exact enumeration is capped at {HARD_PLAYER_CAP} players, got {m}"
-        )
-    if m >= SOFT_PLAYER_WARNING:
-        warnings.warn(
-            f"enumerating 2^{m} coalitions; expect a long run",
-            RuntimeWarning,
-            stacklevel=stacklevel,
-        )
+def engine_plan(m, k: int = 1, integral: bool = False, total=0, engine: str | None = None, stacked: bool = False):
+    """Of the `_ENGINES` that count a game of ``m`` players, ``k`` quotas and
+    ``total`` weight, ``integral`` or not (or ``engine`` alone), the one of
+    least work within its budget; in a stack (``stacked``) one that does not
+    stack adds `_TABLE_SETUP`.  Arrays of ``m`` and ``total``, a game an entry,
+    give an array of names.  Past every budget it raises the ``cap`` of the
+    last engine; an enumeration of `SOFT_PLAYER_WARNING` players or more
+    warns at the caller of the package."""
+    names = [engine] if engine else [name for name, e in _ENGINES.items() if e.counts(k, integral)]
+    with np.errstate(over="ignore"):  # 2^m past float64 is inf, and over every budget
+        works = np.array([np.where(e.fits(m, total), e.work(m, total) + _TABLE_SETUP * (stacked and not e.stacks),
+                                   np.inf) for e in map(_ENGINES.__getitem__, names)])
+    if (over := np.isinf(works.min(axis=0))).any():
+        raise InvalidGameError(_ENGINES[names[-1]].cap.format(m=np.max(m, where=over, initial=0)))
+    chosen = np.array(names)[works.argmin(axis=0)]
+    long = (chosen == "enumeration") & (m >= SOFT_PLAYER_WARNING)
+    if np.any(long):  # at the caller of the package's outermost frame
+        depth = max(i for i, f in enumerate(inspect.stack(0)) if f.frame.f_globals.get("__package__") == __package__)
+        warnings.warn(f"enumerating 2^{np.max(m, where=long, initial=0)} coalitions; expect a long run",
+                      RuntimeWarning, stacklevel=depth + 2)
+    return chosen if chosen.ndim else str(chosen)
 
 
 @dataclass(frozen=True)
@@ -231,25 +234,22 @@ class DeltaReport:
 class CoalitionTable:
     """Subset-sum table over a game's full coalition space.
 
-    Building the table chooses its engine once (`engine`, see `_engine`) and
-    builds that engine's arrays; `swing_counts` can then be called repeatedly
-    with different load matrices (for instance one call per sampled
-    association matrix) without rebuilding them.  Integer single-quota games
-    count on their sum grid, other single-quota games on both halves sorted
-    by sum; games with several quotas enumerate the winning coalitions, and
-    cache a boundary convention's winners when they fit the budget.
+    Building the table chooses its engine once (`engine`: the one named, or
+    `engine_plan`'s) and builds that engine's arrays; `swing_counts` can then
+    be called repeatedly with different load matrices (for instance one call
+    per sampled association matrix) without rebuilding them.
     """
 
-    def __init__(self, game: VotingGame):
-        self.engine = _engine(game)
-        check_size(game, self.engine)
+    def __init__(self, game: VotingGame, engine: str | None = None):
+        self.engine = engine_plan(game.num_players, game.num_dimensions, all(game.integral_dimensions),
+                                  max(game.dimension_totals), engine)
         self.game = game
         # thresholds -> (sums, members) of every winning coalition, for the
         # conventions whose winners fit the budget of `winner_blocks`
         self._winning_sets: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
         # the engine's arrays are built with the table; a single-quota table
         # builds the enumerator's blocks only if `winner_blocks` asks for them
-        getattr(self, _ENGINES[self.engine][0])
+        getattr(self, _ENGINES[self.engine].arrays)
 
     def swing_counts(self, loads: np.ndarray, strict: bool = False) -> np.ndarray:
         """Count, per player, the coalitions the player swings.
@@ -287,7 +287,7 @@ class CoalitionTable:
         """Per entry, how many coalitions player ``players[e]`` swings with
         the removal loads ``loads[e]`` under ``thresholds``, by the table's
         engine.  Each engine's count takes these arguments."""
-        return getattr(self, _ENGINES[self.engine][1])(players, loads, thresholds)
+        return getattr(self, _ENGINES[self.engine].count)(players, loads, thresholds)
 
     # -- integer single quota: windows on the sum grid ---------------------
 
@@ -370,10 +370,10 @@ class CoalitionTable:
         high blocks in order and holds them back while they fit the budget;
         at the first block past it, it yields what it holds and streams the
         rest, and a set that fits is cached and yielded whole.  On a
-        single-quota table it checks the enumeration's player cap first.
+        table of another engine it plans the enumeration first.
         """
         if self.engine != "enumeration":
-            check_size(self.game, "enumeration", stacklevel=4)
+            engine_plan(self.game.num_players, engine="enumeration")
         cached = self._winning_sets.get(thresholds)
         if cached is not None:
             yield cached
@@ -586,7 +586,7 @@ def _shaped(loads, shape: tuple[int, ...], what: str) -> np.ndarray:
 def _stacked_swings(weights: list[np.ndarray], totals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """The swing counts of integer single-quota games' players, game after
     game: game g's players weigh ``weights[g]``, ``totals[g]`` in all, it wins
-    from ``thresholds[g]``, and its grid fits its budget (`grid_fits`).  A stack
+    from ``thresholds[g]``, and its grid fits its budget (`engine_plan`).  A stack
     (`_grid_stack`) holds as many games in order as fit `_GROUP_BYTES` at 16
     bytes per padded count and its shifted copy (at least one), for one
     build, one edge search and one `_others_below` call."""
@@ -607,12 +607,12 @@ def _stacked_swings(weights: list[np.ndarray], totals: np.ndarray, thresholds: n
 def integer_game_counts(weights: list[np.ndarray], totals: np.ndarray, quotas: np.ndarray) -> np.ndarray:
     """`exact_indices`' swing counts of single-quota games, game after game:
     game g's integer ``weights[g]`` total ``totals[g]``, against
-    ``quotas[g]``.  A game whose grid fits and whose threshold is positive is
-    stacked (`_stacked_swings`); any other is built, and raises its errors."""
+    ``quotas[g]``.  A game whose threshold is positive and that `engine_plan`
+    puts on the grid in a stack is stacked (`_stacked_swings`); any other is
+    built, and raises its errors (a game past every budget, the plan's)."""
     sizes = np.array([w.size for w in weights])
-    players, at = np.unique(sizes, return_inverse=True)  # the fits per player count; row at[g] is game g's
     thresholds = quotas - quota_tolerance(quotas, totals, True)
-    grid = np.array([grid_fits(m, totals) for m in players.tolist()])[at, np.arange(at.size)] & (thresholds > 0)
+    grid = (engine_plan(sizes, 1, True, totals, stacked=True) == "subset-sum") & (thresholds > 0)
     stacked, counts = np.repeat(grid, sizes), np.empty(sizes.sum(), dtype=object)
     counts[stacked] = _stacked_swings([w for w, on in zip(weights, grid) if on], totals[grid], thresholds[grid])
     alone = [single_quota_game(w.tolist(), q) for w, q, on in zip(weights, quotas, grid) if not on]

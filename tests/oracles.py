@@ -29,6 +29,7 @@ from banzhaf.games import (
 )
 from banzhaf.data import RandomGameSpec, random_game
 from banzhaf.bounds import ConjectureReport, conjecture_check
+from banzhaf.exact import engine_plan
 
 
 def naive_swing_counts(game: VotingGame, phi: AssociationMatrix | None = None) -> list[int]:
@@ -367,3 +368,9 @@ def loop_conjecture_scan(trials: int, seed: int, spec: RandomGameSpec) -> Conjec
         counterexamples.extend(found)
         min_slack = min(min_slack, slack)
     return ConjectureReport(trials, tuple(counterexamples), min_slack, seed)
+
+
+def planned(game: VotingGame, stacked: bool = False) -> str:
+    """The engine `exact.engine_plan` gives ``game``, for a table of its own or in a stack."""
+    return engine_plan(game.num_players, game.num_dimensions, all(game.integral_dimensions),
+                       max(game.dimension_totals), stacked=stacked)

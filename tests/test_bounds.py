@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import pathlib
 import re
 import tracemalloc
 from fractions import Fraction
@@ -23,7 +24,8 @@ from banzhaf.bounds import (
     scan_all_critical_coalitions,
     size_window,
 )
-from banzhaf.data import RandomGameSpec, random_game, random_weights
+from banzhaf.cli import main
+from banzhaf.data import RandomGameSpec, load_game_file, random_game, random_weights
 from banzhaf.exact import SINGLE_QUOTA_PLAYER_CAP, exact_indices
 from banzhaf.games import (
     InvalidGameError,
@@ -42,6 +44,7 @@ from oracles import (
     loop_ht_profile,
     loop_size_window,
     parity_games,
+    planned,
     winning_coalitions,
 )
 
@@ -345,11 +348,24 @@ class TestAllCriticalWeight:
             with pytest.raises(InvalidGameError, match=f"capped at 32 players, got {len(weights)}"):
                 scan_all_critical_coalitions(single_quota_game(weights, sum(weights) / 2))
 
-    def test_scan_warns_like_the_enumerator(self, monkeypatch):
+    def test_scan_warns_like_the_enumerator(self, monkeypatch, capsys):
+        """The enumeration's warning points at the caller of every public
+        entry point: the scan, a table, the indices, the EU study and the CLI
+        (`association_delta` takes single-quota games, which never enumerate)."""
         monkeypatch.setattr(exact, "SOFT_PLAYER_WARNING", 3)
-        with pytest.warns(RuntimeWarning, match=r"enumerating 2\^3 coalitions") as record:
-            assert scan_all_critical_coalitions(game_321()) == (2, [])
-        assert record[0].filename == __file__
+        sample = pathlib.Path(__file__).parents[1] / "docs" / "sample-game.json"
+        two_quotas, results = load_game_file(sample), []
+        for call in (
+            lambda: scan_all_critical_coalitions(game_321()),
+            lambda: exact.CoalitionTable(two_quotas),
+            lambda: exact_indices(two_quotas),
+            lambda: exact.association_study(two_quotas, seed=0, runs=2),
+            lambda: main(["exact", "--game", str(sample)]),
+        ):
+            with pytest.warns(RuntimeWarning, match=r"^enumerating 2\^3 coalitions; expect a long run$") as record:
+                results.append(call())
+            assert len(record) == 1 and record[0].filename == __file__
+        assert (results[0], results[-1]) == ((2, []), 0)
 
 
 class TestConjecture:
@@ -472,8 +488,8 @@ class TestConjecture:
         monkeypatch.setattr(exact, "_stacked_swings", recorded)
         conjecture_scan(300, 5, spec)
         games = [random_game(seeded_rng(5, t), spec) for t in range(300)]
-        # games that the engine choice sends to the sorted halves are built as games, not stacked
-        expected = [g.winning_thresholds[0] for g in games if exact._engine(g) == "subset-sum"]
+        # games that the plan keeps off a stack are built as games
+        expected = [g.winning_thresholds[0] for g in games if planned(g, stacked=True) == "subset-sum"]
         assert len(expected) > 250
         assert [x.hex() for x in seen] == [x.hex() for x in expected]
         assert any(not x.is_integer() for x in expected) is (spec.quota_fraction != 3)

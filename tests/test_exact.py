@@ -54,6 +54,7 @@ from oracles import (
     naive_stack_swings,
     naive_swing_counts,
     parity_games,
+    planned,
     winning_coalitions,
 )
 from test_games import small_games
@@ -823,14 +824,49 @@ class TestSumGrid:
         assert CoalitionTable(eu_game()).engine == "enumeration"
 
     def test_engine_budget_edges(self):
-        # at 3 players the grid may be 16 times the larger half, 4 entries
-        assert exact._engine(single_quota_game([1, 2, 60], 30)) == "subset-sum"
-        assert exact._engine(single_quota_game([1, 2, 61], 30)) == "sorted-half"
+        """Each edge of `exact.engine_plan`, with its engine and its message."""
+        # at 3 players the grid may be 16 times the larger half, 4 entries,
+        # and in a stack it may also take a table's set-up
+        assert planned(single_quota_game([1, 2, 60], 30)) == "subset-sum"
+        assert planned(single_quota_game([1, 2, 61], 30)) == "sorted-half"
+        assert planned(single_quota_game([1, 2, 61], 30), stacked=True) == "subset-sum"
+        assert exact.engine_plan(3, 1, True, 63 + exact._TABLE_SETUP, stacked=True) == "subset-sum"
+        assert exact.engine_plan(3, 1, True, 64 + exact._TABLE_SETUP, stacked=True) == "sorted-half"
         # at 34 players the cell budget binds first: 2^26 // 34 sums
         sums = exact._GRID_CELLS // 34
         for extra, engine in ((0, "subset-sum"), (1, "sorted-half")):
             game = single_quota_game([1] * 33 + [sums - 34 + extra], sums // 2)
-            assert exact._engine(game) == engine
+            assert planned(game) == engine
+        # the sorted halves stop at 40 players; past them an integer game
+        # over the grid's budget gets the sorted halves' message
+        single = (
+            "exact counting of single-quota games is capped at 40 players, unless the weights are integers "
+            "whose sum grid, players x (total weight + 1), holds at most 2^26 cells; at the cap each half "
+            "holds 2^20 sums and a count takes about 80 MiB; got 41"
+        )
+        assert exact.engine_plan(40, 1, False, 60.5) == "sorted-half"
+        assert exact.engine_plan(41, 1, True, exact._GRID_CELLS // 41 - 1) == "subset-sum"
+        for integral, total in ((False, 61.5), (True, exact._GRID_CELLS // 41)):
+            with pytest.raises(InvalidGameError, match=f"^{re.escape(single)}$"):
+                exact.engine_plan(41, 1, integral, total)
+        with pytest.raises(InvalidGameError, match=f"^{re.escape(single)}$"):
+            exact_indices(single_quota_game([1.5] * 41, 5))
+        # the enumeration stops at 32 players, for several quotas or when forced
+        several = VotingGame(player_ids=tuple(map(str, range(33))), weights=((1, 1),) * 33, quotas=(3, 3))
+        with pytest.warns(RuntimeWarning):
+            assert exact.engine_plan(32, 2) == "enumeration"
+        for capped in (lambda: exact.engine_plan(33, 2), lambda: exact.engine_plan(33, 1, True, 33, "enumeration"),
+                       lambda: exact_indices(several)):
+            with pytest.raises(InvalidGameError, match="^exact enumeration is capped at 32 players, got 33$"):
+                capped()
+        # an enumeration warns from 26 players on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact.engine_plan(25, 3) == "enumeration"
+            assert exact.engine_plan(40, 1, True, 10**6) == "subset-sum"
+        with pytest.warns(RuntimeWarning, match=r"^enumerating 2\^26 coalitions; expect a long run$") as record:
+            assert exact.engine_plan(26, 3) == "enumeration"
+        assert len(record) == 1 and record[0].filename == __file__
 
     @given(grid_games())
     @settings(max_examples=200, deadline=None)
@@ -861,7 +897,7 @@ class TestSumGrid:
     def test_gathers_cut_to_any_budget_agree(self, monkeypatch, budget):
         """The first budget gathers one row and two terms at a time, the
         second a few rows at a time and the heavy rows' terms in pieces."""
-        games = [g for g in parity_games(150, seed=1701, max_players=12) if exact._engine(g) == "subset-sum"]
+        games = [g for g in parity_games(150, seed=1701, max_players=12) if planned(g) == "subset-sum"]
         games.append(single_quota_game([1, 1, 2, 0, 0, 3, 5, 400, 9], 201.5))
         def counts(game, loads):
             table, w = CoalitionTable(game), game.weight_matrix
@@ -902,7 +938,7 @@ class TestSumGrid:
         sums = exact._GRID_CELLS // m
         weights = [sums // m] * (m - 1) + [sums - 1 - (m - 1) * (sums // m)]
         game = single_quota_game(weights, (sums - 1) / 2)
-        assert exact._engine(game) == "subset-sum"
+        assert planned(game) == "subset-sum"
         game.weight_matrix  # cached before measuring
         tracemalloc.start()
         try:
@@ -916,7 +952,7 @@ class TestSumGrid:
 def _grid_games(games):
     """The weights, totals and thresholds of those of ``games`` that the
     engine choice counts on the sum grid, and their `exact_indices` counts."""
-    games = [g for g in games if exact._engine(g) == "subset-sum"]
+    games = [g for g in games if planned(g) == "subset-sum"]
     weights = [g.weight_matrix[:, 0].astype(np.int64) for g in games]
     thresholds = np.array([g.winning_thresholds[0] for g in games])
     return weights, np.array([w.sum() for w in weights]), thresholds, [c for g in games for c in exact_indices(g).swing_counts]
@@ -934,16 +970,52 @@ class TestClassicalReports:
         assert exact._stacked_swings(weights, totals, thresholds).tolist() == expected
 
     def test_stacks_mix_with_tables_and_python_ints(self):
-        # heavy 3- and 4-player games, some of them sorted-half, between
-        # stacked games; and games of 63 to 70 players whose counts pass int64
+        # heavy 3- and 4-player games, some of which a table of their own
+        # counts on the sorted halves, stacked among the others; and games of
+        # 63 to 70 players whose counts pass int64
         heavy, wide = RandomGameSpec(max_players=4, max_weight=40), RandomGameSpec(63, 70, 0, 1)
         for spec in (heavy, wide):
             games = [random_game(seeded_rng(1604, t), spec) for t in range(150)]
             counts = bounds._window_counts(1604, range(150), spec)[3].tolist()
             assert counts == [c for g in games for c in exact_indices(g).swing_counts]
             assert conjecture_scan(150, 1604, spec) == loop_conjecture_scan(150, 1604, spec)
-        assert {exact._engine(random_game(seeded_rng(1604, t), heavy)) for t in range(150)} == {"subset-sum", "sorted-half"}
+        assert {planned(random_game(seeded_rng(1604, t), heavy)) for t in range(150)} == {"subset-sum", "sorted-half"}
         assert max(counts) >= 2**63 and {type(c) for c in counts} == {int}  # the wide games'
+
+    def test_only_games_a_stack_cannot_count_are_built(self, monkeypatch):
+        """The default spec's first 1,024 seed-0 trials are all stacked, though
+        a table of their own would count some on the sorted halves; a 4-player
+        game of total about 10^5, whose stacked work passes a lone table's, is
+        built, and so is a game whose threshold is not positive, which raises
+        its game's error."""
+        spec = RandomGameSpec()
+        games = [random_game(seeded_rng(0, t), spec) for t in range(1024)]
+        expected = [c for g in games for c in exact_indices(g).swing_counts]
+        assert {planned(g) for g in games} == {"subset-sum", "sorted-half"}
+        built = []
+
+        def build(weights, quota):
+            built.append(weights)
+            return single_quota_game(weights, quota)
+
+        def fail(*args):
+            raise AssertionError("built a game for a trial that a stack counts")
+
+        monkeypatch.setattr(exact, "single_quota_game", fail)
+        counts = [c for t in range(0, 1024, 128) for c in bounds._window_counts(0, range(t, t + 128), spec)[3]]
+        assert counts == expected
+        monkeypatch.setattr(exact, "single_quota_game", build)
+        heavy, light = [25_000, 25_001, 24_999, 25_003], [3, 5, 2, 7, 1]
+        weights = [np.array(w, dtype=np.int64) for w in (light, heavy, light)]
+        totals, quotas = np.array([18, 100_003, 18]), np.array([9.0, 50_001.5, 10.0])
+        assert planned(single_quota_game(heavy, 50_001.5), stacked=True) == "sorted-half"
+        assert exact.integer_game_counts(weights, totals, quotas).tolist() == [
+            c for w, q in zip(weights, quotas) for c in exact_indices(single_quota_game(w.tolist(), q)).swing_counts]
+        assert built == [heavy]
+        built.clear()
+        with pytest.raises(InvalidGameError, match="boundary tolerance .* reaches the quota"):
+            exact.integer_game_counts(weights, totals, np.array([9.0, 50_001.5, 1e-14]))
+        assert built == [heavy, light]
 
     def test_two_decimal_quotas(self):
         # integer weights against quotas rounded to 0, 1 or 2 decimals: those
