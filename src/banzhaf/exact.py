@@ -160,6 +160,8 @@ _INF = np.array([np.inf])
 # An engine of `engine_plan`: whether it ``counts`` games of k quotas, integral or not; whether m players of
 # total weight W (numbers or arrays) ``fits`` its budget, and their ``work``; whether it ``stacks`` games; its
 # ``cap`` message; and the `CoalitionTable` ``arrays`` it builds and its ``count``.  Ties go to the first.
+# tests/test_engines.py reads this table: every entry is checked against the brute-force oracle on every
+# game it accepts, so a new engine is one entry here.
 _Engine = namedtuple("_Engine", "counts fits work stacks cap arrays count")
 _ENGINES = {
     "subset-sum": _Engine(
@@ -175,7 +177,7 @@ _ENGINES = {
         f"2^{_GRID_CELLS.bit_length() - 1} cells; at the cap each half holds 2^{_HALF_BITS_CAP} sums and a count "
         f"takes about {(_BYTES_PER_HALF_ENTRY << _HALF_BITS_CAP) >> 20} MiB; got {{m}}",
     ),
-    "enumeration": _Engine(  # 2^m coalitions, for games with several quotas
+    "enumeration": _Engine(  # 2^m coalitions: planned for games with several quotas, counts any game named
         counts=lambda k, integral: k > 1, fits=lambda m, W: m <= HARD_PLAYER_CAP, work=lambda m, W: np.ldexp(1.0, m),
         stacks=False, arrays="_blocks", count="_enumerated_swings",
         cap=f"exact enumeration is capped at {HARD_PLAYER_CAP} players, got {{m}}",
@@ -188,10 +190,18 @@ def engine_plan(m, k: int = 1, integral: bool = False, total=0, engine: str | No
     ``total`` weight, ``integral`` or not (or ``engine`` alone), the one of
     least work within its budget; in a stack (``stacked``) one that does not
     stack adds `_TABLE_SETUP`.  Arrays of ``m`` and ``total``, a game an entry,
-    give an array of names.  Past every budget it raises the ``cap`` of the
-    last engine; an enumeration of `SOFT_PLAYER_WARNING` players or more
+    give an array of names.  A named engine that does not count the game, or
+    an unknown name, is refused; past every budget it raises the ``cap`` of
+    the last engine; an enumeration of `SOFT_PLAYER_WARNING` players or more
     warns at the caller of the package."""
-    names = [engine] if engine else [name for name, e in _ENGINES.items() if e.counts(k, integral)]
+    names = [name for name, e in _ENGINES.items() if e.counts(k, integral)]
+    if engine is not None:
+        if engine not in _ENGINES:
+            raise InvalidGameError(f"unknown engine {engine!r}, not one of {', '.join(_ENGINES)}")
+        if engine not in names and engine != "enumeration":
+            raise InvalidGameError(f"the {engine} engine does not count games of {k} quota(s) "
+                                   f"and {'integer' if integral else 'non-integer'} weights")
+        names = [engine]
     with np.errstate(over="ignore"):  # 2^m past float64 is inf, and over every budget
         works = np.array([np.where(e.fits(m, total), e.work(m, total) + _TABLE_SETUP * (stacked and not e.stacks),
                                    np.inf) for e in map(_ENGINES.__getitem__, names)])
@@ -586,13 +596,16 @@ def _shaped(loads, shape: tuple[int, ...], what: str) -> np.ndarray:
 def _stacked_swings(weights: list[np.ndarray], totals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """The swing counts of integer single-quota games' players, game after
     game: game g's players weigh ``weights[g]``, ``totals[g]`` in all, it wins
-    from ``thresholds[g]``, and its grid fits its budget (`engine_plan`).  A stack
-    (`_grid_stack`) holds as many games in order as fit `_GROUP_BYTES` at 16
-    bytes per padded count and its shifted copy (at least one), for one
-    build, one edge search and one `_others_below` call."""
+    from ``thresholds[g]``, and its grid fits its budget (`engine_plan`).  The
+    games are stacked in order of total, so that each is padded to at most
+    the next heavier game's width: a stack (`_grid_stack`) holds as many as
+    fit `_GROUP_BYTES` at 16 bytes per padded count and its shifted copy (at
+    least one), for one build, one edge search and one `_others_below` call."""
+    players, order = np.array([w.size for w in weights], dtype=np.int64), np.argsort(totals, kind="stable")
+    weights, totals, thresholds = [weights[g] for g in order], totals[order], thresholds[order]
     counts, widths = [np.zeros(0, dtype=np.int64)], totals + 2
     while weights:
-        padded = 16 * np.arange(1, len(weights) + 1) * np.maximum.accumulate(widths)
+        padded = 16 * np.arange(1, len(weights) + 1) * widths  # the widest game of a stack is its last
         n = max(1, int(np.count_nonzero(padded <= _GROUP_BYTES)))
         stack, weights, widths = weights[:n], weights[n:], widths[n:]
         sizes, flat = np.array([w.size for w in stack]), np.concatenate(stack)
@@ -601,7 +614,10 @@ def _stacked_swings(weights: list[np.ndarray], totals: np.ndarray, thresholds: n
         swings = _grid_swing_counts(*_grid_stack(by_position), thresholds[:n], rows, flat, flat)
         counts.append(swings >> (sizes.max() - sizes)[rows])  # each padding player doubled its game's counts
         thresholds = thresholds[n:]
-    return np.concatenate(counts)
+    # back in game order: game g's players start at firsts[g] there and at starts[g] in the stacks
+    starts, firsts = np.empty_like(order), np.cumsum(players) - players
+    starts[order] = np.cumsum(players[order]) - players[order]
+    return np.concatenate(counts)[np.repeat(starts - firsts, players) + np.arange(players.sum())]
 
 
 def integer_game_counts(weights: list[np.ndarray], totals: np.ndarray, quotas: np.ndarray) -> np.ndarray:

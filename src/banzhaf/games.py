@@ -493,7 +493,10 @@ def coalition_of(indices: Iterable[int]) -> int:
 
 
 def _mask(coalition: int) -> int:
-    c = operator.index(coalition)
+    try:
+        c = operator.index(coalition)
+    except TypeError:
+        raise InvalidGameError(f"coalition {coalition!r} is not an integer bitmask of players") from None
     if c < 0:
         raise InvalidGameError(f"coalition {c} is negative, not a bitmask of players")
     return c
@@ -513,7 +516,7 @@ def full_coalition(m: int) -> int:
 
 
 def validate_coalition(game: VotingGame, coalition: int) -> None:
-    if coalition < 0 or coalition >> game.num_players:
+    if _mask(coalition) >> game.num_players:
         raise InvalidGameError(
             f"coalition {coalition:#x} has bits outside 0..{game.num_players - 1}"
         )
@@ -715,5 +718,6 @@ def is_critical_assoc(
     i = game.player_index(player)
     row = phi.matrix[i]
     if members_only:
-        row = np.where([(coalition >> j) & 1 for j in range(game.num_players)], row, 0.0)
+        c = _mask(coalition)
+        row = np.where([(c >> j) & 1 for j in range(game.num_players)], row, 0.0)
     return _swings(game, i, coalition, load_sums(row[None], game.weight_matrix)[0].tolist())

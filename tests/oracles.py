@@ -23,6 +23,7 @@ from banzhaf.games import (
     is_critical_classical,
     is_winning,
     removal_breaks,
+    removal_edges,
     seeded_rng,
     single_quota_game,
     sums_win,
@@ -61,30 +62,28 @@ def loop_load(game: VotingGame, phi: AssociationMatrix, i: int, coalition: int) 
     return load
 
 
+def coalition_sums(game: VotingGame, c: int, split: int | None = None) -> tuple[float, ...]:
+    """The sums of coalition ``c``, added in player order; with ``split``, its
+    members below ``split`` and the others are summed apart and then added,
+    the order in which an engine's low and high halves add them."""
+    if split is None:
+        return coalition_weight(game, c)
+    low = coalition_weight(game, c & ((1 << split) - 1))
+    return tuple(h + l for h, l in zip(coalition_weight(game, c >> split << split), low))
+
+
 def winning_coalitions(
     game: VotingGame, strict: bool = False, split: int | None = None
 ) -> list[tuple[int, tuple[float, ...]]]:
     """``(coalition, sums)`` of every coalition that wins under the given
-    convention, summed one coalition at a time in player order; with
-    ``split``, its members below ``split`` and the others are summed apart
-    and then added, the order in which the enumerator's blocks add them."""
+    convention, summed one coalition at a time (`coalition_sums`)."""
     thresholds = game.thresholds(strict)
     out = []
     for c in range(1 << game.num_players):
-        if split is None:
-            sums = coalition_weight(game, c)
-        else:
-            low = coalition_weight(game, c & ((1 << split) - 1))
-            sums = tuple(h + l for h, l in zip(coalition_weight(game, c >> split << split), low))
+        sums = coalition_sums(game, c, split)
         if sums_win(sums, thresholds):
             out.append((c, sums))
     return out
-
-
-def naive_load_swings(game: VotingGame, loads, strict: bool = False) -> list[int]:
-    """Per player, the winning coalitions that removing its row of ``loads``
-    breaks, under either convention."""
-    return naive_stack_swings(winning_coalitions(game, strict), [loads], game.thresholds(strict))[0]
 
 
 def naive_stack_swings(winners, load_matrices, thresholds) -> list[list[int]]:
@@ -138,6 +137,46 @@ def dp_load_swings(game: VotingGame, load_matrices, strict: bool = False) -> lis
         for rows, row_counts in zip(load_rows, out):
             row_counts.append(sum(n for s, n in winners if removal_breaks(s, rows[i], thresholds)))
     return out
+
+
+def pushing_association(m: int) -> AssociationMatrix:
+    """Association where every player pushes every other back: most
+    persuasion loads are negative."""
+    a = -np.ones((m, m))
+    np.fill_diagonal(a, 1.0)
+    return AssociationMatrix(tuple(map(tuple, a.tolist())))
+
+
+def loads_at(edges, thresholds) -> list[float]:
+    """Per dimension, a load whose break edge under the threshold is exactly
+    ``edges[d]`` (found from ``v - t`` by one-ulp steps)."""
+    loads = []
+    for v, t in zip(edges, thresholds):
+        load = v - t
+        for _ in range(8):
+            edge = removal_edges(np.array([load]), [t])[0]
+            if edge == v:
+                break
+            load = np.nextafter(load, np.inf if edge < v else -np.inf)
+        assert edge == v
+        loads.append(load)
+    return loads
+
+
+def boundary_loads(game: VotingGame, strict: bool, top) -> np.ndarray:
+    """An (m, k) load matrix on the enumerator's shortcuts under one
+    convention's thresholds t, a row per player in turn: break edges at t
+    (a dead quota) or one ulp above it, at the full coalition's sums ``top``
+    (t where no coalition reaches it) or one ulp above them (an entry that
+    breaks every winner), three mixes across dimensions, then loads all <= 0
+    and loads of the largest float (edges of +inf)."""
+    t, k = np.array(game.thresholds(strict)), game.num_dimensions
+    top = np.maximum(top, t)
+    first = np.arange(k) == 0
+    up = np.nextafter(t, np.inf), np.nextafter(top, np.inf)
+    edges = [t, up[0], top, up[1], np.where(first, up[0], t), np.where(first, t, up[1]), np.where(first, top, up[0])]
+    rows = [loads_at(v, t) for v in edges] + [np.resize([-2.5, -0.0, 0.0], k), np.full(k, np.finfo(float).max)]
+    return np.array([rows[(i + 3 * strict) % len(rows)] for i in range(game.num_players)])
 
 
 # -- earlier step-by-step versions of edges now found by one search ----------
@@ -280,11 +319,6 @@ def matmul_swing_count(game: VotingGame, i: int, load_row, n: int, seed: int) ->
         )
         done += chunk
     return swings
-
-
-def naive_absolute(game: VotingGame, phi: AssociationMatrix | None = None) -> list[float]:
-    denom = 1 << (game.num_players - 1)
-    return [c / denom for c in naive_swing_counts(game, phi)]
 
 
 def fraction_global_bounds(n: int, m_low: int, top: int) -> tuple[Fraction, Fraction]:

@@ -20,6 +20,7 @@ from banzhaf.data import (
     eu_game,
     random_association,
     random_game,
+    random_weight_rows,
     random_weights,
 )
 from banzhaf.exact import (
@@ -37,7 +38,6 @@ from banzhaf.games import (
     VotingGame,
     persuasion_load,
     persuasion_loads,
-    removal_edges,
     removal_loads,
     seeded_rng,
     single_quota_game,
@@ -45,19 +45,18 @@ from banzhaf.games import (
 )
 
 from oracles import (
+    boundary_loads,
     corpus,
     dp_load_swings,
     loop_conjecture_scan,
     loop_win_bounds,
     naive_gain_loss,
-    naive_load_swings,
     naive_stack_swings,
-    naive_swing_counts,
     parity_games,
     planned,
+    pushing_association,
     winning_coalitions,
 )
-from test_games import small_games
 
 
 def game_321():
@@ -93,15 +92,6 @@ class TestClassical:
         assert exact_indices(g).swing_counts == (2, 0)
         assert exact_indices(g, strict=True).swing_counts == (1, 1)
 
-    def test_multi_quota(self):
-        g = VotingGame(
-            player_ids=("a", "b", "c"),
-            weights=((2.0, 1.0), (1.0, 2.0), (1.0, 1.0)),
-            quotas=(3.0, 3.0),
-        )
-        counts = naive_swing_counts(g)
-        assert exact_indices(g).swing_counts == tuple(counts)
-
 
 class TestAssociation:
     def test_spec_example(self):
@@ -117,11 +107,6 @@ class TestAssociation:
             ident = exact_indices(game, AssociationMatrix.identity(game.num_players))
             assert ident.swing_counts == classical.swing_counts
             assert ident.absolute == classical.absolute
-
-    def test_matches_naive_oracle(self):
-        for game, phi in corpus(30, seed=902, max_players=8, with_phi=True):
-            assert exact_indices(game, phi).swing_counts == tuple(naive_swing_counts(game, phi))
-            assert exact_indices(game).swing_counts == tuple(naive_swing_counts(game))
 
 
 def _python_int_swings(weights, quota):
@@ -157,8 +142,7 @@ class TestTable:
         m, loads = game.num_players, np.array(persuasion_loads(game, phi))
         expected = exact_indices(game, phi).swing_counts
         for bits in (2, 5, m):
-            table = _table(game, bits)
-            assert tuple(table._enumerated_swings(np.arange(m), loads, game.thresholds())) == expected
+            assert tuple(_table(game, bits, "enumeration").swing_counts(loads).tolist()) == expected
 
     def test_winner_blocks_on_a_sorted_half_table(self):
         """A sorted-half table holds only its sorted halves, and builds the
@@ -179,7 +163,6 @@ class TestTable:
         table = CoalitionTable(game)
         assert table.engine == "subset-sum"
         assert "_blocks" not in vars(table) and "_sides" not in vars(table)
-        assert table.swing_counts(game.weight_matrix).tolist() == naive_swing_counts(game)
         winners = sum(s.shape[1] for s, _ in table.winner_blocks(game.winning_thresholds))
         assert winners == len(winning_coalitions(game))
         assert table._blocks[1].shape == (1, 1) and "_sides" not in vars(table)
@@ -296,13 +279,13 @@ def _two_quota_game(m):
     )
 
 
-def _table(game, bits=None):
-    """``CoalitionTable(game)`` with its enumerator's blocks built, and with
-    ``bits`` players in their low half if given (else the default)."""
+def _table(game, bits=None, engine=None):
+    """``CoalitionTable(game, engine)`` with its enumerator's blocks built,
+    and with ``bits`` players in their low half if given (else the default)."""
     with pytest.MonkeyPatch.context() as patch:
         if bits is not None:
             patch.setattr(exact, "_DEFAULT_BLOCK_BITS", bits)
-        table = CoalitionTable(game)
+        table = CoalitionTable(game, engine)
         table._blocks
     return table
 
@@ -374,12 +357,12 @@ class TestCompactedWinners:
         gain/loss from the first load matrix to the others, against the
         oracle; the caches are checked after every scan."""
         for strict in (False, True):
-            winners = len(winning_coalitions(game, strict))
+            winners = winning_coalitions(game, strict)
             for loads in loads_list:
-                expected = naive_load_swings(game, loads, strict)
+                expected = naive_stack_swings(winners, [loads], game.thresholds(strict))[0]
                 for table in tables:
                     assert table.swing_counts(loads, strict=strict).tolist() == expected
-                    _check_cache(table, strict, winners)
+                    _check_cache(table, strict, len(winners))
         base, m = loads_list[0], game.num_players
         for alt in loads_list[1:]:
             expected = naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
@@ -451,20 +434,17 @@ class TestCompactedWinners:
             assert len(table._winning_sets) == 2 - extra
 
     def test_gain_loss_matches_streaming(self):
-        """Single-quota games' gain/loss on the engine each table chose, and
-        enumerated as several quotas are, from a cached and from a streamed
-        winner set, against the oracle."""
+        """Single-quota games' gain/loss enumerated as several quotas are,
+        from a cached and from a streamed winner set, against the oracle."""
         compacted = 0
         for game, phi in corpus(8, seed=913, max_players=12, with_phi=True):
             base = game.weight_matrix
             alt = np.array(persuasion_loads(game, phi))
             expected = naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
-            compact, stream = _table(game), _table(game, 2)
+            compact, stream = _table(game, engine="enumeration"), _table(game, 2, "enumeration")
             for table in (compact, stream):
-                for engine in (table.engine, "enumeration"):
-                    table.engine = engine
-                    got = [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(game.num_players)]
-                    assert got == expected
+                got = [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(game.num_players)]
+                assert got == expected
             assert stream._winning_sets == {}
             compacted += len(compact._winning_sets)
         assert compacted > 0
@@ -489,10 +469,10 @@ class TestCompactedWinners:
 
     def test_large_winning_set_is_not_cached(self):
         game = single_quota_game([1] * 20, 10)
-        table = CoalitionTable(game)
-        counts = table._enumerated_swings(np.arange(20), game.weight_matrix, game.thresholds())
+        table = CoalitionTable(game, "enumeration")
+        counts = table.swing_counts(game.weight_matrix)
         assert table._winning_sets == {}
-        assert list(counts) == [math.comb(19, 9)] * 20
+        assert counts.tolist() == [math.comb(19, 9)] * 20
 
 
 @st.composite
@@ -511,34 +491,33 @@ class TestLoadStacks:
     on every engine, and as the oracle."""
 
     def _stack(self, table, seed):
-        """The loads of `_pulling_against`, which are mostly negative,
-        own-weight loads, two `random_association` PPMs' loads, and under
-        each convention a matrix of `_boundary_loads`."""
+        """The loads of `pushing_association`, mostly negative, own weights,
+        two `random_association` PPMs' loads, and under each convention the
+        `boundary_loads` at the full coalition's sums as the blocks add them."""
         game = table.game
         m = game.num_players
-        phis = (_pulling_against(m), random_association(m, seed), random_association(m, seed + 1))
+        phis = (pushing_association(m), random_association(m, seed), random_association(m, seed + 1))
+        low, high = table._blocks
         return np.array([persuasion_loads(game, phis[0]), game.weight_matrix, *(persuasion_loads(game, phi) for phi in phis[1:]),
-                         *(_boundary_loads(table, strict) for strict in (False, True))])
+                         *(boundary_loads(game, strict, low[:, -1] + high[:, -1]) for strict in (False, True))])
 
-    def _check(self, table, stack, oracle=True):
+    def _check(self, table, stack):
         """Under both conventions: (r, m) counts, each row the single
-        matrix's count, and the oracle's when ``oracle``.  The oracle sums
-        coalitions in player order, except for the last two rows, the
-        `_boundary_loads`, on an enumerating table: those it adds in the
-        table's blocks' order, since an edge on the full coalition's sums in a
-        non-integer dimension tells apart sums that another order rounds an
-        ulp away."""
+        matrix's count and the oracle's.  The oracle sums coalitions in
+        player order, except for the last two rows, the `boundary_loads`:
+        those it adds in the table's blocks' order, since an edge on the full
+        coalition's sums in a non-integer dimension tells apart sums that
+        another order rounds an ulp away."""
         game = table.game
-        split = table._blocks[0].shape[1].bit_length() - 1 if table.engine == "enumeration" else None
+        split = table._blocks[0].shape[1].bit_length() - 1
         for strict in (False, True):
             counts = table.swing_counts(stack, strict=strict)
             assert counts.shape == stack.shape[:2]
             assert counts.tolist() == [table.swing_counts(loads, strict=strict).tolist() for loads in stack]
-            if oracle:
-                t = game.thresholds(strict)
-                expected = naive_stack_swings(winning_coalitions(game, strict), stack[:-2], t)
-                expected += naive_stack_swings(winning_coalitions(game, strict, split), stack[-2:], t)
-                assert counts.tolist() == expected
+            t = game.thresholds(strict)
+            expected = naive_stack_swings(winning_coalitions(game, strict), stack[:-2], t)
+            expected += naive_stack_swings(winning_coalitions(game, strict, split), stack[-2:], t)
+            assert counts.tolist() == expected
 
     def test_eu_game_with_cached_winners(self, monkeypatch):
         """Each country's six rows, grouped by their live quotas, against the
@@ -578,15 +557,6 @@ class TestLoadStacks:
             self._check(table, stack)
             assert table.swing_counts(late).any()
 
-    def test_single_quota_engines(self):
-        """The sum grid, in int64 and in Python ints, and the sorted halves."""
-        games = [single_quota_game([3, 5, 2, 7, 1, 4], 11), single_quota_game([0.5, 1.25, 2.0, 0.75, 3.5], 4.1),
-                 single_quota_game([1 + i % 5 for i in range(70)], 105)]
-        for game, engine in zip(games, ("subset-sum", "sorted-half", "subset-sum")):
-            table = CoalitionTable(game)
-            assert table.engine == engine
-            self._check(table, self._stack(table, 960), oracle=game.num_players <= 6)
-
     @given(multi_quota_games())
     @settings(max_examples=150, deadline=None)
     def test_full_coalition_has_the_largest_sums(self, case):
@@ -620,125 +590,8 @@ class TestLoadStacks:
                 table.swing_counts(np.ones((2, m + 1, k)))
 
 
-def _full_sums(table):
-    """The full coalition's sums: on an enumerating table as its blocks add
-    them, the largest any coalition has, else the weights' totals."""
-    if table.engine != "enumeration":
-        return table.game.weight_matrix.sum(axis=0)
-    low, high = table._blocks
-    return low[:, -1] + high[:, -1]
-
-
-def _loads_at(edges, thresholds):
-    """Per dimension, a load whose break edge under the threshold is exactly
-    ``edges[d]`` (found from ``v - t`` by one-ulp steps)."""
-    loads = []
-    for v, t in zip(edges, thresholds):
-        load = v - t
-        for _ in range(8):
-            edge = removal_edges(np.array([load]), [t])[0]
-            if edge == v:
-                break
-            load = np.nextafter(load, np.inf if edge < v else -np.inf)
-        assert edge == v
-        loads.append(load)
-    return loads
-
-
-def _boundary_loads(table, strict):
-    """An (m, k) load matrix on the enumerator's shortcuts under one
-    convention's thresholds t, a row per player in turn: break edges at t
-    (a dead quota) or one ulp above it, at the full coalition's sums or one
-    ulp above them (an entry that breaks every winner), three mixes across
-    dimensions, then loads all <= 0 and loads of the largest float (edges of
-    +inf)."""
-    game = table.game
-    t, top, k = np.array(game.thresholds(strict)), _full_sums(table), game.num_dimensions
-    first = np.arange(k) == 0
-    up = np.nextafter(t, np.inf), np.nextafter(top, np.inf)
-    edges = [t, up[0], top, up[1], np.where(first, up[0], t), np.where(first, t, up[1]), np.where(first, top, up[0])]
-    rows = [_loads_at(v, t) for v in edges] + [np.resize([-2.5, -0.0, 0.0], k), np.full(k, np.finfo(float).max)]
-    return np.array([rows[(i + 3 * strict) % len(rows)] for i in range(game.num_players)])
-
-
-def _against_enumerator(game, loads_list):
-    """Every count of the sorted-half path on a table of ``game``, and of the
-    engine the table chose, equals the enumerator's over the same sums (its
-    blocks split evenly, as the sorted halves do): swings under both
-    conventions for every load matrix.  Each player's gain/loss from the
-    first matrix to the others is the oracle's on the chosen engine, the
-    sorted halves and the enumerator."""
-    m = game.num_players
-    table, players = _table(game, (m + 1) // 2), np.arange(m)
-    for loads in loads_list:
-        for strict in (False, True):
-            thresholds = game.thresholds(strict)
-            expected = table._enumerated_swings(players, loads, thresholds)
-            assert np.array_equal(table.swing_counts(loads, strict=strict), expected)
-            assert np.array_equal(table._sorted_swings(players, loads, thresholds), expected)
-    base, winners, engines = loads_list[0], winning_coalitions(game), (table.engine, "sorted-half", "enumeration")
-    for alt in loads_list[1:]:
-        expected = naive_gain_loss(winners, base, alt, game.winning_thresholds)
-        for engine in engines:
-            table.engine = engine
-            assert [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)] == expected
-
-
-def _pulling_against(m):
-    """Association where every player pushes every other back: most
-    persuasion loads are negative."""
-    a = -np.ones((m, m))
-    np.fill_diagonal(a, 1.0)
-    return AssociationMatrix(tuple(map(tuple, a.tolist())))
-
-
 class TestSortedHalf:
-    """Single-quota games with non-integer weights count on the sorted halves,
-    and the tests call that path directly on integer games too.  Its counts
-    must be the enumerator's to the bit over the same sums (either convention,
-    any loads) and the brute-force oracle's."""
-
-    def test_oracle_corpus_with_negative_loads(self):
-        for game, phi in corpus(20, seed=921, max_players=8, with_phi=True):
-            against = _pulling_against(game.num_players)
-            loads = [np.array(persuasion_loads(game, p)) for p in (phi, against)]
-            assert (loads[1] < 0).any()
-            assert exact_indices(game, against).swing_counts == tuple(naive_swing_counts(game, against))
-            _against_enumerator(game, [game.weight_matrix, *loads, -game.weight_matrix])
-
-    def test_non_integer_corpus(self):
-        rng = np.random.default_rng(922)
-        for _ in range(30):
-            m = int(rng.integers(2, 11))
-            weights = rng.uniform(0.0, 3.0, size=m)
-            game = single_quota_game(weights.tolist(), float(weights.sum() * rng.uniform(0.2, 0.8)))
-            a = rng.uniform(-1.0, 1.0, size=(m, m))
-            np.fill_diagonal(a, 1.0)
-            loads = np.array(persuasion_loads(game, AssociationMatrix(tuple(map(tuple, a.tolist())))))
-            assert exact_indices(game).swing_counts == tuple(naive_swing_counts(game))
-            _against_enumerator(game, [game.weight_matrix, loads])
-
-    def test_thresholds_and_loads_on_coalition_sums(self):
-        """Thresholds set to a coalition sum as the table forms it, and one
-        ulp either side, so that the bounds' first guesses must be corrected
-        across runs of equal sums; loads likewise put ``s - l`` on them."""
-        rng = np.random.default_rng(923)
-        for _ in range(12):
-            m = int(rng.integers(3, 10))
-            weights = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 2.5], size=m)
-            game = single_quota_game(weights.tolist(), float(weights.sum() / 2))
-            # the enumerator's blocks split evenly, as the sorted halves do
-            table, players = _table(game, (m + 1) // 2), np.arange(m)
-            low, high = table._blocks
-            sums = (high[0][:, None] + low[0][None, :]).ravel()
-            for s in rng.choice(sums, size=3):
-                for t in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)):
-                    thresholds = (float(t),)
-                    shift = float(rng.choice(sums)) - float(t)
-                    for loads in (game.weight_matrix, game.weight_matrix * 0 + shift):
-                        counts = table._sorted_swings(players, loads, thresholds)
-                        expected = table._enumerated_swings(players, loads, thresholds)
-                        assert np.array_equal(counts, expected)
+    """The sorted halves' searches, against the loops they replaced."""
 
     def test_win_edge_is_the_break_edge_at_load_zero(self):
         """Where the coalitions of each scanned sum start to win, among the
@@ -753,11 +606,6 @@ class TestSortedHalf:
                     edge = _break_bounds(own, other, np.zeros(1), thresholds)[0]
                     assert np.array_equal(edge, loop_win_bounds(own, other, thresholds))
                     assert np.array_equal(edge, np.count_nonzero(~sums_win((sums,), thresholds), axis=1))
-
-    @given(small_games())
-    @settings(max_examples=150, deadline=None)
-    def test_small_games(self, game):
-        _against_enumerator(game, [game.weight_matrix, game.weight_matrix[::-1] - 1.0])
 
 
 class TestLargeSingleQuota:
@@ -801,21 +649,10 @@ class TestLargeSingleQuota:
         assert counts[twos:] == (others(twos, ones - 1, {quota - 1}),) * ones
 
 
-@st.composite
-def grid_games(draw):
-    """An integer single-quota game of 1 to 12 players, with many zero
-    weights and an integral, half-integral or +0.01 quota, and a seed for a
-    random association."""
-    weights = draw(st.lists(st.integers(0, 7), min_size=1, max_size=12).filter(any))
-    quota = draw(st.integers(1, sum(weights) + 1)) + draw(st.sampled_from([0.0, -0.5, 0.01]))
-    return single_quota_game(weights, quota), draw(st.integers(0, 2**16))
-
-
 class TestSumGrid:
-    """Integer single-quota games count on their sum grid.  Its counts must
-    be the sorted halves' and the brute-force oracle's under either
-    convention and any loads, negative ones included, and stay exact past
-    int64."""
+    """Integer single-quota games count on their sum grid, chosen by the
+    engine plan; its counts agree however its gathers are cut and stay exact
+    past int64 (tests/test_engines.py checks them against the oracle)."""
 
     def test_engine_is_chosen_once_per_table(self):
         assert CoalitionTable(single_quota_game([3, 2, 1], 4)).engine == "subset-sum"
@@ -867,31 +704,19 @@ class TestSumGrid:
         with pytest.warns(RuntimeWarning, match=r"^enumerating 2\^26 coalitions; expect a long run$") as record:
             assert exact.engine_plan(26, 3) == "enumeration"
         assert len(record) == 1 and record[0].filename == __file__
-
-    @given(grid_games())
-    @settings(max_examples=200, deadline=None)
-    def test_parity_with_the_sorted_halves_and_the_oracle(self, case):
-        game, seed = case
-        m = game.num_players
-        table = CoalitionTable(game)
-        assert table.engine == "subset-sum"
-        against = np.array(persuasion_loads(game, _pulling_against(m)))
-        loads = [game.weight_matrix, np.array(persuasion_loads(game, random_association(m, seed))), against]
-        for strict in (False, True):
-            thresholds = game.thresholds(strict)
-            for rows in loads:
-                counts = table.swing_counts(rows, strict=strict)
-                assert np.array_equal(counts, table._sorted_swings(np.arange(m), rows, thresholds))
-                if m <= 8:
-                    assert counts.tolist() == naive_load_swings(game, rows, strict)
-        base = loads[0]
-        for alt in loads[1:]:
-            got = [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)]
-            if m <= 8:
-                assert got == naive_gain_loss(winning_coalitions(game), base, alt, game.winning_thresholds)
-            table.engine = "sorted-half"
-            assert [table.criticality_gain_loss(i, base[i], alt[i]) for i in range(m)] == got
-            table.engine = "subset-sum"
+        # a named engine must count the game (the grid would truncate these
+        # weights, and no single-quota engine reads a second quota), and the
+        # enumeration counts any game
+        decimals = single_quota_game([0.5, 0.5, 0.5, 1.2], 1.4)
+        three = VotingGame(("a", "b"), ((1, 2, 3), (3, 2, 1)), (2, 2, 2))
+        for game, engine, kind in ((decimals, "subset-sum", "1 quota(s) and non-integer"),
+                                   (three, "subset-sum", "3 quota(s) and integer"),
+                                   (three, "sorted-half", "3 quota(s) and integer")):
+            with pytest.raises(InvalidGameError, match=f"^the {engine} engine does not count games of {re.escape(kind)} weights$"):
+                CoalitionTable(game, engine)
+        with pytest.raises(InvalidGameError, match="^unknown engine 'bogus', not one of subset-sum, sorted-half, enumeration$"):
+            CoalitionTable(decimals, "bogus")
+        assert exact_indices(decimals, table=CoalitionTable(decimals, "enumeration")).swing_counts == (2, 2, 2, 6)
 
     @pytest.mark.parametrize("budget", [16 * 3, 16 * 40])
     def test_gathers_cut_to_any_budget_agree(self, monkeypatch, budget):
@@ -921,6 +746,8 @@ class TestSumGrid:
         expected = dp_load_swings(game, [game.weight_matrix, np.array(persuasion_loads(game, phi))])
         classical, assoc = exact_indices(game), exact_indices(game, phi)
         assert [list(classical.swing_counts), list(assoc.swing_counts)] == expected
+        stack = np.array([game.weight_matrix, persuasion_loads(game, phi)])
+        assert CoalitionTable(game).swing_counts(stack).tolist() == expected  # one (2, m, 1) stack
         assert max(classical.swing_counts) >= 2**63
         assert {type(c) for c in classical.swing_counts + assoc.swing_counts} == {int}
         path = tmp_path / "game.json"
@@ -950,24 +777,24 @@ class TestSumGrid:
 
 
 def _grid_games(games):
-    """The weights, totals and thresholds of those of ``games`` that the
-    engine choice counts on the sum grid, and their `exact_indices` counts."""
+    """The weights, totals and quotas of those of ``games`` that the engine
+    plan counts on the sum grid, and their `exact_indices` counts."""
     games = [g for g in games if planned(g) == "subset-sum"]
     weights = [g.weight_matrix[:, 0].astype(np.int64) for g in games]
-    thresholds = np.array([g.winning_thresholds[0] for g in games])
-    return weights, np.array([w.sum() for w in weights]), thresholds, [c for g in games for c in exact_indices(g).swing_counts]
+    quotas = np.array([g.quotas[0] for g in games])
+    return weights, np.array([w.sum() for w in weights]), quotas, [c for g in games for c in exact_indices(g).swing_counts]
 
 
 class TestClassicalReports:
-    """`exact._stacked_swings` counts integer games together, in stacks of
-    sum grids, to the bits of `exact_indices`."""
+    """`exact.integer_game_counts` counts integer games together, in stacks
+    of sum grids, to the bits of `exact_indices`."""
 
     def test_equals_exact_indices(self):
         # integer, zero-heavy and boundary-tolerance games of 1 to 15 players
-        weights, totals, thresholds, expected = _grid_games(parity_games(400, seed=1601, max_players=15))
+        weights, totals, quotas, expected = _grid_games(parity_games(400, seed=1601, max_players=15))
         assert {w.size for w in weights} == set(range(1, 16))
         assert len(weights) > 150
-        assert exact._stacked_swings(weights, totals, thresholds).tolist() == expected
+        assert exact.integer_game_counts(weights, totals, quotas).tolist() == expected
 
     def test_stacks_mix_with_tables_and_python_ints(self):
         # heavy 3- and 4-player games, some of which a table of their own
@@ -984,10 +811,10 @@ class TestClassicalReports:
 
     def test_only_games_a_stack_cannot_count_are_built(self, monkeypatch):
         """The default spec's first 1,024 seed-0 trials are all stacked, though
-        a table of their own would count some on the sorted halves; a 4-player
-        game of total about 10^5, whose stacked work passes a lone table's, is
-        built, and so is a game whose threshold is not positive, which raises
-        its game's error."""
+        a table of their own would count some on the sorted halves; 4-player
+        games of total about 10^5 and 3 * 10^5, whose stacked work passes a
+        lone table's, are built, and so is a game whose threshold is not
+        positive, which raises its game's error."""
         spec = RandomGameSpec()
         games = [random_game(seeded_rng(0, t), spec) for t in range(1024)]
         expected = [c for g in games for c in exact_indices(g).swing_counts]
@@ -1005,17 +832,31 @@ class TestClassicalReports:
         counts = [c for t in range(0, 1024, 128) for c in bounds._window_counts(0, range(t, t + 128), spec)[3]]
         assert counts == expected
         monkeypatch.setattr(exact, "single_quota_game", build)
-        heavy, light = [25_000, 25_001, 24_999, 25_003], [3, 5, 2, 7, 1]
-        weights = [np.array(w, dtype=np.int64) for w in (light, heavy, light)]
-        totals, quotas = np.array([18, 100_003, 18]), np.array([9.0, 50_001.5, 10.0])
-        assert planned(single_quota_game(heavy, 50_001.5), stacked=True) == "sorted-half"
+        heavy, light, heavier = [25_000, 25_001, 24_999, 25_003], [3, 5, 2, 7, 1], [1, 100_000, 100_000, 100_000]
+        weights = [np.array(w, dtype=np.int64) for w in (light, heavy, light, heavier)]
+        totals, quotas = np.array([18, 100_003, 18, 300_001]), np.array([9.0, 50_001.5, 10.0, 150_000.5])
+        for w, t, q in zip((heavy, heavier), totals[1::2], quotas[1::2]):
+            assert planned(single_quota_game(w, q), stacked=True) == "sorted-half"
+            assert exact.engine_plan(4, 1, True, t, stacked=True) == "sorted-half"
         assert exact.integer_game_counts(weights, totals, quotas).tolist() == [
             c for w, q in zip(weights, quotas) for c in exact_indices(single_quota_game(w.tolist(), q)).swing_counts]
-        assert built == [heavy]
+        assert built == [heavy, heavier]
         built.clear()
         with pytest.raises(InvalidGameError, match="boundary tolerance .* reaches the quota"):
-            exact.integer_game_counts(weights, totals, np.array([9.0, 50_001.5, 1e-14]))
+            exact.integer_game_counts(weights, totals, np.array([9.0, 50_001.5, 1e-14, 150_000.5]))
         assert built == [heavy, light]
+
+    def test_stacks_in_order_of_total(self, monkeypatch):
+        """A heavy game first in a window is stacked after the light ones, whose
+        stack stays as narrow as they are; the counts come back in trial order."""
+        heavy = np.array([256, 255, 257, 256])  # W = 1,024: 63 such widths fill a stack
+        weights = [heavy, *random_weight_rows(0, range(127), RandomGameSpec())]
+        totals = np.array([w.sum() for w in weights])
+        count, shapes = exact._grid_swing_counts, []  # each stack's (games, width)
+        monkeypatch.setattr(exact, "_grid_swing_counts", lambda prefix, *rest: shapes.append(prefix.shape) or count(prefix, *rest))
+        counts = exact.integer_game_counts(weights, totals, totals / 2).tolist()
+        assert counts == [c for w in weights for c in exact_indices(single_quota_game(w.tolist(), w.sum() / 2)).swing_counts]
+        assert shapes[0][0] == 127 and shapes[0][1] < 300 and shapes[1][0] == 1
 
     def test_two_decimal_quotas(self):
         # integer weights against quotas rounded to 0, 1 or 2 decimals: those
@@ -1026,9 +867,9 @@ class TestClassicalReports:
             weights = rng.integers(0, 30, int(rng.integers(1, 14)))
             quota = max(0.01, round(float(rng.uniform(0.05, 1.0) * weights.sum()), int(rng.integers(0, 3))))
             games.append(single_quota_game(weights.tolist(), quota))
-        weights, totals, thresholds, expected = _grid_games(games)
+        weights, totals, quotas, expected = _grid_games(games)
         assert len(weights) > 250
-        assert exact._stacked_swings(weights, totals, thresholds).tolist() == expected
+        assert exact.integer_game_counts(weights, totals, quotas).tolist() == expected
 
     @pytest.mark.parametrize("budget", [8, 5 * (8 << 5), 8 * (8 << 8)])
     def test_chunks_of_any_size_agree(self, monkeypatch, budget):
@@ -1036,23 +877,22 @@ class TestClassicalReports:
         # budget at 16 bytes per count: the first budget fits no row, so each
         # stack holds one game; the second fits 80 counts, a few light games
         # or one heavier game, and the third 1,024 counts
-        weights, totals, thresholds, expected = _grid_games(parity_games(150, seed=1603, max_players=8))
+        weights, totals, quotas, expected = _grid_games(parity_games(150, seed=1603, max_players=8))
         monkeypatch.setattr(exact, "_GROUP_BYTES", budget)
-        assert exact._stacked_swings(weights, totals, thresholds).tolist() == expected
+        assert exact.integer_game_counts(weights, totals, quotas).tolist() == expected
 
     def test_memory_within_one_stack(self):
         """A stack's prefix and its shifted copy fit `_GROUP_BYTES`, and its
         count adds at most one gather of that size, however many games there
         are: 400 games of 12 players weighing up to 100 (up to 1,202 counts a
-        row) take six stacks.  The counts, which outlive the count, are not
-        counted."""
+        row) take five stacks, in order of total.  The counts, which outlive
+        the count, are not counted."""
         spec = RandomGameSpec(min_players=12, max_weight=100)
         weights = [random_weights(seeded_rng(1605, t), spec) for t in range(400)]
         totals = np.array([w.sum() for w in weights])
-        thresholds = totals / 2
         tracemalloc.start()
         try:
-            counts = exact._stacked_swings(weights, totals, thresholds)
+            counts = exact.integer_game_counts(weights, totals, totals / 2)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

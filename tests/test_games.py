@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banzhaf.bounds import all_critical_weight_check
 from banzhaf.data import RandomGameSpec, random_weights
-from banzhaf.exact import CoalitionTable, exact_indices
 from banzhaf.games import (
     check_association,
     AssociationMatrix,
@@ -526,6 +526,16 @@ class TestCoalitions:
         with pytest.raises(InvalidGameError):
             validate_coalition(g, -1)
 
+    @pytest.mark.parametrize("mask", [3.0, np.float64(3), "3", None], ids=["float", "numpy-float", "str", "none"])
+    def test_non_integer_mask_rejected(self, mask):
+        g, message = game_321(), f"^coalition {re.escape(repr(mask))} is not an integer bitmask of players$"
+        for call in (lambda: coalition_members(mask), lambda: coalition_size(mask), lambda: validate_coalition(g, mask),
+                     lambda: is_winning(g, mask), lambda: is_critical_classical(g, 0, mask),
+                     lambda: is_critical_assoc(g, AssociationMatrix.identity(3), 0, mask, members_only=True),
+                     lambda: all_critical_weight_check(g, mask)):
+            with pytest.raises(InvalidGameError, match=message):
+                call()
+
 
 class TestWinning:
     def test_boundary_is_winning(self):
@@ -779,21 +789,6 @@ class TestKernel:
             assert removal_breaks(pair, (l,), g.thresholds(strict)) == breaks
             if not strict:
                 assert is_critical_classical(g, 1, 0b011) == breaks
-            # the exact engine under the same convention
-            literal = [0, 0, 0]
-            for c in range(1, 8):
-                s = coalition_weight(g, c)[0]
-                for i in coalition_members(c):
-                    s_out = s - g.weights[i][0]
-                    if strict and s > q + tol and not s_out > q + tol:
-                        literal[i] += 1
-                    if not strict and s >= q - tol and s_out < q - tol:
-                        literal[i] += 1
-            assert list(exact_indices(g, strict=strict).swing_counts) == literal
-            # counted on the sorted halves and enumerated
-            table, loads = CoalitionTable(g), g.weight_matrix
-            assert list(table.swing_counts(loads, strict=strict)) == literal
-            assert list(table._enumerated_swings(np.arange(3), loads, g.thresholds(strict))) == literal
         assert seen_wins == [False, not strict, True]
 
 
