@@ -157,6 +157,13 @@ class GlobalBounds:
     bound2_violated: bool | None
 
 
+def _require_classical(game: VotingGame, report: IndexReport, what: str) -> None:
+    """The bounds and the conjecture's cap hold for classical indices only."""
+    require_same_players(game, report)
+    if report.mode != "classical":
+        raise InvalidGameError(f"{what} needs a classical report, got mode {report.mode!r}")
+
+
 def global_bounds(game: VotingGame, exact: IndexReport | None = None) -> GlobalBounds:
     """Evaluate both game-level bounds over the size window.
 
@@ -177,7 +184,7 @@ def global_bounds(game: VotingGame, exact: IndexReport | None = None) -> GlobalB
     bound2 = float(Fraction(isum, n * total) - Fraction(1, 2))
     b1v = b2v = None
     if exact is not None:
-        require_same_players(game, exact)
+        _require_classical(game, exact, "global_bounds")
         peak = max(exact.absolute)
         b1v = peak > bound1
         b2v = peak > bound2
@@ -211,6 +218,7 @@ def bounds_report(game: VotingGame, exact: IndexReport | None = None) -> BoundsR
     hts = tuple(_profile_bound(m, t, h) for t, h in profiles)
     ht_violations = None
     if exact is not None:
+        _require_classical(game, exact, "bounds_report")
         ht_violations = tuple(a > b for a, b in zip(exact.absolute, hts))
     return BoundsReport(
         **vars(global_bounds(game, exact)),
@@ -313,7 +321,7 @@ def conjecture_check(
         )
     if report is None:
         report = exact_indices(game)
-    require_same_players(game, report)
+    _require_classical(game, report, "conjecture_check")
     return _cap_check([game.weight_matrix[:, 0]], [total], game.quotas, game.player_ids, np.array(report.normalized))
 
 

@@ -7,16 +7,16 @@ max-weight cap).  ``eu --random-association`` renders the counts of
 `exact.association_study`.  Reports go to stdout or ``--out``; formats are
 ``table``, ``json`` and ``csv``, with the same numbers at the same precision.
 
-Exit codes: 0 success, 1 usage error, 2 data or invariant error.
+Exit codes: 0 success or ``--help``, 1 usage error or Ctrl-C, 2 data or invariant error.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from .games import AssociationMatrix, InvalidGameError, VotingGame, require_single_quota, seeded_rng
@@ -26,6 +26,10 @@ from .bounds import bounds_report, conjecture_scan, size_window
 from .data import RandomGameSpec, build_migration_association, eu_game, load_game_file, load_migration_csv_file
 
 FORMATS = ("table", "json", "csv")
+
+
+class UsageError(Exception):
+    """A command line the CLI cannot run (exit code 1)."""
 
 
 def _load_game_arg(value: str) -> VotingGame:
@@ -107,29 +111,65 @@ def _emit(
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        # an explicit file keeps click from caching (and so pinning) the stream
-        click.echo(text, nl=False, file=sys.stdout)
+        sys.stdout.write(text)
 
 
-def _common_options(f):
-    f = click.option("--format", "fmt", type=click.Choice(FORMATS), default="table",
-                     show_default=True, help="Report format.")(f)
-    f = click.option("--precision", type=click.IntRange(min=0), default=5, show_default=True,
-                     help="Decimal places in the report.")(f)
-    f = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                     help="Write the report to a file instead of stdout.")(f)
-    return f
+class _Parser(argparse.ArgumentParser):
+    """Takes no option prefixes, answers ``--help`` alone (on stdout), and
+    raises `UsageError` where argparse would print usage and exit 2."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
-def _association_options(f):
-    f = click.option("--identity", is_flag=True, help="Force the identity association matrix.")(f)
-    return click.option("--association", type=click.Path(exists=True, dir_okay=False), default=None,
-                        help="Association matrix file (JSON rows).")(f)
+def _file(must_exist: bool) -> dict:
+    """A ``FILE`` option, checked as it is parsed: never a directory."""
+
+    def check(path: str) -> str:
+        if Path(path).is_dir():
+            raise argparse.ArgumentTypeError(f"File '{path}' is a directory.")
+        if must_exist and not Path(path).exists():
+            raise argparse.ArgumentTypeError(f"File '{path}' does not exist.")
+        return path
+
+    return dict(type=check, metavar="FILE")
+
+
+# options as (flag, add_argument keywords); argparse fills in "%(default)s"
+_GAME = ("--game", dict(dest="game_src", metavar="GAME", required=True,
+                        help="Game file (JSON), or 'eu' for the built-in EU game."))
+_ASSOCIATION = (("--association", dict(**_file(True), help="Association matrix file (JSON rows).")),
+                ("--identity", dict(action="store_true", help="Force the identity association matrix.")))
+_REPORT = (
+    ("--format", dict(dest="fmt", choices=FORMATS, default="table",
+                      help="Report format. [default: %(default)s]")),
+    ("--precision", dict(type=int, default=5, help="Decimal places in the report. [default: %(default)s]")),
+    ("--out", dict(**_file(False), help="Write the report to a file instead of stdout.")),
+)
+_PARSER = _Parser(prog="banzhaf", description="Banzhaf power indices for weighted voting games.")
+_COMMANDS = _PARSER.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+def _command(name: str, *options: tuple[str, dict]):
+    """Adds the decorated body to the parser as command ``name``, with ``options`` and `_REPORT`."""
+
+    def add(body):
+        sub = _COMMANDS.add_parser(name, help=body.__doc__, description=body.__doc__)
+        for flag, keywords in (*options, *_REPORT):
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(command=body)
+        return body
+
+    return add
 
 
 def _resolve_phi(game: VotingGame, association: str | None, identity: bool) -> AssociationMatrix | None:
     if association and identity:
-        raise click.UsageError("--association and --identity are mutually exclusive")
+        raise UsageError("--association and --identity are mutually exclusive")
     if identity:
         return AssociationMatrix.identity(game.num_players)
     if association:
@@ -137,40 +177,7 @@ def _resolve_phi(game: VotingGame, association: str | None, identity: bool) -> A
     return game.association
 
 
-def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
-    """click's help callback, but echoing to an explicit file: click's own
-    echoes without one, which caches (and so pins) a redirected stdout."""
-    if value and not ctx.resilient_parsing:
-        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
-        ctx.exit()
-
-
-class _HelpToStdout:
-    def get_help_option(self, ctx: click.Context) -> click.Option | None:
-        option = super().get_help_option(ctx)  # type: ignore[misc]
-        if option is not None:
-            option.callback = _show_help
-        return option
-
-
-class _Command(_HelpToStdout, click.Command):
-    pass
-
-
-class _Group(_HelpToStdout, click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-def cli() -> None:
-    """Banzhaf power indices for weighted voting games."""
-
-
-@cli.command("exact")
-@click.option("--game", "game_src", required=True,
-              help="Game file (JSON), or 'eu' for the built-in EU game.")
-@_association_options
-@_common_options
+@_command("exact", _GAME, *_ASSOCIATION)
 def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
     """Exact indices over every coalition."""
     game = _load_game_arg(game_src)
@@ -191,20 +198,15 @@ def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
     _emit(fmt, precision, out, header, payload)
 
 
-@cli.command("approx")
-@click.option("--game", "game_src", required=True,
-              help="Game file (JSON), or 'eu' for the built-in EU game.")
-@_association_options
-@click.option("--epsilon", type=float, required=True, help="Target halfwidth.")
-@click.option("--delta", type=float, required=True, help="Confidence parameter.")
-@click.option("--method", type=click.Choice(CI_METHODS),
-              default="hoeffding", show_default=True,
-              help="Interval: hoeffding (distribution-free), student (asymptotic, "
-                   "may under-cover at small n) or selfbounding.")
-@click.option("--samples", type=int, default=None,
-              help="Sample count per player; derived from epsilon/delta when absent.")
-@click.option("--seed", type=int, required=True)
-@_common_options
+@_command("approx", _GAME, *_ASSOCIATION,
+          ("--epsilon", dict(type=float, required=True, help="Target halfwidth.")),
+          ("--delta", dict(type=float, required=True, help="Confidence parameter.")),
+          ("--method", dict(choices=CI_METHODS, default="hoeffding",
+                            help="Interval: hoeffding (distribution-free), student (asymptotic, "
+                                 "may under-cover at small n) or selfbounding. [default: %(default)s]")),
+          ("--samples", dict(type=int,
+                             help="Sample count per player; derived from epsilon/delta when absent.")),
+          ("--seed", dict(type=int, required=True)))
 def approx_cmd(game_src, association, identity, epsilon, delta, method, samples, seed,
                fmt, precision, out) -> None:
     """Monte Carlo estimates with per-player confidence intervals."""
@@ -215,7 +217,7 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
             # worst-case Bernoulli variance; no pilot run at the CLI
             samples = required_samples(epsilon, delta, "student", s2=0.25)
         elif method == "selfbounding":
-            u = index_cap(game, range(game.num_players))
+            u = index_cap(game, range(game.num_players)) if phi is None else 1.0  # a classical-only cap
             samples = required_samples(epsilon, delta, "selfbounding", B=2.0 * u + epsilon)
         else:
             samples = required_samples(epsilon, delta, "hoeffding")
@@ -249,11 +251,7 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
     _emit(fmt, precision, out, header, payload)
 
 
-@cli.command("bounds")
-@click.option("--game", "game_src", required=True,
-              help="Game file (JSON), or 'eu' for the built-in EU game.")
-@click.option("--player", default=None, help="Restrict the per-player rows to one player.")
-@_common_options
+@_command("bounds", _GAME, ("--player", dict(help="Restrict the per-player rows to one player.")))
 def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     """Combinatorial bound diagnostics (single-quota games)."""
     game = _load_game_arg(game_src)
@@ -298,21 +296,17 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     _emit(fmt, precision, out, header, payload, footer=footer)
 
 
-@cli.command("eu")
-@click.option("--migration", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Migration CSV; adds association-aware indices.")
-@click.option("--random-association", "random_assoc", is_flag=True,
-              help="Average association-aware indices over random matrices.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--runs", type=int, default=100, show_default=True,
-              help="Number of random matrices.")
-@_common_options
+@_command("eu", ("--migration", dict(**_file(True), help="Migration CSV; adds association-aware indices.")),
+          ("--random-association", dict(dest="random_assoc", action="store_true",
+                                        help="Average association-aware indices over random matrices.")),
+          ("--seed", dict(type=int, default=0, help="[default: %(default)s]")),
+          ("--runs", dict(type=int, default=100, help="Number of random matrices. [default: %(default)s]")))
 def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
     """The 18-country EU Council study."""
     if migration and random_assoc:
-        raise click.UsageError("--migration and --random-association are mutually exclusive")
+        raise UsageError("--migration and --random-association are mutually exclusive")
     if random_assoc and runs <= 0:
-        raise click.UsageError("--runs must be positive")
+        raise UsageError("--runs must be positive")
     game = eu_game()
     if random_assoc:
         seeded_rng(seed)  # rejects a bad seed before the table is built
@@ -357,12 +351,10 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
     _emit(fmt, precision, out, header, payload, rows)
 
 
-@cli.command("conjecture")
-@click.option("--trials", type=int, required=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--max-players", type=int, default=12, show_default=True)
-@click.option("--max-weight", type=int, default=20, show_default=True)
-@_common_options
+@_command("conjecture", ("--trials", dict(type=int, required=True)),
+          ("--seed", dict(type=int, required=True)),
+          ("--max-players", dict(type=int, default=12, help="[default: %(default)s]")),
+          ("--max-weight", dict(type=int, default=20, help="[default: %(default)s]")))
 def conjecture_cmd(trials, seed, max_players, max_weight, fmt, precision, out) -> None:
     """Scan random games for violations of the max-weight index cap."""
     spec = RandomGameSpec(max_players=max_players, max_weight=max_weight)
@@ -384,14 +376,21 @@ def conjecture_cmd(trials, seed, max_players, max_weight, fmt, precision, out) -
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", file=sys.stderr)
+        args = vars(_PARSER.parse_args(argv))
+        if args["precision"] < 0:  # not an argparse type, which would reword the message
+            raise UsageError(f"Invalid value for '--precision': {args['precision']} "
+                             "is not in the range x>=0.")
+        args.pop("command")(**args)
+    except SystemExit:  # argparse exits only once --help is printed
+        return 0
+    except UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except click.Abort:
+    except KeyboardInterrupt:
+        sys.stderr.write("\n")
         return 1
     except (ValueError, OSError) as exc:  # InvalidGameError is a ValueError
-        click.echo(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0
 

@@ -28,6 +28,7 @@ from banzhaf.cli import main
 from banzhaf.data import RandomGameSpec, load_game_file, random_game, random_weights
 from banzhaf.exact import SINGLE_QUOTA_PLAYER_CAP, exact_indices
 from banzhaf.games import (
+    AssociationMatrix,
     InvalidGameError,
     VotingGame,
     coalition_of,
@@ -77,6 +78,17 @@ def other_reports():
         exact_indices(single_quota_game([1, 1, 1, 1, 9], 7)),
         exact_indices(single_quota_game([3, 2, 1], 4, player_ids=("a", "b", "c"))),
     )
+
+
+@pytest.mark.parametrize("check", [bounds_report, global_bounds, conjecture_check])
+def test_association_report_is_rejected(check):
+    """The bounds and the conjecture's cap are about classical indices: a
+    report of association-aware ones is refused, not flagged against them."""
+    game = game_321()
+    report = exact_indices(game, AssociationMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    assert report.mode == "association"
+    with pytest.raises(InvalidGameError, match="needs a classical report, got mode 'association'"):
+        check(game, report)
 
 
 def multi_quota_game():

@@ -2,7 +2,11 @@ import contextlib
 import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -174,6 +178,18 @@ class TestApprox:
         doc = json.loads(out)
         # B = 2 * min(1, max ht bound) + epsilon = 2 * 0.75 + 0.2
         assert doc["samples"] == 128
+
+    def test_selfbounding_with_association_derives_samples_from_cap_1(self, capsys, g3, tmp_path):
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            ["approx", "--game", g3, "--association", str(phi_path), "--epsilon", "0.2",
+             "--delta", "0.1", "--method", "selfbounding", "--seed", "2", "--format", "json"],
+        )
+        assert code == 0
+        # ht_bound caps classical indices only, so B = 2 * 1 + epsilon
+        assert json.loads(out)["samples"] == sampling.required_samples(0.2, 0.1, "selfbounding", B=2.2) == 165
 
     @pytest.mark.parametrize("command", ["exact", "approx"])
     def test_association_options_have_help(self, capsys, command):
@@ -424,6 +440,91 @@ def test_negative_precision_is_usage_error(capsys, g3, fmt):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["exact"],
+        ["exact", "--game"],
+        ["exact", "--gam", "{game}"],
+        ["exact", "--game", "{game}", "--frob"],
+        ["exact", "--game", "{game}", "extra"],
+        ["eu", "--migration", "{missing}"],
+        ["eu", "--migration", "{dir}"],
+        ["exact", "--game", "{game}", "--association", "{missing}"],
+        ["exact", "--game", "{game}", "--association", "{dir}"],
+        ["exact", "--game", "{game}", "--out", "{dir}"],
+        ["exact", "--game", "{game}", "--precision", "-1"],
+    ],
+    ids=["no-command", "no-game", "game-without-value", "option-prefix", "unknown-option",
+         "extra-argument", "migration-missing", "migration-directory", "association-missing",
+         "association-directory", "out-directory", "negative-precision"],
+)
+def test_usage_errors(capsys, g3, tmp_path, argv):
+    """A command line the CLI cannot run exits 1 before any work, with stdout
+    empty and one usage error on stderr."""
+    paths = {"game": g3, "dir": str(tmp_path), "missing": str(tmp_path / "missing.json")}
+    code, out, err = run(capsys, [a.format(**paths) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ")
+
+
+_REPORT_OPTIONS = ["--format", "--precision", "--out"]
+_OPTIONS = {
+    "exact": ["--game", "--association", "--identity"],
+    "approx": ["--game", "--association", "--identity", "--epsilon", "--delta", "--method",
+               "--samples", "--seed"],
+    "bounds": ["--game", "--player"],
+    "eu": ["--migration", "--random-association", "--seed", "--runs"],
+    "conjecture": ["--trials", "--seed", "--max-players", "--max-weight"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *_OPTIONS])
+def test_help_lists_every_option(command):
+    """``--help`` exits 0 and writes to the stdout of the moment: the top
+    level lists the commands, each command its options."""
+    argv = ["--help"] if command is None else [command, "--help"]
+    listed = [*_OPTIONS] if command is None else [*_OPTIONS[command], *_REPORT_OPTIONS]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    assert err.getvalue() == ""
+    for name in ("--help", *listed):
+        assert re.search(rf"(?m)^ +{re.escape(name)}\b", out.getvalue()), name
+
+
+def test_every_command_runs_without_click(tmp_path):
+    """click is no dependency: with its import blocked, every command runs."""
+    docs = Path(__file__).resolve().parents[1] / "docs"
+    single = tmp_path / "single.json"
+    single.write_text(dump_game(single_quota_game([3, 2, 1], 4)), encoding="utf-8")
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        sys.modules["click"] = None
+        from banzhaf.cli import main
+        sample = {str(docs / "sample-game.json")!r}
+        for argv in (
+            ["--help"],
+            ["exact", "--game", sample],
+            ["approx", "--game", sample, "--epsilon", "0.1", "--delta", "0.1", "--seed", "1"],
+            ["bounds", "--game", {str(single)!r}],
+            ["eu"],
+            ["eu", "--random-association", "--runs", "2"],
+            ["conjecture", "--trials", "5", "--seed", "0"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, ["frobnicate"])
@@ -441,7 +542,7 @@ class TestExitCodes:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        # click turns Ctrl-C into Abort, after a newline on stderr
+        # Ctrl-C ends the run with exit code 1, after a newline on stderr
         monkeypatch.setattr("banzhaf.cli.exact_indices", interrupt)
         assert run(capsys, ["exact", "--game", g3]) == (1, "", "\n")
 

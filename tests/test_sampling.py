@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from banzhaf import sampling
-from banzhaf.data import eu_game, random_association
+from banzhaf.bounds import ht_bound
+from banzhaf.data import RandomGameSpec, eu_game, random_association, random_game
 from banzhaf.exact import exact_indices
 from banzhaf.games import (
     AssociationMatrix,
@@ -500,6 +501,36 @@ class TestCoverage:
             if all(abs(e - x) <= 0.1 for e, x in zip(r.estimates, exact)):
                 hits += 1
         assert hits >= 36
+
+    def test_selfbounding_cap_reaches_association_indices(self):
+        """`ht_bound` caps classical indices only.  Under association
+        matrices with entries on [0, 1], the cap u = (B - halfwidth) / 2 of
+        every player's default interval reaches its exact index (126
+        players of these 60 games fell below when u was their ht_bound)."""
+        for t in range(60):
+            game = random_game(seeded_rng(t), RandomGameSpec(max_players=8))
+            phi = AssociationMatrix(np.abs(random_association(game.num_players, t).matrix))
+            report = estimate_indices(game, phi, samples=10, seed=t)
+            for i, index in enumerate(exact_indices(game, phi).absolute):
+                ci = confidence_interval(report, i, 0.05, "selfbounding", game=game)
+                assert (ci.B - ci.halfwidth) / 2 >= index - 1e-12
+
+    def test_selfbounding_covers_an_association_index_above_its_ht_bound(self):
+        # p2's association-aware index is 0.5, its ht_bound 0: capped by the
+        # bound, its interval covered 59 of these 300 seeds
+        game = single_quota_game([28, 1, 12, 6], 27.28)
+        a = np.eye(4)
+        a[1, 0] = 1
+        phi = AssociationMatrix(a)
+        assert exact_indices(game, phi).absolute[1] == 0.5 and ht_bound(game, 1) == 0
+        trials, delta = 300, 0.05
+        hits = 0
+        for seed in range(trials):
+            report = estimate_indices(game, phi, samples=1000, seed=seed)
+            ci = confidence_interval(report, 1, delta, "selfbounding", game=game)
+            hits += ci.lower <= 0.5 <= ci.upper
+        # nominal coverage, less three binomial standard errors
+        assert hits / trials >= 1 - delta - 3 * math.sqrt(delta * (1 - delta) / trials)
 
     def test_one_sided_self_bounding_tails(self):
         # empirical check of the two one-sided tail bounds that justify the
