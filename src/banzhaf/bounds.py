@@ -25,7 +25,7 @@ from .games import (
     VotingGame,
     coalition_weight,
     removal_breaks,
-    require_same_players,
+    require_same_game,
     require_single_quota,
     sums_win,
 )
@@ -159,7 +159,7 @@ class GlobalBounds:
 
 def _require_classical(game: VotingGame, report: IndexReport, what: str) -> None:
     """The bounds and the conjecture's cap hold for classical indices only."""
-    require_same_players(game, report)
+    require_same_game(game, report)
     if report.mode != "classical":
         raise InvalidGameError(f"{what} needs a classical report, got mode {report.mode!r}")
 

@@ -8,73 +8,67 @@ and a high half of the players, so every coalition sum is ``high + low`` for
 one sum from each half; float addition commutes, so under one split it is
 the same float however the coalitions are visited.  Swing counts are integers.
 
+Every engine counts by one edge rule.  A player with removal load ``l``
+swings a coalition of sums ``s`` when ``s >= t`` and ``s - l < t`` in some
+dimension of thresholds ``t``.  `removal_edges` (`banzhaf.games`) turns each
+load into its break edge, the least float ``v`` with ``v - l >= t``; float
+subtraction of a fixed ``l`` is monotone, so ``s - l < t`` exactly when
+``s < v``, for every float ``s``.  The engines compare sums with thresholds
+and edges alone, so their counts are the enumerator's to the bit.
+
 Integer single-quota games can be counted on their sum grid
 ("subset-sum", Matsui & Matsui 2000; Uno 2012): the subsets of all the
 players are counted by sum once, ``c[s]`` for ``s = 0..W``, with prefix
 ``P``.  Since ``c`` is the other players' counts ``o`` plus ``o`` shifted by
 player ``i``'s weight ``w``, the others' count below a sum ``b`` is
 ``P[b] - P[b - w] + P[b - 2w] - ...``, and ``P[b] / 2`` for a zero weight.
-The sums at which coalitions start to win and each removal stops breaking
-the quota are the kernel's verdicts on the float grid ``0..W``, which holds
-every integer sum exactly, so the counts are the enumerator's for any quota
-and any load.  The grid grows as ``m * W``, not ``2^m``, and its counts are
-Python ints from 63 players on, so that none wraps.  A table's grid is a
-stack of one; `integer_game_counts` stacks many games, built a player
-position at a time, and counts them with one search and one gather.
+An integer sum is below an edge ``v`` iff it is below ``ceil(v)``, so
+``clip(ceil(v), 0, W + 1)`` of the sums ``0..W`` lie below it.  The grid
+grows as ``m * W``, not ``2^m``, and its counts are Python ints from 63
+players on, so that none wraps.  A table's grid is a stack of one;
+`integer_game_counts` stacks many games, built a player position at a time,
+and counts them with one pass over their edges and one gather.
 
 Any single-quota game can be counted on its sorted halves ("sorted-half"),
 which never visit coalitions one by one either.  Both halves are sorted once
-by sum, and every player is counted by one rule.  A player ``i`` with removal
-load ``l`` swings a coalition of sum ``s`` when ``s >= t`` and ``s - l < t``.
-For a fixed sum ``a`` of one half both sides are monotone in the other
-half's sum ``c`` (float ``a + c`` never decreases as ``c`` grows), so over
-the other half's sorted sums the winning coalitions are a suffix and those
-the removal breaks a prefix.  Each edge is one search per sum of the scanned
-half for where the removal stops breaking the quota, and the winning edge is
-the same search at load 0 (``s - 0.0 < t`` is ``s < t`` for every float):
-`np.searchsorted` guesses it and the kernel in `banzhaf.games` itself
-corrects it over runs of equal sums, so the counts are the enumerator's to
-the bit (the Horowitz-Sahni split applied to power indices; Klinz &
-Woeginger 2005, Matsui & Matsui 2000).  Player ``i`` then adds, over the
+by sum.  For a sum ``a`` of one half, float ``a + c`` never decreases as the
+other half's sum ``c`` grows, so each edge (the threshold and every entry's
+break edge) is one search per scanned sum for the first ``c`` with
+``a + c >= edge``: `np.searchsorted` guesses it and the comparison corrects
+it over runs of equal sums (the Horowitz-Sahni split applied to power
+indices; Klinz & Woeginger 2005, Matsui & Matsui 2000).  Player ``i`` then adds, over the
 sums of its own half whose coalitions hold it, the width of the window
-between the winning edge and its break edge.  The scanned sums are taken in
-sorted order too, so the searches and corrections walk both arrays in
-order.  The halves split the players evenly and the table keeps only their
-sorted sums, so memory grows as ``2^(m/2)``.
+between the two edges.  The scanned sums are sorted too, so the searches
+walk both arrays in order, and the table keeps only the halves' sorted sums,
+so memory grows as ``2^(m/2)``.
 
 Games with several quotas ("enumeration") have no such order, and enumerate
 the ``2^(m-b)`` high blocks of a low half of ``b = min(m, 16)`` players,
 every one of the ``2^m`` coalitions once (a single-quota table builds them
-only when `CoalitionTable.winner_blocks` asks, past the same cap).  Only winning
-coalitions can be swung, and in games like the EU Council few of them win,
-so the enumeration compacts each block's winners (their sums and membership
-bits) and counts over those alone; it tests a block one dimension at a time
-and then sums only the winners, so it never holds all of a block's sums.
-When all of a boundary convention's winners fit in one block's sum arrays
-(``2^b * k * 8`` bytes), the first scan caches them and later scans, one per
-load matrix, read only the cache; larger sets are enumerated and compacted
-afresh by each scan.  The comparisons themselves (``s >= t`` to win,
-``s - l < t`` to break, under either boundary convention's thresholds) live
-in `banzhaf.games`, which every engine shares.
-A count finds each entry's break edge per dimension once (`removal_edges`):
-the least float ``v`` with ``v - l >= t``.  Float subtraction of a fixed
-``l`` is monotone, so ``s - l < t`` exactly when ``s < v``, and a winner
-breaks an entry iff it does not win against the entry's edges, one
-comparison per dimension.  Two rules skip the comparisons that cannot change
-a count.  Every winner has ``s >= t``, so a quota whose edge is at or below
-``t`` breaks no winner (it is dead), and an entry with no live quota counts
-0 (a count of only such entries scans nothing).  Float addition of
-non-negative weights never lowers a sum, and each half's sums add its
-weights in player order, so no coalition's sums pass the full coalition's
-(the two halves' last sums, added): an entry whose edge is above them in
-some quota breaks every winner, and counts the winners that hold its
-player.  The other entries are grouped once per count, by player and set of
-live quotas (a tuple, so any number of quotas), and per block each group is
-compared over its live quotas only: an entry alone against scalar edges,
-more in one broadcast, in chunks that fit `_GROUP_BYTES`, so the r load
-matrices of a stack (`CoalitionTable.swing_counts` takes one or r, and
-`association_study` gives it r random matrices' loads) share one pass over
-the winners.
+only when `CoalitionTable.winner_blocks` asks, past the same cap).  Only
+winning coalitions can be swung, and in games like the EU Council few of
+them win, so the enumeration compacts each block's winners (their sums and
+membership bits) and counts over those alone; it tests a block one dimension
+at a time and then sums only the winners, so it never holds all of a block's
+sums.  When all of a boundary convention's winners fit in one block's sum
+arrays (``2^b * k * 8`` bytes), the first scan caches them and later scans,
+one per load matrix, read only the cache; larger sets are enumerated and
+compacted afresh by each scan.  A winner breaks an entry iff it does not win
+against the entry's edges, one comparison per dimension (`sums_win`).  Two
+rules skip the comparisons that cannot change a count.  Every winner has
+``s >= t``, so a quota whose edge is at or below ``t`` breaks no winner (it is
+dead), and an entry with no live quota counts 0 (a count of only such
+entries scans nothing).  Float addition of non-negative weights never lowers
+a sum, and each half's sums add its weights in player order, so no
+coalition's sums pass the full coalition's (the two halves' last sums,
+added): an entry whose edge is above them in some quota breaks every winner,
+and counts the winners that hold its player.  The other entries are grouped
+once per count, by player and set of live quotas (a tuple, so any number of
+quotas), and per block each group is compared over its live quotas only: an
+entry alone against scalar edges, more in one broadcast, in chunks that fit
+`_GROUP_BYTES`, so the r load matrices of a stack
+(`CoalitionTable.swing_counts` takes one or r, and `association_study` gives
+it r random matrices' loads) share one pass over the winners.
 
 Gain and loss between two load rows are three counts on any engine and for
 any number of quotas: per dimension ``s - l < t`` is monotone in ``l``, since
@@ -103,7 +97,6 @@ from .games import (
     check_association,
     load_sums,
     quota_tolerance,
-    removal_breaks,
     removal_edges,
     removal_loads,
     require_single_quota,
@@ -138,7 +131,7 @@ _HALF_BITS_CAP = (_SORTED_TABLE_BYTES // _BYTES_PER_HALF_ENTRY).bit_length() - 1
 SINGLE_QUOTA_PLAYER_CAP = 2 * _HALF_BITS_CAP
 # A sum grid of m players and total weight W builds in m * (W + 1) cells; at
 # _GRID_CELLS a count takes about 0.2 s in int64 and 1.5 s in Python ints (63
-# players), and the grid holds 16 bytes a sum in int64, up to 90 in ints.
+# players), and the grid holds 8 bytes a sum in int64 (16 while built), up to 82 in ints.
 _GRID_CELLS = 1 << 26
 # Work is counted in grid sums, W + 1 a game.  An entry of the larger sorted
 # half costs _GRID_PER_HALF_ENTRY (the crossover, measured at 16 to 32
@@ -154,7 +147,6 @@ _TABLE_SETUP = 1 << 14
 _GROUP_BYTES = 1 << 20
 # `association_study` draws its association matrices in stacks of at most this many bytes
 _STACK_BYTES = 1 << 20
-_INF = np.array([np.inf])
 
 
 # An engine of `engine_plan`: whether it ``counts`` games of k quotas, integral or not; whether m players of
@@ -218,7 +210,7 @@ def engine_plan(m, k: int = 1, integral: bool = False, total=0, engine: str | No
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Exact power indices for one game and one criticality mode."""
+    """Exact power indices for one game (its weight rows and quotas) and one criticality mode."""
 
     player_ids: tuple[str, ...]
     mode: str  # "classical" or "association"
@@ -227,6 +219,8 @@ class IndexReport:
     normalized: tuple[float, ...]
     total_swings: int
     coalitions_per_player: int
+    weights: tuple[tuple[float, ...], ...] = ()
+    quotas: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -302,14 +296,14 @@ class CoalitionTable:
     # -- integer single quota: windows on the sum grid ---------------------
 
     @cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The integer weights, and the game's grid as a stack of one."""
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The integer weights, the game's grid as a stack of one and its total."""
         weights = self.game.weight_matrix.astype(np.int64)
-        return (weights[:, 0], *_grid_stack(weights))
+        return weights[:, 0], _grid_stack(weights), int(weights.sum())
 
     def _grid_swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-        weights, prefix, sums = self._grid
-        return _grid_swing_counts(prefix, sums, np.array(thresholds), np.zeros_like(players), weights[players], loads[:, 0])
+        weights, prefix, top = self._grid
+        return _grid_swing_counts(prefix, top, np.array(thresholds), np.zeros_like(players), weights[players], loads[:, 0])
 
     # -- single quota: windows over the other half's sorted sums ------------
 
@@ -323,29 +317,27 @@ class CoalitionTable:
         for rows in (weights[:b], weights[b:]):
             sums = subset_sums(rows)[0]
             order = np.argsort(sums).astype(np.uint32)
-            halves.append((order, np.concatenate((-_INF, sums[order], _INF))))
+            halves.append((order, np.concatenate(([-np.inf], sums[order], [np.inf]))))
         (low, low_padded), (high, high_padded) = halves
         return (0, b, low, low_padded[1:-1], high_padded), (b, m, high, high_padded[1:-1], low_padded)
 
     def _sorted_swings(self, players: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
-        counts = np.zeros(players.size, dtype=np.int64)
+        counts, edges = np.zeros(players.size, dtype=np.int64), removal_edges(loads[:, 0], thresholds)
         for first, end, order, own, other in self._sides:
             entries = np.flatnonzero((players >= first) & (players < end))
             if not entries.size:  # no entry here: skip the half, its winning edge too
                 continue
             # a row of bounds costs about 64 bytes per scanned sum; the first
-            # row is load 0, whose bounds are the winning edge
+            # row is the threshold's, whose bounds are the winning edge
             step = max(1, _GROUP_BYTES // (64 * own.size))
-            rows = np.concatenate(([0.0], loads[entries, 0]))
+            rows = np.concatenate((thresholds[:1], edges[entries]))
             bits = (players[entries] - first).astype(np.uint32)[:, None]
-            done = 0
             for start in range(0, rows.size, step):
-                bounds = _break_bounds(own, other, rows[start : start + step], thresholds)
+                bounds = _break_bounds(own, other, rows[start : start + step])
                 if not start:
                     win, bounds = bounds[0], bounds[1:]
-                group = slice(done, done + len(bounds))
+                group = slice(max(start - 1, 0), start + step - 1)  # row r > 0 is entry r - 1's
                 counts[entries[group]] = _member_sums(order, bits[group], np.maximum(bounds, win) - win)
-                done += len(bounds)
                 del bounds  # before the next group's bounds are built
         return counts
 
@@ -466,40 +458,35 @@ class CoalitionTable:
         return np.array(counts, dtype=np.int64)
 
 
-def _break_bounds(
-    scanned: np.ndarray, padded: np.ndarray, loads: np.ndarray, thresholds: tuple[float, ...]
-) -> np.ndarray:
-    """(g, n) first index among the other half's sorted sums (``padded``
-    without its ends) where removing each of the g ``loads`` stops breaking
-    the quota, for the coalitions of each of the n ``scanned`` sums; at load
-    0, the first index whose coalition wins.
-
-    `np.searchsorted` guesses each index, and the kernel's verdicts correct
-    it by whole runs of equal sums, which share one verdict, until the run
-    before it breaks and the run at it does not; the ``-inf`` and ``+inf``
-    that pad the sums break and hold for every load."""
-    loads, sorted_sums = loads[:, None], padded[1:-1]
-    p = sorted_sums.searchsorted((thresholds[0] + loads) - scanned)
+def _break_bounds(scanned: np.ndarray, padded: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(g, n) first index among the other half's sorted sums ``c``
+    (``padded`` without its ends) with ``a + c >= edge``, for each of the g
+    ``edges`` (a threshold or a break edge) and the n ``scanned`` sums ``a``.
+    `np.searchsorted` guesses each index, and the comparison corrects it by
+    whole runs of equal sums, which share one verdict, until the run before
+    it falls short and the run at it does not; the ``-inf`` and ``+inf``
+    that pad the sums fall short of every edge and reach it."""
+    edges, sorted_sums = edges[:, None], padded[1:-1]
+    p = sorted_sums.searchsorted(edges - scanned)
     while True:
         before, here = padded[p], padded[p + 1]
-        back = ~removal_breaks((scanned + before,), (loads,), thresholds)
-        ok = ~removal_breaks((scanned + here,), (loads,), thresholds)
+        back, ok = scanned + before >= edges, scanned + here >= edges
         if ok.all() and not back.any():
             return p
         p = np.where(back, sorted_sums.searchsorted(before, "left"), p)
         p = np.where(ok, p, sorted_sums.searchsorted(here, "right"))
 
 
-def _grid_stack(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_stack(weights: np.ndarray) -> np.ndarray:
     """The sum grids of a stack of games, one per column of the (m, g)
     integer ``weights``: ``prefix[g, b]``, how many subsets of game g's
     players sum below ``b``, for ``b = 0..W + 1`` with ``W`` the stack's
     largest total (int64 below 63 players, Python ints from 63 on, so that
-    no count wraps), and the sums ``0..W`` as floats between -inf and +inf.
-    A game of fewer players is padded with weight 0, which doubles its counts.
-    Each player position adds to every count ``c[s]`` its ``c[s - w]``, read
-    as windows on the flat array, which starts with ``p`` zeros, one fewer
-    than the heaviest weight ``w``, and ends each row with ``p`` more."""
+    no count wraps).  A game of fewer players is padded with weight 0, which
+    doubles its counts.  Each player position adds to every count ``c[s]``
+    its ``c[s - w]``, read as windows on the flat array, which starts with
+    ``p`` zeros, one fewer than the heaviest weight ``w``, and ends each row
+    with ``p`` more."""
     (m, g), tops = weights.shape, weights.cumsum(axis=0).max(axis=1).tolist()  # the stack's running top
     total, pad = tops[-1], max(int(weights.max()) - 1, 0)
     width = total + 2 + pad
@@ -511,28 +498,29 @@ def _grid_stack(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for starts, top in zip(np.arange(pad + 1, flat.size, width) - weights, tops):
         prefix[:, 1 : top + 2] += windows[starts, : top + 1]
     np.cumsum(prefix, axis=1, out=prefix)
-    sums = np.arange(-1.0, total + 2)
-    sums[0], sums[-1] = -np.inf, np.inf
-    return prefix, sums
+    return prefix
 
 
 def _grid_swing_counts(
-    prefix: np.ndarray, sums: np.ndarray, thresholds: np.ndarray, rows: np.ndarray, weights: np.ndarray, loads: np.ndarray
+    prefix: np.ndarray, top: int, thresholds: np.ndarray, rows: np.ndarray, weights: np.ndarray, loads: np.ndarray
 ) -> np.ndarray:
     """Per entry, how many coalitions of the stack's game ``rows[e]``
-    (`_grid_stack`) its player, of integer weight ``weights[e]``, swings with
-    removal load ``loads[e]``: those of sums [win, break) that hold it, whose
-    other members sum to [win - w, break - w).  The edges, where the game
-    starts to win (its break edge at load 0) and the removal stops breaking,
-    are the kernel's verdicts on the exact float grid ``sums``, so any quota
-    or load (negative ones included) gets the enumerator's verdicts."""
-    g, n = thresholds.size, rows.size
-    t = np.concatenate((thresholds, thresholds[rows]))[:, None]
-    edges = _break_bounds(np.zeros(1), sums, np.concatenate((np.zeros(g), loads)), (t,))[:, 0]
-    win, w = edges[rows], np.tile(weights, 2)
-    bounds = np.concatenate((np.maximum(edges[g:], win), win)) - w
-    below = _others_below(prefix, np.tile(rows, 2), bounds, w)
+    (`_grid_stack`, of largest total ``top``) its player, of integer weight
+    ``weights[e]``, swings with removal load ``loads[e]``: those of sums
+    [win, break) that hold it, whose other members sum to [win - w, break - w),
+    with ``win`` and ``break`` the grid sums below its threshold and its
+    break edge (`_sums_below`)."""
+    t, n = thresholds[rows], rows.size
+    win, stop = _sums_below(np.array([t, removal_edges(loads, t)]), top)
+    w = np.tile(weights, 2)
+    below = _others_below(prefix, np.tile(rows, 2), np.concatenate((np.maximum(stop, win), win)) - w, w)
     return below[:n] - below[n:]
+
+
+def _sums_below(edges: np.ndarray, top: int) -> np.ndarray:
+    """How many of the integer sums ``0..top`` lie below each float edge
+    ``v``, that is below ``ceil(v)``; at most ``top + 1``, the stack's last prefix column."""
+    return np.ceil(edges).clip(0, top + 1).astype(np.int64)
 
 
 def _others_below(prefix: np.ndarray, rows: np.ndarray, bounds: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -611,9 +599,9 @@ def _stacked_swings(weights: list[np.ndarray], totals: np.ndarray, thresholds: n
         sizes, flat = np.array([w.size for w in stack]), np.concatenate(stack)
         rows, by_position = np.repeat(np.arange(n), sizes), np.zeros((sizes.max(), n), dtype=np.int64)
         by_position.T[np.arange(sizes.max()) < sizes[:, None]] = flat  # each game's players, then weight-0 padding
-        swings = _grid_swing_counts(*_grid_stack(by_position), thresholds[:n], rows, flat, flat)
+        swings = _grid_swing_counts(_grid_stack(by_position), int(totals[n - 1]), thresholds[:n], rows, flat, flat)
         counts.append(swings >> (sizes.max() - sizes)[rows])  # each padding player doubled its game's counts
-        thresholds = thresholds[n:]
+        thresholds, totals = thresholds[n:], totals[n:]
     # back in game order: game g's players start at firsts[g] there and at starts[g] in the stacks
     starts, firsts = np.empty_like(order), np.cumsum(players) - players
     starts[order] = np.cumsum(players[order]) - players[order]
@@ -673,6 +661,8 @@ def exact_indices(
         normalized=normalized,
         total_swings=total,
         coalitions_per_player=denom,
+        weights=game.weights,
+        quotas=game.quotas,
     )
 
 

@@ -23,7 +23,8 @@ in some dimension) apply them to sums indexed by dimension first: a tuple of
 floats for one coalition, or rows of a numpy array for many.  The scalar
 predicates below, the exact engines and the sampler all call these two;
 `removal_edges` turns each load into the sum below which its removal breaks
-a quota, checked by `removal_breaks` itself.
+a quota, checked by `removal_breaks` itself, for every exact engine: the
+enumerator, the sorted halves and the sum grid in `banzhaf.exact`.
 
 Random streams are Philox generators keyed by numpy's `SeedSequence` hash of
 a seed and a spawn key (`seeded_rng`).  A loop over many streams takes them
@@ -359,9 +360,12 @@ def require_single_quota(game: VotingGame, what: str) -> None:
         raise InvalidGameError(f"{what} requires a single-quota game")
 
 
-def require_same_players(game: VotingGame, report) -> None:
+def require_same_game(game: VotingGame, report) -> None:
+    """A report belongs to the game of its players, weight rows and quotas (none, if it records none)."""
     if game.player_ids != report.player_ids:
         raise InvalidGameError("game players do not match the report's")
+    if (game.weights, game.quotas) != (report.weights, report.quotas):
+        raise InvalidGameError("game weights or quotas do not match the report's")
 
 
 def _checked_seed(seed: int) -> int:

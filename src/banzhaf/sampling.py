@@ -49,7 +49,7 @@ from .games import (
     VotingGame,
     removal_breaks,
     removal_loads,
-    require_same_players,
+    require_same_game,
     resolve_player,
     seeded_streams,
     subset_sums,
@@ -74,7 +74,7 @@ _CHUNK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Monte Carlo estimates of the absolute indices of every player."""
+    """Monte Carlo estimates of the absolute indices of every player of one game (its weight rows and quotas)."""
 
     player_ids: tuple[str, ...]
     mode: str  # "classical" or "association"
@@ -83,6 +83,8 @@ class EstimateReport:
     samples: int
     sample_variances: tuple[float | None, ...]
     seed: int
+    weights: tuple[tuple[float, ...], ...] = ()
+    quotas: tuple[float, ...] = ()
 
     @property
     def normalized(self) -> tuple[float, ...]:
@@ -219,6 +221,8 @@ def estimate_indices(
         samples=n,
         sample_variances=variances,
         seed=seed,
+        weights=game.weights,
+        quotas=game.quotas,
     )
 
 
@@ -302,14 +306,14 @@ def confidence_interval(
     the game's combinatorial index bound for a classical report, or from 1
     when no game is given or the report is association-aware).
     ``player`` is an id or an index into ``report.player_ids``, and a
-    ``game`` must have the report's players.
+    ``game`` must be the report's (`require_same_game`).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if method not in CI_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {CI_METHODS}")
     if game is not None:
-        require_same_players(game, report)
+        require_same_game(game, report)
     i = resolve_player(report.player_ids, player)
     n = report.samples
     est = report.estimates[i]

@@ -642,6 +642,17 @@ class TestBoundsReport:
             with pytest.raises(InvalidGameError, match="players do not match"):
                 bounds_report(game_321(), report)
 
+    def test_report_of_another_game_with_the_same_players_rejected(self):
+        """Every m-player `single_quota_game` names its players p1..pm, so a
+        report matches its game by weight rows and quotas too: [1, 3]'s
+        report, flagged against [3, 1], read (False, True)."""
+        game = single_quota_game([3, 1], 3)
+        for other in (single_quota_game([1, 3], 3), single_quota_game([3, 1], 4)):
+            for check in (bounds_report, global_bounds, conjecture_check):
+                with pytest.raises(InvalidGameError, match="^game weights or quotas do not match the report's$"):
+                    check(game, exact_indices(other))
+        assert bounds_report(game, exact_indices(single_quota_game([3, 1], 3))).ht_violations == (False, False)
+
     def test_bounds_are_ht_bound_of_each_profile(self):
         for game, _ in corpus(60, seed=831, max_players=12):
             rep = bounds_report(game)

@@ -28,6 +28,7 @@ from banzhaf.exact import (
     SINGLE_QUOTA_PLAYER_CAP,
     CoalitionTable,
     _break_bounds,
+    _sums_below,
     association_delta,
     association_study,
     exact_indices,
@@ -38,6 +39,8 @@ from banzhaf.games import (
     VotingGame,
     persuasion_load,
     persuasion_loads,
+    removal_breaks,
+    removal_edges,
     removal_loads,
     seeded_rng,
     single_quota_game,
@@ -48,6 +51,7 @@ from oracles import (
     boundary_loads,
     corpus,
     dp_load_swings,
+    loads_at,
     loop_conjecture_scan,
     loop_win_bounds,
     naive_gain_loss,
@@ -593,19 +597,38 @@ class TestLoadStacks:
 class TestSortedHalf:
     """The sorted halves' searches, against the loops they replaced."""
 
-    def test_win_edge_is_the_break_edge_at_load_zero(self):
+    def test_win_edge_is_the_threshold(self):
         """Where the coalitions of each scanned sum start to win, among the
-        other half's sorted sums, is the break edge at load 0.  It must equal
-        the search with `sums_win` it replaced, and the count of losers per
-        scanned sum, for both halves and either convention."""
+        other half's sorted sums, is the search for the threshold itself
+        (``s >= t``).  It must equal the search with `sums_win` it replaced,
+        and the count of losers per scanned sum, for both halves and either
+        convention."""
         for game in parity_games(150, seed=924, max_players=10):
             for _, _, _, own, other in CoalitionTable(game)._sides:
                 sums = own[:, None] + other[None, 1:-1]
                 for strict in (False, True):
                     thresholds = game.thresholds(strict)
-                    edge = _break_bounds(own, other, np.zeros(1), thresholds)[0]
+                    edge = _break_bounds(own, other, np.array(thresholds))[0]
                     assert np.array_equal(edge, loop_win_bounds(own, other, thresholds))
                     assert np.array_equal(edge, np.count_nonzero(~sums_win((sums,), thresholds), axis=1))
+
+    def test_break_edges_are_the_kernels_verdicts(self):
+        """Over non-zero break edges (own weights, a random association, and
+        the all-pushing matrix's mostly negative loads), each index ends the
+        prefix of the other half's sorted sums whose coalitions with the
+        scanned sum the removal breaks, by `removal_breaks` over every (scanned
+        sum, other sum) pair, for both halves and either convention."""
+        for game in parity_games(60, seed=926, max_players=10):
+            m = game.num_players
+            phis = (None, random_association(m, 927), pushing_association(m))
+            loads = np.concatenate([removal_loads(game, phi)[1][:, 0] for phi in phis])
+            for _, _, _, own, other in CoalitionTable(game)._sides:
+                sums = own[:, None] + other[None, 1:-1]
+                for strict in (False, True):
+                    thresholds = game.thresholds(strict)
+                    bounds = _break_bounds(own, other, removal_edges(loads, thresholds))
+                    breaks = np.array([removal_breaks((sums,), (l,), thresholds) for l in loads])
+                    assert np.array_equal(breaks, np.arange(other.size - 2) < bounds[:, :, None])
 
 
 class TestLargeSingleQuota:
@@ -653,6 +676,27 @@ class TestSumGrid:
     """Integer single-quota games count on their sum grid, chosen by the
     engine plan; its counts agree however its gathers are cut and stay exact
     past int64 (tests/test_engines.py checks them against the oracle)."""
+
+    def test_edge_index_counts_the_integer_sums_that_break(self):
+        """The grid's index of a break edge is the count of the integer sums
+        0..W that the removal breaks, by `removal_breaks` at every sum: with
+        loads placed so that the edge lands on an integer sum or one ulp
+        either side of it, below 0 and past W, under a whole threshold, one
+        with the boundary tolerance and the strict convention's."""
+        W = 20
+        grid = np.arange(W + 1.0)
+        for game in (single_quota_game([7, 13], 7), single_quota_game([7, 13], 7.5), single_quota_game([7.5, 12.5], 7)):
+            for strict in (False, True):
+                t = game.thresholds(strict)[0]
+                # edges below t sit on t's coarser float spacing, so those
+                # near and below 0 are reached by loads, not placed
+                placed = [v for s in (7.0, 12.0, W, W + 1.0, W + 4.0) for v in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf))]
+                loads = np.array([*loads_at(placed, [t] * len(placed)), -t - 3, -t - 0.5, -t, np.nextafter(-t, np.inf), 1 - t])
+                edges = removal_edges(loads, [t])
+                assert edges[: len(placed)].tolist() == placed and np.sign(edges[len(placed) : -1]).tolist() == [-1, -1, -1, 1]
+                expected = [np.count_nonzero(removal_breaks((grid,), (l,), (t,))) for l in loads]
+                assert _sums_below(edges, W).tolist() == expected
+        assert _sums_below(np.array([-np.inf, np.inf, -0.0, 0.5]), W).tolist() == [0, W + 1, 0, 1]
 
     def test_engine_is_chosen_once_per_table(self):
         assert CoalitionTable(single_quota_game([3, 2, 1], 4)).engine == "subset-sum"

@@ -442,6 +442,20 @@ class TestConfidenceIntervals:
             with pytest.raises(InvalidGameError, match="players do not match"):
                 confidence_interval(r, 0, 0.1, method, game=other)
 
+    @pytest.mark.parametrize("method", CI_METHODS)
+    def test_game_with_the_same_players_and_other_weights_rejected(self, method):
+        """Every m-player `single_quota_game` names its players p1..pm, so an
+        estimate matches its game by weight rows and quotas too: with [1, 3]
+        for [3, 1], the self-bounding interval took its cap from the wrong
+        game's `ht_bound`."""
+        game = single_quota_game([3, 1], 3)
+        est = estimate_indices(game, samples=100, seed=0)
+        for other in (single_quota_game([1, 3], 3), single_quota_game([3, 1], 2)):
+            with pytest.raises(InvalidGameError, match="^game weights or quotas do not match the report's$"):
+                confidence_interval(est, 0, 0.05, method, game=other)
+        assert confidence_interval(est, 0, 0.05, method, game=single_quota_game([3, 1], 3)) == confidence_interval(
+            est, 0, 0.05, method, game=game)
+
 
 class TestRequiredSamples:
     def test_spec_values(self):
