@@ -61,6 +61,11 @@ def _render_table(header: list[str], rows: list[list], precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _records(ids, **columns) -> list[dict]:
+    """A report's per-player records: each id, then its value in every column."""
+    return [{"id": pid, **dict(zip(columns, values))} for pid, *values in zip(ids, *columns.values())]
+
+
 def _render_csv(header: list[str], rows: list[list], precision: int) -> str:
     import csv as _csv
     import io
@@ -188,12 +193,8 @@ def exact_cmd(game_src, association, identity, fmt, precision, out) -> None:
         "mode": report.mode,
         "total_swings": report.total_swings,
         "coalitions_per_player": report.coalitions_per_player,
-        "players": [
-            {"id": pid, "swings": sw, "absolute": ab, "normalized": no}
-            for pid, sw, ab, no in zip(
-                report.player_ids, report.swing_counts, report.absolute, report.normalized
-            )
-        ],
+        "players": _records(report.player_ids, swings=report.swing_counts, absolute=report.absolute,
+                            normalized=report.normalized),
     }
     _emit(fmt, precision, out, header, payload)
 
@@ -212,20 +213,13 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
     """Monte Carlo estimates with per-player confidence intervals."""
     game = _load_game_arg(game_src)
     phi = _resolve_phi(game, association, identity)
-    if samples is None:
-        if method == "student":
-            # worst-case Bernoulli variance; no pilot run at the CLI
-            samples = required_samples(epsilon, delta, "student", s2=0.25)
-        elif method == "selfbounding":
-            u = index_cap(game, range(game.num_players)) if phi is None else 1.0  # a classical-only cap
-            samples = required_samples(epsilon, delta, "selfbounding", B=2.0 * u + epsilon)
-        else:
-            samples = required_samples(epsilon, delta, "hoeffding")
-    report = estimate_indices(game, phi, samples=samples, seed=seed)
-    intervals = [
-        confidence_interval(report, i, delta, method, game=game)
-        for i in range(game.num_players)
-    ]
+    # only selfbounding reads u (ht_bound costs about 1 ms per 100 players); student
+    # takes the worst-case Bernoulli variance, with no pilot run at the CLI
+    mode = "classical" if phi is None else "association"
+    u = index_cap(game, range(game.num_players), mode) if method == "selfbounding" else 1.0
+    sized = required_samples(epsilon, delta, method, s2=0.25, B=2.0 * u + epsilon)  # checks epsilon, --samples or not
+    report = estimate_indices(game, phi, samples=sized if samples is None else samples, seed=seed)
+    intervals = [confidence_interval(report, i, delta, method, game=game) for i in range(game.num_players)]
     header = ["player", "estimate", "normalized", "ci_lower", "ci_upper"]
     payload = {
         "mode": report.mode,
@@ -234,19 +228,9 @@ def approx_cmd(game_src, association, identity, epsilon, delta, method, samples,
         "method": method,
         "epsilon": epsilon,
         "delta": delta,
-        "players": [
-            {
-                "id": pid,
-                "estimate": est,
-                "normalized": no,
-                "ci_lower": ci.lower,
-                "ci_upper": ci.upper,
-                "halfwidth": ci.halfwidth,
-            }
-            for pid, est, no, ci in zip(
-                report.player_ids, report.estimates, report.normalized, intervals
-            )
-        ],
+        "players": _records(report.player_ids, estimate=report.estimates, normalized=report.normalized,
+                            ci_lower=[ci.lower for ci in intervals], ci_upper=[ci.upper for ci in intervals],
+                            halfwidth=[ci.halfwidth for ci in intervals]),
     }
     _emit(fmt, precision, out, header, payload)
 
@@ -257,25 +241,15 @@ def bounds_cmd(game_src, player, fmt, precision, out) -> None:
     game = _load_game_arg(game_src)
     require_single_quota(game, "bounds_report")
     size_window(game)  # a window it cannot search is rejected before the exact count
-    indices = range(game.num_players)
-    if player is not None:
-        indices = [game.player_index(player)]
+    shown = None if player is None else game.player_index(player)  # so is a bad id
     exact = exact_indices(game)
     report = bounds_report(game, exact)
     header = ["player", "exact", "ht_bound", "t", "h", "violated"]
     m_high = "inf" if report.M_high == float("inf") else report.M_high
+    players = _records(report.player_ids, exact_absolute=exact.absolute, ht_bound=report.ht_bounds,
+                       t=report.t_values, h=report.h_values, violated=report.ht_violations)
     payload = {
-        "players": [
-            {
-                "id": report.player_ids[i],
-                "exact_absolute": exact.absolute[i],
-                "ht_bound": report.ht_bounds[i],
-                "t": report.t_values[i],
-                "h": report.h_values[i],
-                "violated": bool(report.ht_violations[i]) if report.ht_violations else False,
-            }
-            for i in indices
-        ],
+        "players": players if shown is None else [players[shown]],
         "size_window": {
             "m_low": report.m_low,
             "M_high": m_high,
@@ -326,10 +300,7 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
         }
         _emit(fmt, precision, out, header, payload, rows)
         return
-    players = [
-        {"id": pid, "weight": game.weights[i][0], "wta": classical.normalized[i]}
-        for i, pid in enumerate(game.player_ids)
-    ]
+    columns = {"weight": [w[0] for w in game.weights], "wta": classical.normalized}
     payload = {"quotas": list(game.quotas)}
     if migration:
         mt = load_migration_csv_file(migration)
@@ -341,13 +312,12 @@ def eu_cmd(migration, random_assoc, seed, runs, fmt, precision, out) -> None:
         # reordering commutes with the build: it is elementwise, and its max is over all pairs
         order = [mt.labels.index(c) for c in game.player_ids]
         phi = AssociationMatrix(build_migration_association(mt).matrix[np.ix_(order, order)])
-        for rec, wa in zip(players, exact_indices(game, phi, table=table).normalized):
-            rec["wa"] = wa
+        columns["wa"] = exact_indices(game, phi, table=table).normalized
     else:
         payload["quota_rule"] = game.metadata["quota_rule"]
-    payload["players"] = players
-    header = ["country", *list(players[0])[1:]]
-    rows = [[pid, int(weight), *rest] for pid, weight, *rest in (r.values() for r in players)]
+    payload["players"] = _records(game.player_ids, **columns)
+    header = ["country", *columns]
+    rows = [[pid, int(weight), *rest] for pid, weight, *rest in (r.values() for r in payload["players"])]
     _emit(fmt, precision, out, header, payload, rows)
 
 

@@ -96,6 +96,7 @@ from .games import (
     VotingGame,
     check_association,
     load_sums,
+    persuasion_load,
     quota_tolerance,
     removal_edges,
     removal_loads,
@@ -706,11 +707,11 @@ def association_delta(
     require_single_quota(game, "association_delta")
     i = game.player_index(player)
     table = _table_for(game, table)
-    _, loads = removal_loads(game, phi)
-    gain, loss = table.criticality_gain_loss(i, game.weight_matrix[i], loads[i])
+    pull = persuasion_load(game, phi, i)
+    gain, loss = table.criticality_gain_loss(i, game.weight_matrix[i], pull.load)
     q = game.quotas[0]
     w = game.weights[i][0]
-    surplus = float(loads[i][0] - w)
+    surplus = pull.surplus[0]
     top = q + w + surplus
     if surplus >= 0:
         window = (q + w, top)

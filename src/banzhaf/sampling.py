@@ -281,11 +281,15 @@ def _t_quantile(tail: float, df: int) -> float:
     return t
 
 
-def index_cap(game: VotingGame | None, players: Iterable[int]) -> float:
-    """Cap ``u`` on the classical absolute index of every player in
-    ``players``: the combinatorial bound `ht_bound` for a single-quota game,
-    else 1.  The bound does not hold for association-aware indices."""
-    if game is None or game.num_dimensions != 1:
+def index_cap(game: VotingGame | None, players: Iterable[int], mode: str) -> float:
+    """Cap ``u`` on the absolute index of every player in ``players``, for
+    indices of criticality ``mode`` (``"classical"`` or ``"association"``).
+
+    Only classical indices of a single-quota game get ``u < 1``: the largest
+    combinatorial bound `ht_bound` over ``players``, capped at 1.  Every
+    other case gets 1: association-aware indices (the bound does not hold
+    for them), several quotas, or no game."""
+    if mode != "classical" or game is None or game.num_dimensions != 1:
         return 1.0
     return min(1.0, max(ht_bound(game, i) for i in players))
 
@@ -303,8 +307,7 @@ def confidence_interval(
     Methods: ``hoeffding`` (distribution free), ``student`` (variance
     adaptive, needs ``n >= 2``), ``selfbounding`` (Bernstein-style bound
     driven by the scale cap ``B``; when ``B`` is omitted it is derived from
-    the game's combinatorial index bound for a classical report, or from 1
-    when no game is given or the report is association-aware).
+    the cap `index_cap` sets for the ``game`` and the report's mode).
     ``player`` is an id or an index into ``report.player_ids``, and a
     ``game`` must be the report's (`require_same_game`).
     """
@@ -331,7 +334,7 @@ def confidence_interval(
         # B = 2u + hw with hw = sqrt(B ln(2/delta) / n) is a quadratic in hw;
         # its positive root makes the pair exactly self-consistent and always
         # lands inside the admissible clamp [hw, 2 + hw]
-        u = index_cap(game, (i,)) if report.mode == "classical" else 1.0
+        u = index_cap(game, (i,), report.mode)
         c = math.log(2.0 / delta) / n
         hw = 0.5 * (c + math.sqrt(c * c + 8.0 * u * c))
         used_b = 2.0 * u + hw

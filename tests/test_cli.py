@@ -191,6 +191,29 @@ class TestApprox:
         # ht_bound caps classical indices only, so B = 2 * 1 + epsilon
         assert json.loads(out)["samples"] == sampling.required_samples(0.2, 0.1, "selfbounding", B=2.2) == 165
 
+    def test_selfbounding_with_identity_derives_samples_from_cap_1(self, capsys, g3):
+        # identity loads equal the classical ones, but the report is association-aware
+        code, out, _ = run(
+            capsys,
+            ["approx", "--game", g3, "--identity", "--epsilon", "0.2", "--delta", "0.1",
+             "--method", "selfbounding", "--seed", "2", "--format", "json"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mode"] == "association"
+        assert doc["samples"] == sampling.required_samples(0.2, 0.1, "selfbounding", B=2.2) == 165
+
+    @pytest.mark.parametrize("samples", [None, "50"])
+    @pytest.mark.parametrize("epsilon", ["-3", "0", "1"])
+    def test_bad_epsilon_is_data_error_with_or_without_samples(self, capsys, g3, samples, epsilon):
+        extra = [] if samples is None else ["--samples", samples]
+        code, out, err = run(
+            capsys,
+            ["approx", "--game", g3, *extra, "--epsilon", epsilon, "--delta", "0.1", "--seed", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: epsilon must be in (0, 1), got {float(epsilon)}\n"
+
     @pytest.mark.parametrize("command", ["exact", "approx"])
     def test_association_options_have_help(self, capsys, command):
         _, out, _ = run(capsys, [command, "--help"])

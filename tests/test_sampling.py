@@ -39,6 +39,7 @@ from banzhaf.sampling import (
     _swing_count_for_player,
     confidence_interval,
     estimate_indices,
+    index_cap,
     required_samples,
     student_t_quantile,
 )
@@ -455,6 +456,22 @@ class TestConfidenceIntervals:
                 confidence_interval(est, 0, 0.05, method, game=other)
         assert confidence_interval(est, 0, 0.05, method, game=single_quota_game([3, 1], 3)) == confidence_interval(
             est, 0, 0.05, method, game=game)
+
+
+class TestIndexCap:
+    def test_classical_single_quota_takes_the_largest_ht_bound(self):
+        game = game_321()
+        assert [ht_bound(game, i) for i in range(3)] == [0.75, 0.5, 0.25]
+        assert index_cap(game, range(3), "classical") == 0.75
+        assert index_cap(game, (1, 2), "classical") == 0.5
+
+    @pytest.mark.parametrize("game, mode", [
+        (game_321(), "association"),  # the bound does not hold for association-aware indices
+        (eu_game(), "classical"),  # several quotas
+        (None, "classical"),
+    ])
+    def test_otherwise_1(self, game, mode):
+        assert index_cap(game, range(3), mode) == 1.0
 
 
 class TestRequiredSamples:
